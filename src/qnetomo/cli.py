@@ -9,6 +9,7 @@ byte-identical output for identical config and seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -55,8 +56,6 @@ DEFAULT_SAMPLES = 100000
 DEFAULT_ROUNDS = 200
 GRID_MIN = 0.01
 GRID_MAX = 0.99
-
-SINGLE_LINK_PLANS = ("LZM", "JBM", "PEM")
 
 _BASE_KEYS = {"experiment", "mode", "seed", "output"}
 _GRID_KEYS = {"grid.start", "grid.stop", "grid.step"}
@@ -148,9 +147,12 @@ def _take_float(table: Mapping[str, str], key: str, default: float) -> float:
     if key not in table:
         return default
     try:
-        return float(table[key])
+        value = float(table[key])
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {table[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {table[key]!r}")
+    return value
 
 
 def _take_int(table: Mapping[str, str], key: str, default: int) -> int:
@@ -184,6 +186,8 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
     normalize = _parse_onoff(normalize_text, "normalize")
 
     seed = args.seed if args.seed is not None else _take_int(table, "seed", DEFAULT_SEED)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     cfg = RunConfig(command=command, mode=mode, normalize=normalize, seed=seed)
     cfg.output = args.out or table.get("output")
@@ -224,14 +228,14 @@ def _check_grid(cfg: RunConfig) -> None:
 def _check_benchmark(cfg: RunConfig) -> None:
     if cfg.plan is None:
         raise ConfigError("benchmark needs a plan key")
-    if cfg.plan in SINGLE_LINK_PLANS:
+    if cfg.plan in Scheme.__members__:
         needed = {"w"}
     elif cfg.plan in BUILTIN_PLAN_KINDS:
         needed = {"w0", "w1", "w2"}
     else:
         raise ConfigError(
             f"unknown plan {cfg.plan!r}; use one of "
-            f"{', '.join(SINGLE_LINK_PLANS + BUILTIN_PLAN_KINDS)}"
+            f"{', '.join([*Scheme.__members__, *BUILTIN_PLAN_KINDS])}"
         )
     if set(cfg.fixed) != needed:
         raise ConfigError(
@@ -257,7 +261,7 @@ def cmd_single_link(cfg: RunConfig) -> tuple:
     """Per-scheme information and variance bound over the parameter grid."""
     lines = ["scheme,w,fisher,qcrb,mode,normalized"]
     for w in _grid(cfg):
-        for scheme in (Scheme.LZM, Scheme.JBM, Scheme.PEM):
+        for scheme in Scheme:
             info = single_link_fisher(scheme, w, cfg.mode, cfg.normalize)
             bound = single_link_qcrb(scheme, w, cfg.mode, cfg.normalize)
             lines.append(
@@ -297,7 +301,7 @@ def cmd_star(cfg: RunConfig) -> tuple:
 
 
 def _benchmark_plan(cfg: RunConfig) -> tuple:
-    if cfg.plan in SINGLE_LINK_PLANS:
+    if cfg.plan in Scheme.__members__:
         graph = NetworkGraph(
             nodes=frozenset({"a", "b"}),
             links=(WernerLink("e0", cfg.fixed["w"]),),

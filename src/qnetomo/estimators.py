@@ -16,7 +16,7 @@ import numpy as np
 
 from .fisher import FisherMode, crb_diagonal, plan_qfim
 from .network import MeasurementTask, MonitoringPlan, Scheme
-from .schemes import OutcomeCounts, derive_seed, sample_outcomes, task_distribution
+from .schemes import SCHEMES, OutcomeCounts, derive_seed, sample_outcomes, task_distribution
 
 # Estimated divisors at or below this magnitude make the remaining link
 # unidentifiable in practice; the estimate is withheld instead of divided.
@@ -68,14 +68,9 @@ def estimate_path(
     """
     if counts.total <= 0:
         raise ValueError("counts total must be positive")
-    if scheme is Scheme.LZM:
-        agree = counts.counts["00"] + counts.counts["11"]
-        raw = 2.0 * agree / counts.total - 1.0
-    elif scheme is Scheme.PEM:
-        raw = (4.0 * counts.counts["phi+"] / counts.total - 1.0) / 3.0
-    else:
-        pre = (4.0 * counts.counts["phi+"] / counts.total - 1.0) / 3.0
-        raw = math.sqrt(max(0.0, pre))
+    spec = SCHEMES[scheme]
+    observed = sum(counts.counts[label] for label in spec.estimator_labels)
+    raw = spec.inverse(observed / counts.total)
     return PathEstimate(value=_clamp(raw), raw=raw, total=counts.total, task=task)
 
 

@@ -1,10 +1,15 @@
 """Fisher information of measurement tasks and plans, with Cramér-Rao bounds.
 
-Two computation modes are first-class and kept deliberately independent:
+Every task's information is rank one: J_s(W) * outer(g, g), where W is the
+path product and g_i = dW/dw_i is the product of the other path links.  Two
+computation modes for the scalar J_s are first-class and kept deliberately
+independent:
 
-* closed-form: the published per-entry expressions evaluated verbatim;
-* first-principles: the per-outcome sum of (d p_k / d w_i)(d p_k / d w_j) / p_k
-  with analytic derivatives of the outcome distributions.
+* closed-form: the published scalar of the scheme table, 1/(1-W^2) for LZM
+  (2/(1-W^2) on a direct link), 12W^2/((1+3W^2)(1-W^2)) for JBM and
+  3/((1+3W)(1-W)) for PEM;
+* first-principles: the per-outcome sum of (d p_k / dW)^2 / p_k over the
+  table's outcome distribution.
 
 The two agree to high precision everywhere except the single-link LZM entry,
 where the closed form is exactly twice the first-principles value.  Both are
@@ -17,12 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .network import MeasurementTask, MonitoringPlan, Scheme, UsageLedger, channel_uses
-from .schemes import scheme_distribution
+from .network import MeasurementTask, MonitoringPlan, UsageLedger, channel_uses
+from .schemes import SCHEMES, Scheme
 
 SYM_ATOL = 1e-12
 PSD_ATOL = 1e-10
@@ -74,73 +81,45 @@ class FisherMatrix:
 
 
 def _leave_one_out(ws: Sequence[float]) -> list:
-    return [math.prod(ws[:i]) * math.prod(ws[i + 1 :]) for i in range(len(ws))]
+    """g_i = dW/dw_i, the product of the other links, exact when a link is 0."""
+    prefix = list(accumulate(ws, mul, initial=1.0))
+    suffix = list(accumulate(reversed(ws), mul, initial=1.0))[::-1]
+    return [a * b for a, b in zip(prefix, suffix[1:])]
 
 
-def _safe_ratio(num: float, den: float) -> float:
-    if den == 0.0:
-        return math.inf if num != 0.0 else 0.0
-    return num / den
+def _rank_one(scheme: Scheme, ws: Sequence[float], mode: FisherMode) -> tuple:
+    """(J, g) such that a task's information block is J * outer(g, g).
 
-
-def _closed_entry(scheme: Scheme, ws: Sequence[float], i: int, j: int) -> float:
-    """Published closed-form information entry for one task path."""
+    J is +inf only at W = 1, where every link is 1 and so is every g_i.
+    """
+    spec = SCHEMES[scheme]
     product = math.prod(ws)
-    g = _leave_one_out(ws)
-    if scheme is Scheme.LZM:
+    if mode is FisherMode.CLOSED_FORM:
+        info = math.inf if product == 1.0 else spec.closed_form(product)
         if len(ws) == 1:
-            return _safe_ratio(2.0, (1.0 + product) * (1.0 - product))
-        return _safe_ratio(g[i] * g[j], (1.0 + product) * (1.0 - product))
-    if scheme is Scheme.JBM:
-        sq_i = math.prod(w * w for k, w in enumerate(ws) if k != i)
-        sq_j = math.prod(w * w for k, w in enumerate(ws) if k != j)
-        num = 12.0 * ws[i] * ws[j] * sq_i * sq_j
-        den = (1.0 + 3.0 * product * product) * (1.0 - product * product)
-        return _safe_ratio(num, den)
-    return _safe_ratio(
-        3.0 * g[i] * g[j], (1.0 + 3.0 * product) * (1.0 - product)
-    )
+            info *= spec.direct_factor
+    else:
+        info = 0.0
+        for p, dp in zip(spec.probabilities(product), spec.derivatives(product)):
+            if dp != 0.0:
+                info += dp * dp / p if p > 0.0 else math.inf
+    return info, _leave_one_out(ws)
 
 
-def _outcome_derivatives(scheme: Scheme, product: float) -> np.ndarray:
-    """d p_k / d(path product) for the scheme's outcome order."""
-    if scheme is Scheme.LZM:
-        return np.array([0.25, -0.25, -0.25, 0.25])
-    if scheme is Scheme.JBM:
-        return np.array([1.5 * product, -0.5 * product, -0.5 * product, -0.5 * product])
-    return np.array([0.75, -0.25, -0.25, -0.25])
-
-
-def _first_principles_block(scheme: Scheme, ws: Sequence[float]) -> np.ndarray:
-    """Information block over the path coordinates from the outcome sum."""
-    product = math.prod(ws)
-    probs = np.array(scheme_distribution(scheme, product).probabilities)
-    dprob = _outcome_derivatives(scheme, product)
-    g = _leave_one_out(ws)
-    n = len(ws)
-    block = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            acc = 0.0
-            for p_k, dp_k in zip(probs, dprob):
-                num = (dp_k * g[i]) * (dp_k * g[j])
-                if p_k <= 0.0:
-                    if num != 0.0:
-                        acc = math.inf
-                        break
-                    continue
-                acc += num / p_k
-            block[i, j] = block[j, i] = acc
-    return block
-
-
-def _closed_block(scheme: Scheme, ws: Sequence[float]) -> np.ndarray:
-    n = len(ws)
-    block = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            block[i, j] = block[j, i] = _closed_entry(scheme, ws, i, j)
-    return block
+def _task_entries(
+    task: MeasurementTask, params: Mapping[str, float], mode: FisherMode, order: tuple
+) -> np.ndarray:
+    index = {lid: k for k, lid in enumerate(order)}
+    for lid in task.path.link_ids:
+        if lid not in index:
+            raise ValueError(f"path link {lid!r} missing from the parameter vector")
+        if not 0.0 <= params[lid] <= 1.0:
+            raise ValueError(f"parameter for link {lid!r} outside [0, 1]")
+    info, g = _rank_one(task.scheme, [params[lid] for lid in task.path.link_ids], mode)
+    entries = np.zeros((len(order), len(order)))
+    coords = [index[lid] for lid in task.path.link_ids]
+    entries[np.ix_(coords, coords)] = info * np.outer(g, g)
+    return entries
 
 
 def task_qfim(
@@ -156,23 +135,9 @@ def task_qfim(
     entries are +inf rather than a silent overflow.
     """
     param_order = tuple(order) if order is not None else tuple(sorted(params))
-    index = {lid: k for k, lid in enumerate(param_order)}
-    for lid in task.path.link_ids:
-        if lid not in index:
-            raise ValueError(f"path link {lid!r} missing from the parameter vector")
-    ws = [params[lid] for lid in task.path.link_ids]
-    for lid, w in zip(task.path.link_ids, ws):
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"parameter for link {lid!r} outside [0, 1]")
-    if mode is FisherMode.CLOSED_FORM:
-        block = _closed_block(task.scheme, ws)
-    else:
-        block = _first_principles_block(task.scheme, ws)
-    n = len(param_order)
-    entries = np.zeros((n, n))
-    coords = [index[lid] for lid in task.path.link_ids]
-    entries[np.ix_(coords, coords)] = block
-    return FisherMatrix(entries=entries, order=param_order, mode=mode)
+    return FisherMatrix(
+        entries=_task_entries(task, params, mode, param_order), order=param_order, mode=mode
+    )
 
 
 def plan_qfim(
@@ -190,7 +155,7 @@ def plan_qfim(
     n = len(order)
     total = np.zeros((n, n))
     for task in plan.tasks:
-        total = total + task_qfim(task, params, mode, order).entries
+        total = total + _task_entries(task, params, mode, order)
     ledger = None
     if normalize:
         ledger = channel_uses(plan)
@@ -238,10 +203,6 @@ def qcrb(matrix: FisherMatrix) -> float:
     return sum(crb_diagonal(matrix).values())
 
 
-def _per_sample_uses(scheme: Scheme) -> int:
-    return 2 if scheme is Scheme.JBM else 1
-
-
 def single_link_fisher(
     scheme: Scheme, w: float, mode: FisherMode, normalize: bool = False
 ) -> float:
@@ -252,13 +213,8 @@ def single_link_fisher(
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w={w} outside [0, 1]")
-    if mode is FisherMode.CLOSED_FORM:
-        value = _closed_entry(scheme, [w], 0, 0)
-    else:
-        value = float(_first_principles_block(scheme, [w])[0, 0])
-    if normalize:
-        value = value / _per_sample_uses(scheme)
-    return value
+    info, _ = _rank_one(scheme, [w], mode)
+    return info / SCHEMES[scheme].uses_per_link if normalize else info
 
 
 def single_link_qcrb(

@@ -8,23 +8,10 @@ equal resource footing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-
-class Scheme(Enum):
-    """Measurement scheme run over a path.
-
-    LZM: local Z-basis measurements at both path endpoints.
-    JBM: joint Bell-state measurement at one endpoint on two fused path copies.
-    PEM: Bell measurement at one endpoint assisted by a noiseless pre-shared pair.
-    """
-
-    LZM = "LZM"
-    JBM = "JBM"
-    PEM = "PEM"
-
+from .schemes import SCHEMES, Scheme
 
 BUILTIN_PLAN_KINDS = ("JBM2", "JBM3", "HYB2", "HYB3")
 
@@ -67,12 +54,6 @@ class NetworkGraph:
                 raise ValueError(f"link {lid!r} is a self-loop")
         if not self.monitors <= self.nodes:
             raise ValueError("monitors must be a subset of nodes")
-
-    def link(self, link_id: str) -> WernerLink:
-        for l in self.links:
-            if l.id == link_id:
-                return l
-        raise KeyError(link_id)
 
     def params(self) -> dict:
         """Link id to Werner parameter, for the whole graph."""
@@ -179,10 +160,8 @@ class UsageLedger:
 
 
 def _task_monitor_ok(task: MeasurementTask, graph: NetworkGraph) -> bool:
-    a, b = task.path.endpoints
-    if task.scheme is Scheme.LZM:
-        return a in graph.monitors and b in graph.monitors
-    return a in graph.monitors or b in graph.monitors
+    watched = [end in graph.monitors for end in task.path.endpoints]
+    return all(watched) if SCHEMES[task.scheme].both_monitors else any(watched)
 
 
 def validate_plan(
@@ -305,9 +284,8 @@ def channel_uses(plan: MonitoringPlan) -> UsageLedger:
     uses: dict = {}
     preshared = 0
     for task in plan.tasks:
-        per_link = 2 if task.scheme is Scheme.JBM else 1
+        spec = SCHEMES[task.scheme]
         for lid in task.path.link_ids:
-            uses[lid] = uses.get(lid, 0) + per_link
-        if task.scheme is Scheme.PEM:
-            preshared += 1
+            uses[lid] = uses.get(lid, 0) + spec.uses_per_link
+        preshared += spec.preshared_pairs
     return UsageLedger(uses=uses, total=sum(uses.values()), preshared_pairs=preshared)

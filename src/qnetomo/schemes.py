@@ -1,20 +1,113 @@
-"""Analytic outcome distributions for the three measurement schemes.
+"""The scheme table and the analytic outcome distributions it defines.
 
-Each scheme's statistics depend on the path only through the product of its
-link parameters, so every distribution here takes that scalar product.
-Sampling is deterministic given (distribution, n, seed) and portable across
-platforms via a fixed, named PRNG.
+Each scheme's statistics depend on the path only through the product W of its
+link parameters, and every outcome probability is affine in one power of it:
+p_k = (1 + c_k W^d) / 4, with d = 1 for LZM and PEM and d = 2 for JBM.  The
+frozen table ``SCHEMES`` holds every per-scheme fact the package uses, so no
+other module branches on the scheme.  Sampling is deterministic given
+(distribution, n, seed) and portable across platforms via a fixed, named PRNG.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from enum import Enum
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .network import MeasurementTask, Scheme
 from .oracle import BELL_LABELS, ZZ_LABELS
+
+if TYPE_CHECKING:
+    from .network import MeasurementTask
+
+
+class Scheme(Enum):
+    """Measurement scheme run over a path.
+
+    LZM: local Z-basis measurements at both path endpoints.
+    JBM: joint Bell-state measurement at one endpoint on two fused path copies.
+    PEM: Bell measurement at one endpoint assisted by a noiseless pre-shared pair.
+    """
+
+    LZM = "LZM"
+    JBM = "JBM"
+    PEM = "PEM"
+
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """Every fact about one measurement scheme.
+
+    Outcome k has probability ``(1 + slopes[k] * W**degree) / 4``.
+    ``closed_form`` is the published information about W for W < 1; a task
+    on a single link multiplies it by ``direct_factor``.  ``inverse`` maps the
+    summed frequency of ``estimator_labels`` back to W.
+    """
+
+    labels: tuple
+    slopes: tuple
+    degree: int
+    closed_form: Callable[[float], float]
+    direct_factor: float
+    uses_per_link: int
+    preshared_pairs: int
+    both_monitors: bool
+    estimator_labels: tuple
+    inverse: Callable[[float], float]
+
+    def probabilities(self, w: float) -> tuple:
+        # Left to right, as in (1 + 3*W*W)/4: grouping W*W first moves last bits.
+        return tuple((1.0 + math.prod((c,) + (w,) * self.degree)) / 4.0 for c in self.slopes)
+
+    def derivatives(self, w: float) -> tuple:
+        """d p_k / dW in outcome order."""
+        return tuple(c * self.degree / 4.0 * w ** (self.degree - 1) for c in self.slopes)
+
+
+SCHEMES: Mapping[Scheme, SchemeSpec] = MappingProxyType(
+    {
+        Scheme.LZM: SchemeSpec(
+            labels=ZZ_LABELS,
+            slopes=(1.0, -1.0, -1.0, 1.0),
+            degree=1,
+            closed_form=lambda w: 1.0 / ((1.0 + w) * (1.0 - w)),
+            direct_factor=2.0,
+            uses_per_link=1,
+            preshared_pairs=0,
+            both_monitors=True,
+            estimator_labels=("00", "11"),
+            inverse=lambda f: 2.0 * f - 1.0,
+        ),
+        Scheme.JBM: SchemeSpec(
+            labels=BELL_LABELS,
+            slopes=(3.0, -1.0, -1.0, -1.0),
+            degree=2,
+            closed_form=lambda w: 12.0 * w * w / ((1.0 + 3.0 * w * w) * (1.0 - w * w)),
+            direct_factor=1.0,
+            uses_per_link=2,
+            preshared_pairs=0,
+            both_monitors=False,
+            estimator_labels=("phi+",),
+            # Sampling noise can push the pre-root value below zero.
+            inverse=lambda f: math.sqrt(max(0.0, (4.0 * f - 1.0) / 3.0)),
+        ),
+        Scheme.PEM: SchemeSpec(
+            labels=BELL_LABELS,
+            slopes=(3.0, -1.0, -1.0, -1.0),
+            degree=1,
+            closed_form=lambda w: 3.0 / ((1.0 + 3.0 * w) * (1.0 - w)),
+            direct_factor=1.0,
+            uses_per_link=1,
+            preshared_pairs=1,
+            both_monitors=False,
+            estimator_labels=("phi+",),
+            inverse=lambda f: (4.0 * f - 1.0) / 3.0,
+        ),
+    }
+)
 
 PROB_ATOL = 1e-12
 
@@ -71,60 +164,30 @@ class OutcomeCounts:
         return self.counts[label] / self.total
 
 
-def _checked(path_product: float) -> float:
+def scheme_distribution(scheme: Scheme, path_product: float) -> OutcomeDistribution:
+    """Outcome distribution of a scheme at a given path product."""
     if not 0.0 <= path_product <= 1.0:
         raise ValueError(f"path product {path_product} outside [0, 1]")
-    return float(path_product)
+    w = float(path_product)
+    spec = SCHEMES[scheme]
+    return OutcomeDistribution(
+        scheme=scheme, labels=spec.labels, probabilities=spec.probabilities(w), path_product=w
+    )
 
 
 def lzm_distribution(path_product: float) -> OutcomeDistribution:
     """Correlated Z-basis outcomes: equal bits carry (1+W)/4, unequal (1-W)/4."""
-    w = _checked(path_product)
-    agree = (1.0 + w) / 4.0
-    differ = (1.0 - w) / 4.0
-    return OutcomeDistribution(
-        scheme=Scheme.LZM,
-        labels=ZZ_LABELS,
-        probabilities=(agree, differ, differ, agree),
-        path_product=w,
-    )
+    return scheme_distribution(Scheme.LZM, path_product)
 
 
 def jbm_distribution(path_product: float) -> OutcomeDistribution:
     """Joint Bell outcomes on two fused path copies: quadratic in the product."""
-    w = _checked(path_product)
-    top = (1.0 + 3.0 * w * w) / 4.0
-    rest = (1.0 - w * w) / 4.0
-    return OutcomeDistribution(
-        scheme=Scheme.JBM,
-        labels=BELL_LABELS,
-        probabilities=(top, rest, rest, rest),
-        path_product=w,
-    )
+    return scheme_distribution(Scheme.JBM, path_product)
 
 
 def pem_distribution(path_product: float) -> OutcomeDistribution:
     """Pair-assisted Bell outcomes: linear in the product."""
-    w = _checked(path_product)
-    top = (1.0 + 3.0 * w) / 4.0
-    rest = (1.0 - w) / 4.0
-    return OutcomeDistribution(
-        scheme=Scheme.PEM,
-        labels=BELL_LABELS,
-        probabilities=(top, rest, rest, rest),
-        path_product=w,
-    )
-
-
-_BY_SCHEME = {
-    Scheme.LZM: lzm_distribution,
-    Scheme.JBM: jbm_distribution,
-    Scheme.PEM: pem_distribution,
-}
-
-
-def scheme_distribution(scheme: Scheme, path_product: float) -> OutcomeDistribution:
-    return _BY_SCHEME[scheme](path_product)
+    return scheme_distribution(Scheme.PEM, path_product)
 
 
 def task_distribution(task: MeasurementTask, params: Mapping[str, float]) -> OutcomeDistribution:

@@ -319,6 +319,7 @@ class TestExitCodes:
             ["single-link", "--bogus"],
             ["single-link", "--mode", "sideways"],
             ["single-link", "--seed", "not-a-number"],
+            ["single-link", "--seed", "-1"],
             ["benchmark", "--normalize", "on"],
         ],
     )
@@ -372,6 +373,13 @@ class TestExitCodes:
         )
         code, _, err = run_lines(capsys, ["single-link", "--config", cfg])
         assert code == 1 and "step" in err
+
+    @pytest.mark.parametrize("line", ["grid.step = nan", "grid.step = inf", "seed = -1"])
+    def test_non_finite_number_or_negative_seed(self, capsys, tmp_path, line):
+        cfg = write_config(tmp_path, f"experiment = single-link\n{line}\n")
+        code, lines, err = run_lines(capsys, ["single-link", "--config", cfg])
+        assert code == 1 and lines == []
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_fixed_value_outside_unit_interval(self, capsys, tmp_path):
         cfg = write_config(

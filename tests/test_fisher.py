@@ -161,6 +161,41 @@ class TestTaskMatrices:
             assert np.linalg.eigvalsh(m)[0] > -1e-10
 
 
+def _published_entry(scheme, ws, i, j):
+    """One information entry as published, before any rank-one factoring."""
+    product = math.prod(ws)
+    g = [math.prod(ws[:k] + ws[k + 1 :]) for k in range(len(ws))]
+    if scheme is Scheme.LZM:
+        num, den = g[i] * g[j], (1.0 + product) * (1.0 - product)
+    elif scheme is Scheme.JBM:
+        sq_i = math.prod(w * w for k, w in enumerate(ws) if k != i)
+        sq_j = math.prod(w * w for k, w in enumerate(ws) if k != j)
+        num = 12.0 * ws[i] * ws[j] * sq_i * sq_j
+        den = (1.0 + 3.0 * product * product) * (1.0 - product * product)
+    else:
+        num, den = 3.0 * g[i] * g[j], (1.0 + 3.0 * product) * (1.0 - product)
+    return num / den if den else math.inf
+
+
+class TestEdgeChains:
+    """Multi-link paths with a dead link or with every link perfect."""
+
+    @pytest.mark.parametrize("ws", [[0.0, 0.7, 0.5], [0.3, 0.0], [1.0, 1.0], [1.0, 1.0, 1.0]])
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_entries_match_published_expressions(self, scheme, mode, ws):
+        task, params = _chain_task(scheme, ws)
+        m = task_qfim(task, params, mode).entries
+        assert not np.isnan(m).any()
+        assert np.isinf(m).any() == (math.prod(ws) == 1.0)
+        for i, j in np.ndindex(m.shape):
+            expected = _published_entry(scheme, ws, i, j)
+            if math.isinf(expected):
+                assert m[i, j] == math.inf
+            else:
+                assert abs(m[i, j] - expected) <= 1e-12 * abs(expected)
+
+
 class TestPlanMatrices:
     def _star(self, ws):
         return build_star(3, ws)
