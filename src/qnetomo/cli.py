@@ -56,6 +56,10 @@ DEFAULT_SAMPLES = 100000
 DEFAULT_ROUNDS = 200
 GRID_MIN = 0.01
 GRID_MAX = 0.99
+# Size caps: larger requests are a ConfigError rather than an unbounded run.
+MAX_GRID_POINTS = 100_000
+MAX_SAMPLES = 10**9
+MAX_ROUNDS = 10**6
 
 _BASE_KEYS = {"experiment", "mode", "seed", "output"}
 _GRID_KEYS = {"grid.start", "grid.stop", "grid.step"}
@@ -223,6 +227,9 @@ def _check_grid(cfg: RunConfig) -> None:
         raise ConfigError("grid.start must not exceed grid.stop")
     if cfg.grid_start < GRID_MIN - 1e-12 or cfg.grid_stop > GRID_MAX + 1e-12:
         raise ConfigError(f"grid must stay within [{GRID_MIN}, {GRID_MAX}]")
+    # Checked before the grid is built; the division may overflow to inf.
+    if (cfg.grid_stop - cfg.grid_start) / cfg.grid_step > MAX_GRID_POINTS - 1:
+        raise ConfigError(f"grid.step gives more than {MAX_GRID_POINTS} grid points")
 
 
 def _check_benchmark(cfg: RunConfig) -> None:
@@ -241,10 +248,10 @@ def _check_benchmark(cfg: RunConfig) -> None:
         raise ConfigError(
             f"plan {cfg.plan} needs exactly {', '.join('fixed.' + k for k in sorted(needed))}"
         )
-    if cfg.samples < 1:
-        raise ConfigError("samples must be at least 1")
-    if cfg.rounds < 2:
-        raise ConfigError("rounds must be at least 2")
+    if not 1 <= cfg.samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}], got {cfg.samples}")
+    if not 2 <= cfg.rounds <= MAX_ROUNDS:
+        raise ConfigError(f"rounds must lie in [2, {MAX_ROUNDS}], got {cfg.rounds}")
 
 
 def _grid(cfg: RunConfig) -> list:
@@ -328,7 +335,12 @@ def cmd_benchmark(cfg: RunConfig) -> tuple:
             f"{cfg.plan},{row.link},{_fmt(row.true_w)},{_fmt(row.variance)},"
             f"{_fmt(row.crb)},{_fmt(row.ratio)}"
         )
-    return lines, []
+    notes = [
+        f"note: link {r.link} unidentifiable in {r.unidentifiable_rounds} of {cfg.rounds} rounds"
+        for r in rows
+        if r.unidentifiable_rounds
+    ]
+    return lines, notes
 
 
 def _chain_task(scheme: Scheme, ws: Sequence[float]) -> tuple:

@@ -124,13 +124,18 @@ def solve_plan(plan: MonitoringPlan, counts_by_task: Sequence[OutcomeCounts]) ->
 
 @dataclass(frozen=True)
 class BenchmarkRow:
-    """Per-link benchmark outcome: empirical variance against its bound."""
+    """Per-link benchmark outcome: empirical variance against its bound.
+
+    ``unidentifiable_rounds`` counts the rounds whose estimate of the link was
+    withheld; any such round makes ``variance`` and ``ratio`` nan.
+    """
 
     link: str
     true_w: float
     variance: float
     crb: float
     ratio: float
+    unidentifiable_rounds: int
 
 
 def benchmark_variance(
@@ -188,6 +193,7 @@ def benchmark_variance(
                 variance=variance,
                 crb=bound,
                 ratio=ratio,
+                unidentifiable_rounds=int(np.isnan(column).sum()),
             )
         )
     return tuple(rows)

@@ -1,9 +1,14 @@
 """Exact density-matrix oracle for small Werner-pair networks.
 
-Dense complex linear algebra on up to six qubits (64x64), used as ground
-truth for the analytic outcome distributions, for multiplicative Werner
-composition under entanglement swapping, and for the path-state generation
-procedures.  Pure functions over immutable states.
+Ground truth, on up to six qubits (64x64), for the analytic outcome
+distributions, multiplicative Werner composition under entanglement
+swapping, and the path-state generation procedures.  A Bell measurement is
+one einsum of the state's qubit tensor with the constant Bell basis, giving
+all four unnormalised outcome blocks <beta_k|rho|beta_k> at once, then the
+stacked Pauli fixups on one retained qubit; no projector or partial trace is
+ever formed.  States are validated at the public boundary: swaps inside the
+generators and the ``*_oracle_probabilities`` functions run on plain arrays,
+and a ``DensityMatrix`` is built only for a state a public function returns.
 """
 
 from __future__ import annotations
@@ -21,24 +26,14 @@ MAX_DIM = 64
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 ZZ_LABELS = ("00", "01", "10", "11")
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-_BELL_VECTORS = {
-    "phi+": np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) * _SQRT_HALF,
-    "phi-": np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) * _SQRT_HALF,
-    "psi+": np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) * _SQRT_HALF,
-    "psi-": np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) * _SQRT_HALF,
-}
-
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-# Outcome-dependent Pauli fixup applied to one retained qubit so every
-# measurement branch collapses to the same swapped state.
-_CORRECTIONS = {
-    "phi+": np.eye(2, dtype=complex),
-    "phi-": _PAULI_Z,
-    "psi+": _PAULI_X,
-    "psi-": _PAULI_X @ _PAULI_Z,
-}
+# Outcome-dependent Pauli fixup (I, Z, X, XZ) in BELL_LABELS order, applied to one
+# retained qubit so every measurement branch collapses to the same swapped state.
+_CORRECTIONS = np.array(
+    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]]], dtype=complex
+)
+# Bell vectors as [outcome, first qubit, second qubit]: |beta_k> = (1 x fixup_k)|phi+>.
+_BELL = _CORRECTIONS.transpose(0, 2, 1) / np.sqrt(2.0)
+_PHI_PLUS = np.outer(_BELL[0].ravel(), _BELL[0].ravel())
 
 
 @dataclass(frozen=True)
@@ -93,13 +88,17 @@ class BellOutcome:
     negligible: bool = False
 
 
-def werner_density(w: float, labels: tuple = ("q0", "q1")) -> DensityMatrix:
-    """Two-qubit Werner state: w times the phi+ projector plus (1-w)/4 times I."""
+
+
+def _werner(w: float) -> np.ndarray:
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w={w} outside [0, 1]")
-    phi = _BELL_VECTORS["phi+"]
-    rho = w * np.outer(phi, phi.conj()) + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
-    return DensityMatrix(rho, tuple(labels))
+    return w * _PHI_PLUS + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
+
+
+def werner_density(w: float, labels: tuple = ("q0", "q1")) -> DensityMatrix:
+    """Two-qubit Werner state: w times the phi+ projector plus (1-w)/4 times I."""
+    return DensityMatrix(_werner(w), tuple(labels))
 
 
 def werner_fidelity(w: float) -> float:
@@ -127,39 +126,46 @@ def relabel(state: DensityMatrix, labels: Sequence[str]) -> DensityMatrix:
     return DensityMatrix(state.matrix, tuple(labels))
 
 
-def _lift(op: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
-    """Embed an operator on the given qubit positions into the n-qubit space."""
-    k = len(positions)
-    rest = [q for q in range(n) if q not in positions]
-    t = np.tensordot(
-        op.reshape((2,) * (2 * k)),
-        np.eye(2 ** (n - k), dtype=complex).reshape((2,) * (2 * (n - k))),
-        axes=0,
-    )
-    cur = list(positions) + rest
-    row_axis = {}
-    col_axis = {}
-    for i, q in enumerate(cur):
-        row_axis[q] = i if i < k else 2 * k + (i - k)
-        col_axis[q] = k + i if i < k else k + n + (i - k)
-    perm = [row_axis[q] for q in range(n)] + [col_axis[q] for q in range(n)]
-    return t.transpose(perm).reshape(2**n, 2**n)
+def _bell_blocks(rho: np.ndarray, pair: tuple, fix: int | None = None) -> np.ndarray:
+    """Unnormalised outcome blocks <beta_k|rho|beta_k>, stacked as (4, R, R).
+
+    ``pair`` holds the positions of the two measured qubits; ``fix`` is a
+    position among the retained qubits that gets outcome k's Pauli fixup.
+    """
+    n = rho.shape[0].bit_length() - 1
+    # einsum labels: qubit q is row axis q and column axis n + q of the tensor.
+    k, a, b, c, d, x, y = range(2 * n, 2 * n + 7)
+    axes = list(range(2 * n))
+    axes[pair[0]], axes[pair[1]], axes[n + pair[0]], axes[n + pair[1]] = a, b, c, d
+    keep = [q for q in range(n) if q not in pair]
+    out = [k, *keep, *(n + q for q in keep)]
+    t = rho.reshape((2,) * (2 * n))
+    blocks = np.einsum(_BELL.conj(), [k, a, b], t, axes, _BELL, [k, c, d], out)
+    if fix is not None:
+        q = keep[fix]
+        fixed = [x if i == q else y if i == n + q else i for i in out]
+        fixups = (_CORRECTIONS, [k, x, q], blocks, out, _CORRECTIONS.conj(), [k, y, n + q])
+        blocks = np.einsum(*fixups, fixed)
+    size = 2 ** len(keep)
+    return blocks.reshape(4, size, size)
 
 
-def _partial_trace(mat: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
-    t = mat.reshape((2,) * (2 * n))
-    cur = n
-    for q in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + cur)
-        cur -= 1
-    return t.reshape(2**cur, 2**cur)
+def _swap(rho: np.ndarray, pair: tuple, fix: int) -> np.ndarray:
+    """Corrected Bell measurement with every branch merged back into one state."""
+    merged = _bell_blocks(rho, pair, fix).sum(axis=0)
+    return merged / np.trace(merged).real
 
 
-def bsm(
-    state: DensityMatrix,
-    qubit_pair: tuple,
-    correct_on: str | None = None,
-) -> list:
+def _bell_probabilities(rho: np.ndarray) -> dict:
+    probs = np.maximum(_bell_blocks(rho, (0, 1))[:, 0, 0].real, 0.0)
+    return dict(zip(BELL_LABELS, probs.tolist()))
+
+
+def _zz_probabilities(rho: np.ndarray) -> dict:
+    return dict(zip(ZZ_LABELS, np.clip(np.diag(rho).real, 0.0, None).tolist()))
+
+
+def bsm(state: DensityMatrix, qubit_pair: tuple, correct_on: str | None = None) -> list:
     """Bell-state measurement of two labeled qubits.
 
     Returns the four BellOutcome branches in the fixed label order.  When
@@ -174,98 +180,76 @@ def bsm(
             raise ValueError(f"unknown qubit label {q!r}")
     if len(set(qubit_pair)) != 2:
         raise ValueError("measurement pair must be two distinct qubits")
-    n = len(labels)
-    pos = (labels.index(qubit_pair[0]), labels.index(qubit_pair[1]))
     rest_labels = tuple(l for l in labels if l not in qubit_pair)
-    keep = [i for i in range(n) if i not in pos]
+    fix = None
     if correct_on is not None:
         if correct_on not in rest_labels:
             raise ValueError(f"correction target {correct_on!r} is not a retained qubit")
-        fix_pos = rest_labels.index(correct_on)
-
+        fix = rest_labels.index(correct_on)
+    pair = (labels.index(qubit_pair[0]), labels.index(qubit_pair[1]))
     outcomes = []
-    for label in BELL_LABELS:
-        vec = _BELL_VECTORS[label]
-        proj = _lift(np.outer(vec, vec.conj()), pos, n)
-        selected = proj @ state.matrix @ proj
-        prob = float(np.trace(selected).real)
+    for label, block in zip(BELL_LABELS, _bell_blocks(state.matrix, pair, fix)):
+        prob = float(np.trace(block).real)
         if prob < NEGLIGIBLE_PROB:
             outcomes.append(BellOutcome(label, max(prob, 0.0), None, negligible=True))
-            continue
-        reduced = _partial_trace(selected, keep, n)
-        if correct_on is not None:
-            fix = _lift(_CORRECTIONS[label], (fix_pos,), len(rest_labels))
-            reduced = fix @ reduced @ fix.conj().T
-        post = DensityMatrix(reduced / prob, rest_labels)
-        outcomes.append(BellOutcome(label, prob, post))
+        else:
+            outcomes.append(BellOutcome(label, prob, DensityMatrix(block / prob, rest_labels)))
     return outcomes
 
 
-def _merge_branches(outcomes: Sequence[BellOutcome]) -> DensityMatrix:
-    """Probability-weighted mixture of the non-negligible corrected branches."""
-    live = [o for o in outcomes if not o.negligible]
-    if not live:
-        raise ValueError("all measurement branches are negligible")
-    total = sum(o.probability for o in live)
-    mixed = sum(o.probability * o.post_state.matrix for o in live) / total
-    return DensityMatrix(mixed, live[0].post_state.qubits)
+def _linear(params: Sequence[float]) -> np.ndarray:
+    if not 1 <= len(params) <= 3:
+        raise ValueError("path length must be between 1 and 3 links")
+    rho = _werner(params[0])
+    for w in params[1:]:
+        # Qubits: near end, relay, relay, far end; the relay pair is measured
+        # and the far end corrected.
+        rho = _swap(np.kron(rho, _werner(w)), (1, 2), fix=1)
+    return rho
 
 
-def linear_generation(
-    params: Sequence[float], labels: tuple = ("A", "B")
-) -> DensityMatrix:
+def _cyclic(params: Sequence[float]) -> np.ndarray:
+    path = _linear(params)
+    # Qubits: near 1, far 1, near 2, far 2; the far ends are fused.
+    return _swap(np.kron(path, path), (1, 3), fix=1)
+
+
+def linear_generation(params: Sequence[float], labels: tuple = ("A", "B")) -> DensityMatrix:
     """End-to-end path state from one Werner pair per link, swapped at relays.
 
     Each intermediate node measures its two qubits in the Bell basis with the
     Pauli fixup applied downstream, so the chain collapses to a single Werner
     pair whose parameter is the product of the link parameters.
     """
-    if not 1 <= len(params) <= 3:
-        raise ValueError("path length must be between 1 and 3 links")
-    left, right = labels
-    last = len(params) - 1
-    state = werner_density(params[0], (left, right if last == 0 else "_r0"))
-    for k, w in enumerate(params[1:], start=1):
-        pair = werner_density(w, (f"_l{k}", right if k == last else f"_r{k}"))
-        joint = tensor(state, pair)
-        branches = bsm(joint, (f"_r{k - 1}", f"_l{k}"), correct_on=pair.qubits[1])
-        state = _merge_branches(branches)
-    return state
+    return DensityMatrix(_linear(params), tuple(labels))
 
 
-def cyclic_generation(
-    params: Sequence[float], labels: tuple = ("A", "B")
-) -> DensityMatrix:
+def cyclic_generation(params: Sequence[float], labels: tuple = ("A", "B")) -> DensityMatrix:
     """Two linear path copies fused by a corrected Bell measurement at the far end.
 
     The surviving pair sits at the near endpoint and carries the squared path
     product as its Werner parameter.
     """
-    first = linear_generation(params, ("_cyc_a1", "_cyc_b1"))
-    second = linear_generation(params, ("_cyc_a2", "_cyc_b2"))
-    joint = tensor(first, second)
-    branches = bsm(joint, ("_cyc_b1", "_cyc_b2"), correct_on="_cyc_a2")
-    return relabel(_merge_branches(branches), labels)
+    return DensityMatrix(_cyclic(params), tuple(labels))
 
 
 def zz_probabilities(state: DensityMatrix) -> dict:
     """Computational-basis outcome probabilities of a two-qubit state."""
     if state.dimension != 4:
         raise ValueError("expected a two-qubit state")
-    diag = np.clip(np.diag(state.matrix).real, 0.0, None)
-    return dict(zip(ZZ_LABELS, (float(p) for p in diag)))
+    return _zz_probabilities(state.matrix)
 
 
 def bsm_probabilities(state: DensityMatrix) -> dict:
     """Bell-measurement outcome probabilities of a two-qubit state."""
     if state.dimension != 4:
         raise ValueError("expected a two-qubit state")
-    return {o.label: o.probability for o in bsm(state, state.qubits)}
+    return _bell_probabilities(state.matrix)
 
 
 def jbm_oracle_probabilities(params: Sequence[float]) -> dict:
     """Joint-Bell-measurement statistics from the exact cyclic construction."""
-    return bsm_probabilities(cyclic_generation(params))
+    return _bell_probabilities(_cyclic(params))
 
 
 def pem_oracle_probabilities(params: Sequence[float]) -> dict:
@@ -275,14 +259,11 @@ def pem_oracle_probabilities(params: Sequence[float]) -> dict:
     teleports its half of the path state through it, and the near endpoint
     measures its two qubits jointly.
     """
-    path_state = linear_generation(params, ("_pem_a1", "_pem_b1"))
-    ideal = werner_density(1.0, ("_pem_a2", "_pem_b2"))
-    joint = tensor(path_state, ideal)
-    branches = bsm(joint, ("_pem_b1", "_pem_b2"), correct_on="_pem_a2")
-    merged = _merge_branches(branches)
-    return bsm_probabilities(merged)
+    # Qubits: path near, path far, ideal near, ideal far.
+    joint = np.kron(_linear(params), _PHI_PLUS)
+    return _bell_probabilities(_swap(joint, (1, 3), fix=1))
 
 
 def lzm_oracle_probabilities(params: Sequence[float]) -> dict:
     """Correlated Z-basis statistics from the exact path construction."""
-    return zz_probabilities(linear_generation(params))
+    return _zz_probabilities(_linear(params))

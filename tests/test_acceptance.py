@@ -359,3 +359,54 @@ def test_criterion_11_byte_identical_reruns(tmp_path, capsys):
         if not mismatched
         else f"divergent output: {', '.join(mismatched)}",
     )
+
+
+ORACLES = {
+    Scheme.LZM: lzm_oracle_probabilities,
+    Scheme.JBM: jbm_oracle_probabilities,
+    Scheme.PEM: pem_oracle_probabilities,
+}
+
+
+def _oracle_information(oracle, ws, step=1e-4):
+    """Sum over outcomes of dp_k/dw_i dp_k/dw_j / p_k, by central differences."""
+
+    def probs(point):
+        return np.array(list(oracle(point).values()))
+
+    derivs = []
+    for i in range(len(ws)):
+        up, dn = list(ws), list(ws)
+        up[i] += step
+        dn[i] -= step
+        derivs.append((probs(up) - probs(dn)) / (2.0 * step))
+    d = np.array(derivs)
+    return (d / probs(ws)) @ d.T
+
+
+def test_criterion_12_information_matches_oracle():
+    paths = (
+        [0.3], [0.75], [0.6, 0.85], [0.2, 0.9], [0.5, 0.7, 0.9], [0.35, 0.55, 0.8],
+    )
+    worst = 0.0
+    ratio_dev = 0.0
+    for scheme, oracle in ORACLES.items():
+        for ws in paths:
+            exact = _oracle_information(oracle, ws)
+            task, params = _chain_task(scheme, ws)
+            for mode in (CLOSED, FIRST):
+                entries = task_qfim(task, params, mode).entries
+                if scheme is Scheme.LZM and mode is CLOSED and len(ws) == 1:
+                    # The published direct-link value counts two uses of the link.
+                    ratio_dev = max(ratio_dev, abs(entries[0, 0] / exact[0, 0] - 2.0))
+                    continue
+                for a, b in zip(entries.ravel(), exact.ravel()):
+                    worst = max(worst, _relative_gap(a, b))
+    verdict(
+        12,
+        "information-vs-oracle",
+        worst <= 1e-8 and ratio_dev <= 1e-9,
+        f"max relative gap to oracle central differences (h=1e-4) = {worst:.3e} "
+        f"over 3 schemes x 6 paths x 2 modes; direct local-scheme closed/oracle "
+        f"ratio deviation from 2.0 = {ratio_dev:.3e}",
+    )

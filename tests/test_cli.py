@@ -11,7 +11,16 @@ import textwrap
 import pytest
 
 from qnetomo import FisherMode, Scheme, single_link_fisher, single_link_qcrb
-from qnetomo.cli import _fmt, main
+from qnetomo.cli import (
+    MAX_GRID_POINTS,
+    MAX_ROUNDS,
+    MAX_SAMPLES,
+    _build_parser,
+    _fmt,
+    _grid,
+    build_config,
+    main,
+)
 
 CLOSED = FisherMode.CLOSED_FORM
 FIRST = FisherMode.FIRST_PRINCIPLES
@@ -266,6 +275,41 @@ class TestBenchmark:
         assert [l.split(",")[1] for l in lines[1:]] == ["e0", "e1", "e2"]
         assert [l.split(",")[2] for l in lines[1:]] == ["0.9", "0.8", "0.7"]
 
+    @pytest.mark.parametrize("w0, rounds", [("0", 5), ("0.05", 50)])
+    def test_unidentifiable_links_are_noted(self, capsys, tmp_path, w0, rounds):
+        cfg = write_config(
+            tmp_path,
+            f"""\
+            experiment = benchmark
+            plan = HYB3
+            fixed.w0 = {w0}
+            fixed.w1 = 0.5
+            fixed.w2 = 0.5
+            samples = 100
+            rounds = {rounds}
+            """,
+        )
+        code, lines, err = run_lines(capsys, ["benchmark", "--config", cfg])
+        assert code == 0
+        nan_links = [l.split(",")[1] for l in lines[1:] if l.split(",")[3] == "nan"]
+        assert nan_links == ["e1", "e2"]
+        notes = err.splitlines()
+        assert len(notes) == len(nan_links)
+        for link, note in zip(nan_links, notes):
+            prefix, _, tail = note.partition(" of ")
+            assert prefix.startswith(f"note: link {link} unidentifiable in ")
+            assert tail == f"{rounds} rounds"
+            assert 1 <= int(prefix.rsplit(" ", 1)[1]) <= rounds
+        out = tmp_path / "bench.csv"
+        code, echoed, err = run_lines(capsys, ["benchmark", "--config", cfg, "--out", str(out)])
+        assert code == 0 and err == ""
+        assert echoed == notes and out.read_text().splitlines() == lines
+
+    def test_identified_links_print_no_note(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, self.BENCH)
+        code, lines, err = run_lines(capsys, ["benchmark", "--config", cfg])
+        assert code == 0 and err == "" and "nan" not in "".join(lines)
+
     def test_missing_plan_key(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "experiment = benchmark\nfixed.w = 0.5\n")
         code, _, err = run_lines(capsys, ["benchmark", "--config", cfg])
@@ -380,6 +424,37 @@ class TestExitCodes:
         code, lines, err = run_lines(capsys, ["single-link", "--config", cfg])
         assert code == 1 and lines == []
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = single-link\ngrid.step = 1e-300\n",
+            "experiment = single-link\ngrid.step = 5e-324\n",
+            "experiment = benchmark\nplan = PEM\nfixed.w = 0.5\n"
+            "samples = 1000000000000000000000\n",
+            f"experiment = benchmark\nplan = PEM\nfixed.w = 0.5\nrounds = {MAX_ROUNDS + 1}\n",
+        ],
+    )
+    def test_size_over_cap(self, capsys, tmp_path, text):
+        command = text.split("\n")[0].split(" = ")[1]
+        cfg = write_config(tmp_path, text)
+        code, lines, err = run_lines(capsys, [command, "--config", cfg])
+        assert code == 1 and lines == []
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_caps_are_inclusive(self, tmp_path):
+        bench = write_config(
+            tmp_path,
+            f"experiment = benchmark\nplan = PEM\nfixed.w = 0.5\n"
+            f"samples = {MAX_SAMPLES}\nrounds = {MAX_ROUNDS}\n",
+        )
+        args = _build_parser().parse_args(["benchmark", "--config", bench])
+        cfg = build_config("benchmark", args)
+        assert (cfg.samples, cfg.rounds) == (MAX_SAMPLES, MAX_ROUNDS)
+        step = 0.98 / (MAX_GRID_POINTS - 1)
+        sweep = write_config(tmp_path, f"experiment = single-link\ngrid.step = {step!r}\n")
+        args = _build_parser().parse_args(["single-link", "--config", sweep])
+        assert len(_grid(build_config("single-link", args))) == MAX_GRID_POINTS
 
     def test_fixed_value_outside_unit_interval(self, capsys, tmp_path):
         cfg = write_config(

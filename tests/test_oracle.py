@@ -11,7 +11,10 @@ from qnetomo import (
     bsm,
     bsm_probabilities,
     cyclic_generation,
+    jbm_oracle_probabilities,
     linear_generation,
+    lzm_oracle_probabilities,
+    pem_oracle_probabilities,
     relabel,
     tensor,
     werner_density,
@@ -247,3 +250,88 @@ def test_relabel_keeps_the_matrix():
     assert state.qubits == ("x", "y")
     with pytest.raises(ValueError):
         relabel(state, ("x",))
+
+
+# Textbook Bell measurement, kept apart from the oracle's contraction: dense
+# projectors built by kron, the sandwich P rho P, and an explicit partial trace.
+_REF_BELL = {
+    "phi+": np.array([1, 0, 0, 1]) / np.sqrt(2),
+    "phi-": np.array([1, 0, 0, -1]) / np.sqrt(2),
+    "psi+": np.array([0, 1, 1, 0]) / np.sqrt(2),
+    "psi-": np.array([0, 1, -1, 0]) / np.sqrt(2),
+}
+_REF_X = np.array([[0, 1], [1, 0]])
+_REF_Z = np.array([[1, 0], [0, -1]])
+_REF_FIX = {"phi+": np.eye(2), "phi-": _REF_Z, "psi+": _REF_X, "psi-": _REF_X @ _REF_Z}
+
+
+def _to_measured_first(n, pair):
+    """Permutation matrix taking qubit order 0..n-1 to (pair, then the rest)."""
+    order = list(pair) + [q for q in range(n) if q not in pair]
+    perm = np.zeros((2**n, 2**n))
+    for index in range(2**n):
+        bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
+        target = int("".join(str(bits[q]) for q in order), 2)
+        perm[target, index] = 1.0
+    return perm
+
+
+def _reference_bsm(rho, n, pair, fix):
+    perm = _to_measured_first(n, pair)
+    rest = 2 ** (n - 2)
+    out = []
+    for label, vec in _REF_BELL.items():
+        proj = perm.T @ np.kron(np.outer(vec, vec.conj()), np.eye(rest)) @ perm
+        selected = perm @ (proj @ rho @ proj) @ perm.T
+        # partial trace over the measured pair: sum of the four diagonal blocks
+        blocks = [selected[m * rest : (m + 1) * rest, m * rest : (m + 1) * rest] for m in range(4)]
+        reduced = sum(blocks)
+        if fix is not None:
+            op = np.kron(np.kron(np.eye(2**fix), _REF_FIX[label]), np.eye(2 ** (n - 3 - fix)))
+            reduced = op @ reduced @ op.conj().T
+        out.append((label, np.trace(reduced).real, reduced))
+    return out
+
+
+@st.composite
+def measured_states(draw):
+    n = draw(st.sampled_from([3, 4]))
+    pair = tuple(draw(st.permutations(range(n)))[:2])
+    fix = draw(st.none() | st.integers(0, n - 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real, n, pair, fix
+
+
+class TestBsmAgainstProjectors:
+    @given(measured_states())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_textbook_projector_measurement(self, case):
+        rho, n, pair, fix = case
+        labels = tuple(f"q{i}" for i in range(n))
+        rest = tuple(l for i, l in enumerate(labels) if i not in pair)
+        correct_on = None if fix is None else rest[fix]
+        state = DensityMatrix((rho + rho.conj().T) / 2, labels)
+        got = bsm(state, (labels[pair[0]], labels[pair[1]]), correct_on=correct_on)
+        for branch, (label, prob, block) in zip(got, _reference_bsm(state.matrix, n, pair, fix)):
+            assert branch.label == label
+            assert abs(branch.probability - prob) < 1e-12
+            assert not branch.negligible and branch.post_state.qubits == rest
+            assert max_abs(branch.post_state.matrix, block / prob) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        linear_generation,
+        cyclic_generation,
+        lzm_oracle_probabilities,
+        jbm_oracle_probabilities,
+        pem_oracle_probabilities,
+    ],
+)
+@pytest.mark.parametrize("params", [[-0.1], [1.1], [0.5, -1e-9], [0.5, 0.5, 1.5], [float("nan")]])
+def test_link_parameter_outside_unit_interval_rejected(oracle, params):
+    with pytest.raises(ValueError, match="outside"):
+        oracle(params)
