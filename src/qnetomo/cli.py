@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .estimators import benchmark_variance
 from .fisher import (
     FisherMode,
@@ -266,13 +268,21 @@ def _grid(cfg: RunConfig) -> list:
 
 def cmd_single_link(cfg: RunConfig) -> tuple:
     """Per-scheme information and variance bound over the parameter grid."""
+    grid = _grid(cfg)
+    ws = np.array(grid)
+    columns = [
+        (
+            scheme,
+            single_link_fisher(scheme, ws, cfg.mode, cfg.normalize).tolist(),
+            single_link_qcrb(scheme, ws, cfg.mode, cfg.normalize).tolist(),
+        )
+        for scheme in Scheme
+    ]
     lines = ["scheme,w,fisher,qcrb,mode,normalized"]
-    for w in _grid(cfg):
-        for scheme in Scheme:
-            info = single_link_fisher(scheme, w, cfg.mode, cfg.normalize)
-            bound = single_link_qcrb(scheme, w, cfg.mode, cfg.normalize)
+    for i, w in enumerate(grid):
+        for scheme, info, bound in columns:
             lines.append(
-                f"{scheme.value},{_fmt(w)},{_fmt(info)},{_fmt(bound)},"
+                f"{scheme.value},{_fmt(w)},{_fmt(info[i])},{_fmt(bound[i])},"
                 f"{cfg.mode.value},{_onoff(cfg.normalize)}"
             )
     return lines, []
@@ -280,11 +290,13 @@ def cmd_single_link(cfg: RunConfig) -> tuple:
 
 def cmd_ratio(cfg: RunConfig) -> tuple:
     """Bound ratio of the two local schemes, plus their crossover point."""
+    grid = _grid(cfg)
+    ws = np.array(grid)
+    lzm_bound = single_link_qcrb(Scheme.LZM, ws, cfg.mode, cfg.normalize)
+    jbm_bound = single_link_qcrb(Scheme.JBM, ws, cfg.mode, cfg.normalize)
     lines = ["w,qcrb_lzm/qcrb_jbm"]
-    for w in _grid(cfg):
-        lzm_bound = single_link_qcrb(Scheme.LZM, w, cfg.mode, cfg.normalize)
-        jbm_bound = single_link_qcrb(Scheme.JBM, w, cfg.mode, cfg.normalize)
-        lines.append(f"{_fmt(w)},{_fmt(lzm_bound / jbm_bound)}")
+    for w, ratio in zip(grid, (lzm_bound / jbm_bound).tolist()):
+        lines.append(f"{_fmt(w)},{_fmt(ratio)}")
     root = crossover(Scheme.LZM, Scheme.JBM, cfg.mode, cfg.normalize)
     note = f"crossover_w = {'none' if root is None else _fmt(root)}"
     return lines, [note]
@@ -294,16 +306,17 @@ def cmd_star(cfg: RunConfig) -> tuple:
     """Bounds of the four star strategies over a homogeneous or w2 sweep."""
     graph = build_star(3, [0.5, 0.5, 0.5])
     plans = [builtin_plan(kind, graph) for kind in BUILTIN_PLAN_KINDS]
-    hetero = bool(cfg.fixed)
+    grid = _grid(cfg)
+    ws = np.array(grid)
+    if cfg.fixed:
+        params = {"e0": cfg.fixed["w0"], "e1": cfg.fixed["w1"], "e2": ws}
+    else:
+        params = {"e0": ws, "e1": ws, "e2": ws}
+    bounds = [qcrb(plan_qfim(plan, params, cfg.mode, cfg.normalize)).tolist() for plan in plans]
     lines = ["strategy,w,qcrb"]
-    for w in _grid(cfg):
-        if hetero:
-            params = {"e0": cfg.fixed["w0"], "e1": cfg.fixed["w1"], "e2": w}
-        else:
-            params = {"e0": w, "e1": w, "e2": w}
-        for plan in plans:
-            bound = qcrb(plan_qfim(plan, params, cfg.mode, cfg.normalize))
-            lines.append(f"{plan.name},{_fmt(w)},{_fmt(bound)}")
+    for i, w in enumerate(grid):
+        for plan, column in zip(plans, bounds):
+            lines.append(f"{plan.name},{_fmt(w)},{_fmt(column[i])}")
     return lines, []
 
 
@@ -335,11 +348,15 @@ def cmd_benchmark(cfg: RunConfig) -> tuple:
             f"{cfg.plan},{row.link},{_fmt(row.true_w)},{_fmt(row.variance)},"
             f"{_fmt(row.crb)},{_fmt(row.ratio)}"
         )
-    notes = [
-        f"note: link {r.link} unidentifiable in {r.unidentifiable_rounds} of {cfg.rounds} rounds"
-        for r in rows
-        if r.unidentifiable_rounds
-    ]
+    notes = []
+    for row in rows:
+        if row.unidentifiable_rounds:
+            notes.append(
+                f"note: link {row.link} unidentifiable in {row.unidentifiable_rounds} "
+                f"of {cfg.rounds} rounds"
+            )
+        elif math.isinf(row.crb) and math.isnan(row.ratio):
+            notes.append(f"note: link {row.link} has an infinite bound; ratio undefined")
     return lines, notes
 
 
@@ -356,21 +373,22 @@ def _chain_task(scheme: Scheme, ws: Sequence[float]) -> tuple:
     return task, graph.params()
 
 
-def _relative_gap(a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    return abs(a - b) / max(abs(a), abs(b))
-
-
 def _mode_gap(scheme: Scheme, param_sets: Sequence[Sequence[float]]) -> float:
-    worst = 0.0
-    for ws in param_sets:
-        task, params = _chain_task(scheme, ws)
+    """Largest relative entry gap between the modes, one batch per path length.
+
+    An infinite entry in one mode only gives a nan gap, which fails the check.
+    """
+    gaps = [0.0]
+    for length in {len(ws) for ws in param_sets}:
+        task, params = _chain_task(scheme, [0.5] * length)
+        columns = np.array([ws for ws in param_sets if len(ws) == length]).T
+        params = dict(zip(params, columns))
         closed = task_qfim(task, params, FisherMode.CLOSED_FORM).entries
         first = task_qfim(task, params, FisherMode.FIRST_PRINCIPLES).entries
-        for c, f in zip(closed.ravel(), first.ravel()):
-            worst = max(worst, _relative_gap(c, f))
-    return worst
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(closed - first) / np.maximum(np.abs(closed), np.abs(first))
+        gaps.append(np.where(closed == first, 0.0, gap).max())
+    return float(np.max(gaps))
 
 
 def _distribution_gap(analytic, oracle, labels: Sequence[str]) -> float:
@@ -388,8 +406,6 @@ def validation_checks() -> list:
 
     Returns (name, max_error, tolerance, passed) tuples.
     """
-    import numpy as np
-
     results = []
 
     def record(name: str, err: float, tol: float) -> None:
@@ -420,13 +436,10 @@ def validation_checks() -> list:
             worst = max(worst, float(np.max(np.abs(chained - direct))))
     record("swap-multiplicativity", worst, 1e-12)
 
-    worst = 0.0
-    for k in range(1, 20):
-        w = 0.05 * k
-        closed = single_link_fisher(Scheme.LZM, w, FisherMode.CLOSED_FORM)
-        first = single_link_fisher(Scheme.LZM, w, FisherMode.FIRST_PRINCIPLES)
-        worst = max(worst, abs(closed / first - 2.0))
-    record("lzm-direct-mode-ratio-of-two", worst, 1e-12)
+    ws = 0.05 * np.arange(1, 20)
+    closed = single_link_fisher(Scheme.LZM, ws, FisherMode.CLOSED_FORM)
+    first = single_link_fisher(Scheme.LZM, ws, FisherMode.FIRST_PRINCIPLES)
+    record("lzm-direct-mode-ratio-of-two", float(np.abs(closed / first - 2.0).max()), 1e-12)
 
     direct_grid = [[0.05 + 0.1 * k] for k in range(10)]
     pair_grid = [

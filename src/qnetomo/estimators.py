@@ -127,7 +127,8 @@ class BenchmarkRow:
     """Per-link benchmark outcome: empirical variance against its bound.
 
     ``unidentifiable_rounds`` counts the rounds whose estimate of the link was
-    withheld; any such round makes ``variance`` and ``ratio`` nan.
+    withheld; any such round makes ``variance`` and ``ratio`` nan.  A positive
+    variance against an infinite bound also makes ``ratio`` nan.
     """
 
     link: str

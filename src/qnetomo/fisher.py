@@ -15,12 +15,22 @@ The two agree to high precision everywhere except the single-link LZM entry,
 where the closed form is exactly twice the first-principles value.  Both are
 exposed so the discrepancy stays inspectable; the `validate` CLI command
 reports it.
+
+Everything is array-valued over a batch of parameter points.  A link
+parameter is a float or a 1-D array, all arrays in one call of equal length;
+a batch then gives a `FisherMatrix` with entries of shape (..., n, n) and
+bounds that are arrays over the batch, while floats give one (n, n) matrix and
+float bounds from the same code.  A matrix is validated once, when it is
+built: symmetry, symmetric infinities, and positive semidefiniteness of every
+member whose entries are all finite, from one batched `eigvalsh`.  Those
+eigenvalues also serve `crb_diagonal`'s singularity test, and each group of
+members with the same finite coordinates is inverted in one batched call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from operator import mul
@@ -47,10 +57,11 @@ class FisherMode(Enum):
 class FisherMatrix:
     """Symmetric PSD information matrix over an ordered link-parameter vector.
 
-    Entries may be +inf where a probability vanishes and the information
-    diverges; such coordinates are treated as exactly known by the bound
-    computations.  ``ledger`` records the channel-use normalization when
-    ``normalized`` is set.
+    ``entries`` has shape (n, n), or (..., n, n) for a batch of parameter
+    points.  Entries may be +inf where a probability vanishes and the
+    information diverges; such coordinates are treated as exactly known by
+    the bound computations.  ``ledger`` records the channel-use normalization
+    when ``normalized`` is set.
     """
 
     entries: np.ndarray
@@ -58,73 +69,113 @@ class FisherMatrix:
     mode: FisherMode
     normalized: bool = False
     ledger: UsageLedger | None = None
+    # Ascending eigenvalues of each member with all-finite entries, else nan,
+    # over the flattened batch: shape (members, n).
+    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         e = np.array(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] != len(self.order):
+        n = len(self.order)
+        if e.ndim < 2 or e.shape[-2:] != (n, n):
             raise ValueError("entries must be square over the parameter order")
         finite = np.isfinite(e)
-        if not np.array_equal(finite, finite.T):
+        if (finite != finite.swapaxes(-1, -2)).any():
             raise ValueError("infinite entries must be placed symmetrically")
         masked = np.where(finite, e, 0.0)
-        if np.any(np.abs(masked - masked.T) > SYM_ATOL):
+        if (np.abs(masked - masked.swapaxes(-1, -2)) > SYM_ATOL).any():
             raise ValueError("matrix is not symmetric within tolerance")
-        if np.all(finite) and e.size and np.linalg.eigvalsh(e)[0] < -PSD_ATOL:
+        flat = e.reshape(math.prod(e.shape[:-2]), n, n)
+        rows = finite.reshape(flat.shape).all(axis=(1, 2))
+        eig = np.full(flat.shape[:-1], np.nan)
+        if rows.any():
+            eig[rows] = np.linalg.eigvalsh(flat[rows])
+        if (eig[rows, :1] < -PSD_ATOL).any():
             raise ValueError("matrix is not positive semidefinite within tolerance")
         e.setflags(write=False)
+        eig.setflags(write=False)
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "order", tuple(self.order))
+        object.__setattr__(self, "_eigenvalues", eig)
 
     @property
     def has_infinite(self) -> bool:
         return bool(np.any(~np.isfinite(self.entries)))
 
 
-def _leave_one_out(ws: Sequence[float]) -> list:
+def _plain(x: np.ndarray) -> float | np.ndarray:
+    """A float for a batch of one, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _leave_one_out(ws: Sequence) -> list:
     """g_i = dW/dw_i, the product of the other links, exact when a link is 0."""
     prefix = list(accumulate(ws, mul, initial=1.0))
     suffix = list(accumulate(reversed(ws), mul, initial=1.0))[::-1]
     return [a * b for a, b in zip(prefix, suffix[1:])]
 
 
-def _rank_one(scheme: Scheme, ws: Sequence[float], mode: FisherMode) -> tuple:
-    """(J, g) such that a task's information block is J * outer(g, g).
+def _rank_one(scheme: Scheme, ws: Sequence, mode: FisherMode) -> tuple:
+    """(J, g) over the batch: a task's information block is J * outer(g, g).
 
-    J is +inf only at W = 1, where every link is 1 and so is every g_i.
+    J is +inf only at W = 1, where every link is 1 and so is every g_i.  In
+    first principles an outcome with dp_k = 0 contributes nothing and one with
+    p_k = 0 contributes +inf; the sum runs in outcome order.
     """
     spec = SCHEMES[scheme]
     product = math.prod(ws)
-    if mode is FisherMode.CLOSED_FORM:
-        info = math.inf if product == 1.0 else spec.closed_form(product)
-        if len(ws) == 1:
-            info *= spec.direct_factor
-    else:
-        info = 0.0
-        for p, dp in zip(spec.probabilities(product), spec.derivatives(product)):
-            if dp != 0.0:
-                info += dp * dp / p if p > 0.0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if mode is FisherMode.CLOSED_FORM:
+            info = np.where(product == 1.0, math.inf, spec.closed_form(product))
+            if len(ws) == 1:
+                info = info * spec.direct_factor
+        else:
+            p = np.array(spec.probabilities(product))
+            dp = np.array(spec.derivatives(product))
+            terms = np.where(dp == 0.0, 0.0, np.where(p > 0.0, dp * dp / p, math.inf))
+            info = 0.0
+            for term in terms:
+                info = info + term
     return info, _leave_one_out(ws)
 
 
-def _task_entries(
-    task: MeasurementTask, params: Mapping[str, float], mode: FisherMode, order: tuple
+def _information(
+    tasks: Sequence[MeasurementTask],
+    params: Mapping[str, float | np.ndarray],
+    mode: FisherMode,
+    order: tuple,
 ) -> np.ndarray:
+    """Summed task information over the parameter order, shape (..., n, n)."""
     index = {lid: k for k, lid in enumerate(order)}
-    for lid in task.path.link_ids:
+    links = list(dict.fromkeys(lid for task in tasks for lid in task.path.link_ids))
+    for lid in links:
         if lid not in index:
             raise ValueError(f"path link {lid!r} missing from the parameter vector")
-        if not 0.0 <= params[lid] <= 1.0:
-            raise ValueError(f"parameter for link {lid!r} outside [0, 1]")
-    info, g = _rank_one(task.scheme, [params[lid] for lid in task.path.link_ids], mode)
-    entries = np.zeros((len(order), len(order)))
-    coords = [index[lid] for lid in task.path.link_ids]
-    entries[np.ix_(coords, coords)] = info * np.outer(g, g)
-    return entries
+    columns = [np.asarray(params[lid], dtype=float) for lid in links]
+    shapes = {w.shape for w in columns} - {()}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise ValueError("link parameters must be floats or equal-length 1-D arrays")
+    batch = shapes.pop() if shapes else ()
+    values = np.empty((len(links),) + batch)
+    for k, w in enumerate(columns):
+        values[k] = w
+    inside = (values >= 0.0) & (values <= 1.0)
+    if not inside.all():
+        bad = links[int(inside.reshape(len(links), -1).all(axis=1).argmin())]
+        raise ValueError(f"parameter for link {bad!r} outside [0, 1]")
+    row = dict(zip(links, values))
+    # Link-major (n, n, ...) while summing; the batch axes move to the front.
+    total = np.zeros((len(order), len(order)) + batch)
+    for task in tasks:
+        info, g = _rank_one(task.scheme, [row[lid] for lid in task.path.link_ids], mode)
+        g = np.array(g)
+        coords = np.array([index[lid] for lid in task.path.link_ids])
+        total[coords[:, None], coords] += info * (g[:, None] * g[None, :])
+    return total.transpose(tuple(range(2, total.ndim)) + (0, 1))
 
 
 def task_qfim(
     task: MeasurementTask,
-    params: Mapping[str, float],
+    params: Mapping[str, float | np.ndarray],
     mode: FisherMode,
     order: Sequence[str] | None = None,
 ) -> FisherMatrix:
@@ -136,13 +187,13 @@ def task_qfim(
     """
     param_order = tuple(order) if order is not None else tuple(sorted(params))
     return FisherMatrix(
-        entries=_task_entries(task, params, mode, param_order), order=param_order, mode=mode
+        entries=_information((task,), params, mode, param_order), order=param_order, mode=mode
     )
 
 
 def plan_qfim(
     plan: MonitoringPlan,
-    params: Mapping[str, float],
+    params: Mapping[str, float | np.ndarray],
     mode: FisherMode,
     normalize: bool = False,
 ) -> FisherMatrix:
@@ -150,12 +201,10 @@ def plan_qfim(
 
     Tasks are independent experiments, so their information matrices add.
     Normalization divides by the plan's total channel uses for one round.
+    Link parameters are floats or equal-length 1-D arrays.
     """
     order = tuple(sorted(params))
-    n = len(order)
-    total = np.zeros((n, n))
-    for task in plan.tasks:
-        total = total + _task_entries(task, params, mode, order)
+    total = _information(plan.tasks, params, mode, order)
     ledger = None
     if normalize:
         ledger = channel_uses(plan)
@@ -170,63 +219,70 @@ def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
 
     Coordinates with infinite information contribute a bound of 0.  If the
     finite part is singular (eigenvalue ratio below 1e-12), its coordinates
-    get +inf: the parameters are not jointly identifiable.
+    get +inf: the parameters are not jointly identifiable.  A batched matrix
+    gives an array of bounds per parameter.
     """
     e = matrix.entries
     n = len(matrix.order)
-    bounds = {}
-    finite = [k for k in range(n) if math.isfinite(e[k, k])]
-    for k in range(n):
-        if k not in finite:
-            bounds[matrix.order[k]] = 0.0
-    if not finite:
-        return bounds
-    sub = e[np.ix_(finite, finite)]
-    if not np.all(np.isfinite(sub)):
-        raise ValueError("off-diagonal infinity with finite diagonal is not supported")
-    eig = np.linalg.eigvalsh(sub)
-    if eig[-1] <= 0.0 or eig[0] <= 0.0 or eig[0] / eig[-1] < SINGULAR_RTOL:
-        for k in finite:
-            bounds[matrix.order[k]] = math.inf
-        return bounds
-    diag = np.diag(np.linalg.inv(sub))
-    for pos, k in enumerate(finite):
-        bounds[matrix.order[k]] = float(diag[pos]) / scale
-    return bounds
+    flat = e.reshape(math.prod(e.shape[:-2]), n, n)
+    bounds = np.zeros(flat.shape[:-1])
+    finite = np.isfinite(np.diagonal(flat, axis1=1, axis2=2))
+    # Members with the same finite coordinates share one eigvalsh and one inv.
+    masks, group = np.unique(finite, axis=0, return_inverse=True)
+    for k, mask in enumerate(masks):
+        rows = np.flatnonzero(group.reshape(-1) == k)
+        coords = np.flatnonzero(mask)
+        if not coords.size:
+            continue
+        sub = flat[rows[:, None, None], coords[:, None], coords]
+        if not np.isfinite(sub).all():
+            raise ValueError("off-diagonal infinity with finite diagonal is not supported")
+        eig = matrix._eigenvalues[rows] if coords.size == n else np.linalg.eigvalsh(sub)
+        lo, hi = eig[:, 0], eig[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            singular = (hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)
+        bounds[rows[singular][:, None], coords] = math.inf
+        if not singular.all():
+            inverse = np.linalg.inv(sub[~singular])
+            bounds[rows[~singular][:, None], coords] = (
+                np.diagonal(inverse, axis1=1, axis2=2) / scale
+            )
+    bounds = bounds.reshape(e.shape[:-1])
+    return {lid: _plain(bounds[..., k]) for k, lid in enumerate(matrix.order)}
 
 
-def qcrb(matrix: FisherMatrix) -> float:
+def qcrb(matrix: FisherMatrix) -> float | np.ndarray:
     """Trace of the matrix inverse: summed per-parameter variance bounds.
 
-    Returns +inf for a singular matrix, signalling unidentifiable parameters.
+    Returns +inf for a singular matrix, signalling unidentifiable parameters;
+    a batched matrix gives an array.
     """
     return sum(crb_diagonal(matrix).values())
 
 
 def single_link_fisher(
-    scheme: Scheme, w: float, mode: FisherMode, normalize: bool = False
-) -> float:
-    """Scalar information of a direct single-link task.
+    scheme: Scheme, w: float | np.ndarray, mode: FisherMode, normalize: bool = False
+) -> float | np.ndarray:
+    """Scalar information of a direct single-link task, per point of ``w``.
 
     With ``normalize`` the value is divided by the channel uses one sample
     costs (2 for the fused-copies scheme, otherwise 1).
     """
-    if not 0.0 <= w <= 1.0:
+    ws = np.asarray(w, dtype=float)
+    if ws.ndim > 1:
+        raise ValueError("w must be a float or a 1-D array")
+    if not ((ws >= 0.0) & (ws <= 1.0)).all():
         raise ValueError(f"w={w} outside [0, 1]")
-    info, _ = _rank_one(scheme, [w], mode)
-    return info / SCHEMES[scheme].uses_per_link if normalize else info
+    info, _ = _rank_one(scheme, [ws], mode)
+    return _plain(info / SCHEMES[scheme].uses_per_link if normalize else info)
 
 
 def single_link_qcrb(
-    scheme: Scheme, w: float, mode: FisherMode, normalize: bool = False
-) -> float:
+    scheme: Scheme, w: float | np.ndarray, mode: FisherMode, normalize: bool = False
+) -> float | np.ndarray:
     """Variance bound of a direct single-link task; +inf when information is 0."""
-    info = single_link_fisher(scheme, w, mode, normalize)
-    if info == 0.0:
-        return math.inf
-    if math.isinf(info):
-        return 0.0
-    return 1.0 / info
+    with np.errstate(divide="ignore"):
+        return _plain(np.divide(1.0, single_link_fisher(scheme, w, mode, normalize)))
 
 
 def crossover(

@@ -4,17 +4,25 @@ All invocations run in-process through cli.main so exit codes and streams
 can be asserted directly; one smoke test goes through a real subprocess.
 """
 
+import contextlib
+import hashlib
+import io
 import subprocess
 import sys
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnetomo import FisherMode, Scheme, single_link_fisher, single_link_qcrb
 from qnetomo.cli import (
     MAX_GRID_POINTS,
     MAX_ROUNDS,
     MAX_SAMPLES,
+    _ALLOWED_KEYS,
     _build_parser,
     _fmt,
     _grid,
@@ -37,6 +45,8 @@ def run_lines(capsys, argv):
     captured = capsys.readouterr()
     return code, captured.out.splitlines(), captured.err
 
+
+INFINITE_E0_NOTE = "note: link e0 has an infinite bound; ratio undefined"
 
 SMALL_GRID = """\
     # three-point sweep
@@ -294,8 +304,11 @@ class TestBenchmark:
         nan_links = [l.split(",")[1] for l in lines[1:] if l.split(",")[3] == "nan"]
         assert nan_links == ["e1", "e2"]
         notes = err.splitlines()
-        assert len(notes) == len(nan_links)
-        for link, note in zip(nan_links, notes):
+        # With w0 = 0, e0 is identified in every round but its bound is infinite.
+        infinite = [INFINITE_E0_NOTE] if w0 == "0" else []
+        assert notes[: len(infinite)] == infinite
+        assert len(notes) == len(infinite) + len(nan_links)
+        for link, note in zip(nan_links, notes[len(infinite) :]):
             prefix, _, tail = note.partition(" of ")
             assert prefix.startswith(f"note: link {link} unidentifiable in ")
             assert tail == f"{rounds} rounds"
@@ -304,6 +317,29 @@ class TestBenchmark:
         code, echoed, err = run_lines(capsys, ["benchmark", "--config", cfg, "--out", str(out)])
         assert code == 0 and err == ""
         assert echoed == notes and out.read_text().splitlines() == lines
+
+    def test_infinite_bound_is_noted(self, capsys, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            """\
+            experiment = benchmark
+            plan = HYB3
+            fixed.w0 = 0
+            fixed.w1 = 0.5
+            fixed.w2 = 0.5
+            samples = 100
+            rounds = 5
+            """,
+        )
+        code, lines, err = run_lines(capsys, ["benchmark", "--config", cfg])
+        assert code == 0
+        assert lines[1] == "HYB3,e0,0,0.0308013606859,inf,nan"
+        assert err.splitlines().count(INFINITE_E0_NOTE) == 1
+        assert not any(l.startswith("note:") for l in lines)
+        out = tmp_path / "bench.csv"
+        code, echoed, err = run_lines(capsys, ["benchmark", "--config", cfg, "--out", str(out)])
+        assert code == 0 and err == "" and echoed.count(INFINITE_E0_NOTE) == 1
+        assert out.read_text().splitlines() == lines
 
     def test_identified_links_print_no_note(self, capsys, tmp_path):
         cfg = write_config(tmp_path, self.BENCH)
@@ -482,3 +518,184 @@ def test_subprocess_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("scheme,w,fisher,qcrb,mode,normalized\n")
+
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+class TestPinnedSweeps:
+    """SHA-256 of sweep CSVs, pinned to the per-point computation's output.
+
+    The batched information core must reproduce every byte, the infinite
+    (w0 = w1 = 1) and singular (w0 = 0) star rows included.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["single-link", "single_link.cfg"],
+                "cbc30ab05c3317fb621f0c486b8fd86a6505566b41e7de09dc35d9f5f2c40a7f",
+            ),
+            (
+                ["ratio", "ratio.cfg"],
+                "dcc5ffbce481fd216829dfaa33e107b4a25d59ceb9e4a9e709a1f7b651422b3f",
+            ),
+            (
+                ["star", "star_homogeneous.cfg"],
+                "b10da683442cdad275db4e84317b4c717b2c0ee2facf3e17bf2f9c12cbdef717",
+            ),
+            (
+                ["star", "star_heterogeneous.cfg"],
+                "467e6698afab1836efdc0d5d5a2838b8ad2c249779a064880d09b2ce891c0630",
+            ),
+            (
+                ["star", "star_heterogeneous.cfg", "--mode", "first-principles"],
+                "467e6698afab1836efdc0d5d5a2838b8ad2c249779a064880d09b2ce891c0630",
+            ),
+        ],
+    )
+    def test_manifest_csv(self, capsys, tmp_path, argv, digest):
+        command, manifest, *flags = argv
+        out = tmp_path / "sweep.csv"
+        argv = [command, "--config", str(MANIFESTS / manifest), *flags, "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fixed, flags, digest",
+        [
+            (
+                "fixed.w0 = 1.0\nfixed.w1 = 1.0\n",
+                [],
+                "0a64af6627dce3abd280a4e3b95fb8ed4ebb1d23b9ef4a7eee6d01e454ab44a9",
+            ),
+            (
+                "fixed.w0 = 0.0\nfixed.w1 = 0.5\n",
+                [],
+                "f37f05010bdf9a462d0a7bbc59bc128157a204e37f8f918ea00be92161b2d8b5",
+            ),
+            (
+                "fixed.w0 = 1.0\nfixed.w1 = 1.0\n",
+                ["--mode", "first-principles", "--normalize", "off"],
+                "5bbfc7115bdb16cb6ecaeddf28421cd10747fc228afeb1b2f8deb928a58c442e",
+            ),
+            (
+                "fixed.w0 = 0.0\nfixed.w1 = 0.5\n",
+                ["--mode", "first-principles", "--normalize", "off"],
+                "f37f05010bdf9a462d0a7bbc59bc128157a204e37f8f918ea00be92161b2d8b5",
+            ),
+        ],
+    )
+    def test_star_edge_rows(self, capsys, tmp_path, fixed, flags, digest):
+        cfg = write_config(tmp_path, "grid.start = 0.01\ngrid.stop = 0.05\n" + fixed)
+        out = tmp_path / "star.csv"
+        assert main(["star", "--config", cfg, *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _numbers(low, high):
+    return st.floats(low, high).map(repr) | st.integers(-5, 5).map(str)
+
+
+_SPECIAL = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e400", "abc", "", "0x10"])
+_HUGE = st.integers(10**10, 10**40).map(str)
+_GENERIC = _numbers(-2.0, 2.0) | _SPECIAL | _HUGE | st.text(max_size=6)
+# Valid values stay small: grids step at least 0.01, samples and rounds at most 1000.
+_CONFIG_VALUES = {
+    "experiment": st.sampled_from(["single-link", "ratio", "star", "benchmark", "validate", "x"]),
+    "mode": st.sampled_from(["closed-form", "first-principles", "first_principles", "exact"]),
+    "normalize": st.sampled_from(["on", "off", "yes"]),
+    "seed": st.integers(-3, 10**30).map(str) | _SPECIAL,
+    "grid.start": _numbers(-0.5, 1.5) | _SPECIAL | _HUGE,
+    "grid.stop": _numbers(-0.5, 1.5) | _SPECIAL | _HUGE,
+    "grid.step": st.floats(0.01, 1.0).map(repr) | _SPECIAL | _HUGE | st.just("-0.1"),
+    "samples": st.integers(-2, 1000).map(str) | _SPECIAL | _HUGE,
+    "rounds": st.integers(-2, 1000).map(str) | _SPECIAL | _HUGE,
+    "plan": st.sampled_from(["JBM2", "JBM3", "HYB2", "HYB3", "LZM", "JBM", "PEM", "XYZ"]),
+    "fixed.w": _numbers(-0.5, 1.5) | _SPECIAL,
+    "fixed.w0": _numbers(-0.5, 1.5) | _SPECIAL,
+    "fixed.w1": _numbers(-0.5, 1.5) | _SPECIAL,
+    "fixed.w2": _numbers(-0.5, 1.5) | _SPECIAL,
+    "fixed.w3": _GENERIC,
+    "grid.size": _GENERIC,
+    "colour": _GENERIC,
+}
+_ANY_LINE = st.sampled_from(sorted(_CONFIG_VALUES)).flatmap(
+    lambda key: _CONFIG_VALUES[key].map(lambda value: f"{key} = {value}")
+) | st.sampled_from(["# comment", "no separator", "= 0.5", "   "])
+_PLAN_KEYS = {
+    "benchmark": [
+        {"plan": st.sampled_from(["LZM", "JBM", "PEM"]), "fixed.w": _CONFIG_VALUES["fixed.w"]},
+        {
+            "plan": st.sampled_from(["JBM2", "JBM3", "HYB2", "HYB3"]),
+            **{key: _CONFIG_VALUES[key] for key in ("fixed.w0", "fixed.w1", "fixed.w2")},
+        },
+    ],
+    "star": [{}, {key: _CONFIG_VALUES[key] for key in ("fixed.w0", "fixed.w1")}],
+}
+
+
+def _config_text(command):
+    """Keys that apply to the command, a plan when it needs one, then any lines."""
+    optional = {key: _CONFIG_VALUES[key] for key in _ALLOWED_KEYS.get(command, ()) if key != "output"}
+    optional["experiment"] = st.sampled_from([command, command, "star"])
+    bodies = [
+        st.fixed_dictionaries(
+            required, optional={k: v for k, v in optional.items() if k not in required}
+        )
+        for required in _PLAN_KEYS.get(command, [{}])
+    ]
+    return st.tuples(st.one_of(bodies), st.lists(_ANY_LINE, max_size=1)).map(
+        lambda parts: [f"{k} = {v}" for k, v in parts[0].items()] + parts[1]
+    )
+
+
+_FLAGS = st.sampled_from(
+    [
+        ["--config", "{config}"],
+        ["--config", "{missing}"],
+        ["--out", "{out}"],
+        ["--mode", "closed-form"],
+        ["--mode", "first-principles"],
+        ["--mode", "exact"],
+        ["--normalize", "on"],
+        ["--normalize", "off"],
+        ["--seed", "7"],
+        ["--seed", "-1"],
+        ["--seed", "99999999999999999999999"],
+        ["--seed", "nan"],
+        ["--bogus"],
+        ["--mode"],
+    ]
+)
+
+
+class TestFuzzedInputs:
+    """Any config text and flags end in exit 0, or in exit 1 with one error line."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        st.sampled_from(["single-link", "ratio", "star", "benchmark", "validate"]).flatmap(
+            lambda command: st.tuples(st.just(command), _config_text(command))
+        ),
+        st.lists(_FLAGS, max_size=3),
+    )
+    def test_exit_code_and_single_error_line(self, case, flags):
+        command, lines = case
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "run.cfg"
+            config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            paths = {"config": config, "missing": Path(tmp) / "none.cfg", "out": Path(tmp) / "o.csv"}
+            argv = [command] if command == "validate" else [command, "--config", str(config)]
+            argv += [arg.format(**paths) for flag in flags for arg in flag]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == (1 if code == 1 else 0)

@@ -231,6 +231,128 @@ class TestPlanMatrices:
             assert math.isfinite(value) and value > 0.0
 
 
+def _reference_information(scheme, ws, mode):
+    """J_s(W) written out per scheme, independent of the package's scheme table."""
+    w = math.prod(ws)
+    if mode is CLOSED:
+        if w == 1.0:
+            return math.inf
+        if scheme is Scheme.LZM:
+            return (2.0 if len(ws) == 1 else 1.0) / ((1.0 + w) * (1.0 - w))
+        if scheme is Scheme.JBM:
+            return 12.0 * w * w / ((1.0 + 3.0 * w * w) * (1.0 - w * w))
+        return 3.0 / ((1.0 + 3.0 * w) * (1.0 - w))
+    if scheme is Scheme.LZM:
+        table = [((1.0 + w) / 4.0, 0.25)] * 2 + [((1.0 - w) / 4.0, -0.25)] * 2
+    elif scheme is Scheme.JBM:
+        table = [((1.0 + 3.0 * w * w) / 4.0, 1.5 * w)] + [((1.0 - w * w) / 4.0, -0.5 * w)] * 3
+    else:
+        table = [((1.0 + 3.0 * w) / 4.0, 0.75)] + [((1.0 - w) / 4.0, -0.25)] * 3
+    return sum(0.0 if d == 0.0 else (d * d / p if p > 0.0 else math.inf) for p, d in table)
+
+
+def _reference_point(plan, params, mode, normalize):
+    """Plan information and bounds at one point: J g g^T sums, then np.linalg.inv."""
+    order = sorted(params)
+    n = len(order)
+    m = np.zeros((n, n))
+    for task in plan.tasks:
+        links = task.path.link_ids
+        ws = [params[l] for l in links]
+        info = _reference_information(task.scheme, ws, mode)
+        g = [math.prod(ws[:k] + ws[k + 1 :]) for k in range(len(ws))]
+        for a, la in enumerate(links):
+            for b, lb in enumerate(links):
+                m[order.index(la), order.index(lb)] += info * g[a] * g[b]
+    if normalize:
+        m /= channel_uses(plan).total
+    finite = [k for k in range(n) if math.isfinite(m[k, k])]
+    bounds = [0.0] * n
+    sub = m[np.ix_(finite, finite)]
+    if finite and np.linalg.matrix_rank(sub) < len(finite):
+        for k in finite:
+            bounds[k] = math.inf
+    elif finite:
+        inverse = np.linalg.inv(sub)
+        for pos, k in enumerate(finite):
+            bounds[k] = inverse[pos, pos]
+    return m, bounds
+
+
+def _close(actual, expected):
+    if math.isinf(expected) or expected == 0.0:
+        return actual == expected
+    return abs(actual - expected) <= 1e-12 * abs(expected)
+
+
+class TestBatchedCore:
+    """One batch mixing infinite (w0 = w1 = 1), singular (w0 = 0) and ordinary rows."""
+
+    ROWS = [
+        (1.0, 1.0, 0.3),
+        (0.9, 0.8, 0.7),
+        (0.0, 0.5, 0.5),
+        (1.0, 0.5, 0.5),
+        (0.3, 0.6, 0.99),
+        (1.0, 1.0, 1.0),
+        (0.0, 0.9, 0.2),
+        (0.5, 0.5, 0.5),
+        (1.0, 1.0, 0.8),
+    ]
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    @pytest.mark.parametrize("kind", ["JBM2", "JBM3", "HYB2", "HYB3"])
+    def test_matches_per_point_reference(self, kind, mode, normalize):
+        plan = builtin_plan(kind, build_star(3, [0.5, 0.5, 0.5]))
+        columns = np.array(self.ROWS).T
+        params = {"e0": columns[0], "e1": columns[1], "e2": columns[2]}
+        matrix = plan_qfim(plan, params, mode, normalize)
+        assert matrix.entries.shape == (len(self.ROWS), 3, 3)
+        bounds = crb_diagonal(matrix)
+        total = qcrb(matrix)
+        for i, row in enumerate(self.ROWS):
+            point = dict(zip(("e0", "e1", "e2"), row))
+            entries, expected = _reference_point(plan, point, mode, normalize)
+            for a, b in np.ndindex(3, 3):
+                assert _close(matrix.entries[i, a, b], entries[a, b])
+            for k, lid in enumerate(("e0", "e1", "e2")):
+                assert _close(bounds[lid][i], expected[k])
+            assert _close(total[i], sum(expected))
+            # The batch-of-one call is the same code and gives the same bits.
+            assert total[i] == qcrb(plan_qfim(plan, point, mode, normalize))
+
+    def test_float_and_array_parameters_mix(self):
+        plan = builtin_plan("HYB3", build_star(3, [0.5, 0.5, 0.5]))
+        params = {"e0": 0.99, "e1": 0.99, "e2": np.array([0.2, 0.6])}
+        total = qcrb(plan_qfim(plan, params, CLOSED))
+        for i, w in enumerate((0.2, 0.6)):
+            single = qcrb(plan_qfim(plan, {"e0": 0.99, "e1": 0.99, "e2": w}, CLOSED))
+            assert isinstance(single, float) and total[i] == single
+
+    @pytest.mark.parametrize(
+        "e1", [np.array([0.5, 0.6]), np.array([[0.5, 0.6, 0.7]]), np.array([0.5, 1.2, 0.7])]
+    )
+    def test_bad_parameter_arrays_rejected(self, e1):
+        plan = builtin_plan("JBM3", build_star(3, [0.5, 0.5, 0.5]))
+        params = {"e0": np.array([0.5, 0.6, 0.7]), "e1": e1, "e2": 0.5}
+        with pytest.raises(ValueError):
+            plan_qfim(plan, params, CLOSED)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[1.0, 0.5], [0.2, 1.0]], "symmetric"),
+            ([[1.0, math.inf], [0.0, 1.0]], "symmetric"),
+            ([[1.0, 2.0], [2.0, 1.0]], "positive semidefinite"),
+        ],
+    )
+    def test_one_bad_member_rejects_the_batch(self, bad, message):
+        members = [np.eye(2), [[math.inf, 0.0], [0.0, 1.0]], bad, 2.0 * np.eye(2)]
+        with pytest.raises(ValueError, match=message):
+            FisherMatrix(np.array(members, dtype=float), ("a", "b"), FIRST)
+
+
 class TestBounds:
     def _matrix(self, entries, order=("a", "b")):
         return FisherMatrix(np.array(entries, dtype=float), order, FIRST)
