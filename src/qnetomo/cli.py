@@ -357,6 +357,10 @@ def cmd_benchmark(cfg: RunConfig) -> tuple:
             )
         elif math.isinf(row.crb) and math.isnan(row.ratio):
             notes.append(f"note: link {row.link} has an infinite bound; ratio undefined")
+        elif row.crb == 0.0 and row.variance == 0.0:
+            notes.append(
+                f"note: link {row.link} has a zero bound and zero variance; ratio undefined"
+            )
     return lines, notes
 
 

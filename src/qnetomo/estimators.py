@@ -16,11 +16,14 @@ import numpy as np
 
 from .fisher import FisherMode, crb_diagonal, plan_qfim
 from .network import MeasurementTask, MonitoringPlan, Scheme
-from .schemes import SCHEMES, OutcomeCounts, derive_seed, sample_outcomes, task_distribution
+from .schemes import SCHEMES, OutcomeCounts, _sample_rounds, task_distribution
 
 # Estimated divisors at or below this magnitude make the remaining link
 # unidentifiable in practice; the estimate is withheld instead of divided.
 DIVISOR_GUARD = 1e-6
+# Rounds sampled and solved per batch: bounds the working arrays, whatever
+# the round count.
+ROUND_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,15 @@ class LinkEstimates:
     unidentifiable: frozenset = frozenset()
 
 
-def _clamp(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _clamp(x):
+    """min(1, max(0, x)) as the builtins evaluate it, nan included, over arrays."""
+    x = np.where(x > 0.0, x, 0.0)
+    return np.where(x < 1.0, x, 1.0)
+
+
+def _frequency(scheme: Scheme, counts: OutcomeCounts) -> float:
+    observed = sum(counts.counts[label] for label in SCHEMES[scheme].estimator_labels)
+    return observed / counts.total
 
 
 def estimate_path(
@@ -68,10 +78,63 @@ def estimate_path(
     """
     if counts.total <= 0:
         raise ValueError("counts total must be positive")
-    spec = SCHEMES[scheme]
-    observed = sum(counts.counts[label] for label in spec.estimator_labels)
-    raw = spec.inverse(observed / counts.total)
-    return PathEstimate(value=_clamp(raw), raw=raw, total=counts.total, task=task)
+    raw = float(SCHEMES[scheme].inverse(_frequency(scheme, counts)))
+    return PathEstimate(value=float(_clamp(raw)), raw=raw, total=counts.total, task=task)
+
+
+def _plan_steps(plan: MonitoringPlan) -> tuple:
+    """(task index, link it resolves, links divided out) per resolving task.
+
+    Tasks that introduce no new link are skipped; a task that introduces
+    more than one makes the plan order unsolvable.
+    """
+    resolved: set = set()
+    steps = []
+    for idx, task in enumerate(plan.tasks):
+        path_ids = task.path.link_ids
+        new = [l for l in path_ids if l not in resolved]
+        if not new:
+            continue
+        if len(new) > 1:
+            raise ValueError(
+                f"task {idx} introduces {len(new)} unresolved links; plan order is not solvable"
+            )
+        target = new[0]
+        resolved.add(target)
+        steps.append((idx, target, tuple(l for l in path_ids if l != target)))
+    return tuple(steps)
+
+
+def _round_frequencies(plan: MonitoringPlan, steps: tuple, counts: np.ndarray, total: int) -> dict:
+    """Estimator frequency per round of each resolving task.
+
+    ``counts`` is shaped (rounds, tasks, outcomes), ``total`` samples a task.
+    """
+    frequencies = {}
+    for idx, _, _ in steps:
+        spec = SCHEMES[plan.tasks[idx].scheme]
+        columns = [spec.labels.index(label) for label in spec.estimator_labels]
+        frequencies[idx] = counts[:, idx, columns].sum(axis=1) / total
+    return frequencies
+
+
+def _solve_steps(plan: MonitoringPlan, steps: tuple, frequencies: Mapping) -> dict:
+    """Link estimates over a batch of rounds, nan where a link was withheld.
+
+    ``frequencies[idx]`` holds task idx's estimator frequency per round.  A
+    divisor is nan when a link it divides by was withheld, and a divisor at
+    or below ``DIVISOR_GUARD`` withholds the link it would resolve.
+    """
+    values: dict = {}
+    for idx, target, others in steps:
+        estimate = _clamp(SCHEMES[plan.tasks[idx].scheme].inverse(frequencies[idx]))
+        divisor = np.ones_like(estimate)
+        for lid in others:
+            divisor = divisor * values[lid]
+        dead = np.isnan(divisor) | (np.abs(divisor) <= DIVISOR_GUARD)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values[target] = np.where(dead, np.nan, _clamp(estimate / divisor))
+    return values
 
 
 def solve_plan(plan: MonitoringPlan, counts_by_task: Sequence[OutcomeCounts]) -> LinkEstimates:
@@ -87,36 +150,29 @@ def solve_plan(plan: MonitoringPlan, counts_by_task: Sequence[OutcomeCounts]) ->
         raise ValueError(
             f"expected counts for {len(plan.tasks)} tasks, got {len(counts_by_task)}"
         )
+    steps = _plan_steps(plan)
+    frequencies = {
+        idx: np.array([_frequency(plan.tasks[idx].scheme, counts_by_task[idx])])
+        for idx, _, _ in steps
+    }
+    solved = _solve_steps(plan, steps, frequencies)
     values: dict = {}
     provenance: dict = {}
     dead: set = set()
-    for idx, (task, counts) in enumerate(zip(plan.tasks, counts_by_task)):
-        path_ids = task.path.link_ids
-        new = [l for l in path_ids if l not in values and l not in dead]
-        if not new:
-            continue
-        if len(new) > 1:
-            raise ValueError(
-                f"task {idx} introduces {len(new)} unresolved links; plan order is not solvable"
-            )
-        target = new[0]
-        others = [l for l in path_ids if l != target]
-        if any(l in dead for l in others):
+    for idx, target, others in steps:
+        value = float(solved[target][0])
+        if math.isnan(value):
             dead.add(target)
             continue
-        estimate = estimate_path(task.scheme, counts, task)
-        divisor = math.prod(values[l] for l in others)
-        if abs(divisor) <= DIVISOR_GUARD:
-            dead.add(target)
-            continue
-        values[target] = _clamp(estimate.value / divisor)
+        values[target] = value
+        task = plan.tasks[idx]
         if others:
             provenance[target] = (
-                f"task {idx} ({task.scheme.value} on {'+'.join(path_ids)}),"
+                f"task {idx} ({task.scheme.value} on {'+'.join(task.path.link_ids)}),"
                 f" divided by {'*'.join(others)}"
             )
         else:
-            provenance[target] = f"task {idx} ({task.scheme.value} on {path_ids[0]})"
+            provenance[target] = f"task {idx} ({task.scheme.value} on {target})"
     return LinkEstimates(
         values=values, provenance=provenance, unidentifiable=frozenset(dead)
     )
@@ -150,10 +206,12 @@ def benchmark_variance(
     """Monte-Carlo estimator variance per link, with the matching bound.
 
     Each round samples every task ``samples_per_task`` times from its exact
-    outcome distribution and solves the plan.  The reported bound is the
-    diagonal of the inverse plan information scaled by the per-task sample
-    count; the default mode is first-principles because that is the
-    information of the distributions actually sampled.
+    outcome distribution and solves the plan.  Blocks of rounds are drawn in
+    one batch, from the streams ``sample_outcomes`` would draw, and solved as
+    arrays.  The reported bound is the diagonal of the inverse plan
+    information scaled by the per-task sample count; the default mode is
+    first-principles because that is the information of the distributions
+    actually sampled.
     """
     if rounds < 2:
         raise ValueError("variance needs at least 2 rounds")
@@ -164,16 +222,14 @@ def benchmark_variance(
             raise ValueError(f"parameter for link {lid!r} outside [0, 1]")
     order = tuple(sorted(true_params))
     dists = [task_distribution(task, true_params) for task in plan.tasks]
+    steps = _plan_steps(plan)
     estimates = np.full((rounds, len(order)), np.nan)
-    for r in range(rounds):
-        counts = [
-            sample_outcomes(dist, samples_per_task, derive_seed(seed, r, t))
-            for t, dist in enumerate(dists)
-        ]
-        solved = solve_plan(plan, counts)
-        for k, lid in enumerate(order):
-            if lid in solved.values:
-                estimates[r, k] = solved.values[lid]
+    for start in range(0, rounds, ROUND_BLOCK):
+        block = range(start, min(rounds, start + ROUND_BLOCK))
+        counts = _sample_rounds(dists, samples_per_task, seed, block)
+        frequencies = _round_frequencies(plan, steps, counts, samples_per_task)
+        for lid, column in _solve_steps(plan, steps, frequencies).items():
+            estimates[start : block.stop, order.index(lid)] = column
     info = plan_qfim(plan, true_params, mode, normalize=False)
     bounds = crb_diagonal(info, scale=float(samples_per_task))
     rows = []

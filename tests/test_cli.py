@@ -47,6 +47,7 @@ def run_lines(capsys, argv):
 
 
 INFINITE_E0_NOTE = "note: link e0 has an infinite bound; ratio undefined"
+ZERO_E0_NOTE = "note: link e0 has a zero bound and zero variance; ratio undefined"
 
 SMALL_GRID = """\
     # three-point sweep
@@ -341,6 +342,27 @@ class TestBenchmark:
         assert code == 0 and err == "" and echoed.count(INFINITE_E0_NOTE) == 1
         assert out.read_text().splitlines() == lines
 
+    @pytest.mark.parametrize("plan", ["PEM", "LZM"])
+    def test_zero_bound_and_zero_variance_is_noted(self, capsys, tmp_path, plan):
+        cfg = write_config(
+            tmp_path,
+            f"""\
+            experiment = benchmark
+            plan = {plan}
+            fixed.w = 1
+            samples = 100
+            rounds = 5
+            """,
+        )
+        code, lines, err = run_lines(capsys, ["benchmark", "--config", cfg])
+        assert code == 0
+        assert lines[1] == f"{plan},e0,1,0,0,nan"
+        assert err.splitlines() == [ZERO_E0_NOTE]
+        out = tmp_path / "bench.csv"
+        code, echoed, err = run_lines(capsys, ["benchmark", "--config", cfg, "--out", str(out)])
+        assert code == 0 and err == "" and echoed == [ZERO_E0_NOTE]
+        assert out.read_text().splitlines() == lines
+
     def test_identified_links_print_no_note(self, capsys, tmp_path):
         cfg = write_config(tmp_path, self.BENCH)
         code, lines, err = run_lines(capsys, ["benchmark", "--config", cfg])
@@ -594,6 +616,118 @@ class TestPinnedSweeps:
         assert main(["star", "--config", cfg, *flags, "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_W0_ZERO = "fixed.w0 = 0\nfixed.w1 = 0.5\nfixed.w2 = 0.5\nsamples = 100\nrounds = 5\n"
+_HYB3_SMALL = (
+    "plan = HYB3\nfixed.w0 = 0.9\nfixed.w1 = 0.8\nfixed.w2 = 0.7\nsamples = 2000\nrounds = 20\n"
+)
+
+
+class TestPinnedBenchmarks:
+    """SHA-256 of benchmark CSVs and the exact notes, pinned to the per-stream sampler.
+
+    The digests were taken from the sampler that seeds and draws one
+    ``sample_outcomes`` stream at a time and solves one round at a time; the
+    batched sampler and solver must reproduce every byte.  The CSV goes to
+    stdout, so the notes go to stderr.
+    """
+
+    @pytest.mark.parametrize(
+        "config, flags, digest, notes",
+        [
+            (
+                "benchmark_jbm2.cfg",
+                [],
+                "83fd8a57e3d7caea5781bcf8cffcc28edef66d031e3f05c8a169bb96eace006c",
+                [],
+            ),
+            (
+                "benchmark_pem_single.cfg",
+                [],
+                "c31a66d71cc29d6009c8f38ff81e92a81d00cbdf2121bd13e2e6d1937945bcc0",
+                [],
+            ),
+            (
+                "plan = HYB3\nfixed.w0 = 0.95\nfixed.w1 = 0.85\nfixed.w2 = 0.75\n"
+                "samples = 20000\nrounds = 1000\nmode = first-principles\nseed = 12345\n",
+                [],
+                "e76017f92e75849a14b7c099def936b6d5a1bc11b5513b49bdc6bcd89200df2d",
+                [],
+            ),
+            (
+                "plan = HYB3\n" + _W0_ZERO,
+                [],
+                "1c625ebb51c7c36fd431bd4a9691e22271008e780ebedb4d2c19980f743902e3",
+                [
+                    INFINITE_E0_NOTE,
+                    "note: link e1 unidentifiable in 3 of 5 rounds",
+                    "note: link e2 unidentifiable in 3 of 5 rounds",
+                ],
+            ),
+            (
+                "plan = JBM3\n" + _W0_ZERO,
+                [],
+                "718f32035a0629b040e7ec101d143a71f1ccc46d0904012274c0f169b82d6476",
+                [
+                    INFINITE_E0_NOTE,
+                    "note: link e1 has an infinite bound; ratio undefined",
+                    "note: link e2 has an infinite bound; ratio undefined",
+                ],
+            ),
+            (
+                "plan = PEM\nfixed.w = 1\nsamples = 100\nrounds = 5\n",
+                [],
+                "df7d444656196ae1732f4138379eac4819e32d22137c86e66228a12164a778ca",
+                [ZERO_E0_NOTE],
+            ),
+            (
+                _HYB3_SMALL,
+                ["--seed", "0"],
+                "874f97bd2fca807fad67c2dd107f2ede812ed7fbf7d2832b9cbd2a63118b8570",
+                [],
+            ),
+            (
+                _HYB3_SMALL,
+                ["--seed", str(2**32)],
+                "ff66c9a672ce515863ce4c327919eeb5fc6fb94c6b6b3fb8befe5fc892d08d61",
+                [],
+            ),
+            (
+                _HYB3_SMALL,
+                ["--seed", str(2**64 + 1)],
+                "c38bc8f2ad9a99d1db8bfa26778b0b7cf13987c2ebfbdcace54335fe2cdb8eae",
+                [],
+            ),
+            (
+                _HYB3_SMALL,
+                ["--seed", str(2**128 + 1)],
+                "321e8ce35e56cf055d6aca98402430a07a5c599af9092183dcc86a744114bb9b",
+                [],
+            ),
+        ],
+        ids=[
+            "jbm2-manifest",
+            "pem-manifest",
+            "hyb3-20000x1000",
+            "hyb3-w0-zero",
+            "jbm3-w0-zero",
+            "pem-w-one",
+            "seed-0",
+            "seed-2^32",
+            "seed-2^64+1",
+            "seed-2^128+1",
+        ],
+    )
+    def test_csv_and_notes(self, capsys, tmp_path, config, flags, digest, notes):
+        if config.endswith(".cfg"):
+            path = str(MANIFESTS / config)
+        else:
+            path = write_config(tmp_path, "experiment = benchmark\n" + config)
+        assert main(["benchmark", "--config", path, *flags]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+        assert captured.err == "".join(f"{note}\n" for note in notes)
 
 
 def _numbers(low, high):

@@ -18,10 +18,16 @@ from qnetomo import (
     expected_counts,
     jbm_distribution,
     lzm_distribution,
+    derive_seed,
     pem_distribution,
+    sample_outcomes,
+    scheme_distribution,
     solve_plan,
     task_distribution,
 )
+from qnetomo import estimators
+from qnetomo.estimators import _plan_steps, _round_frequencies, _solve_steps
+from qnetomo.schemes import SCHEMES
 
 BELL = ("phi+", "phi-", "psi+", "psi-")
 ZZ = ("00", "01", "10", "11")
@@ -172,6 +178,132 @@ class TestSolvePlan:
         assert abs(solved.values["e0"] - 0.9) < 1e-12
 
 
+def _single_link_plan(scheme):
+    return MonitoringPlan(scheme.value, (MeasurementTask(scheme, Path(("e0",), ("a", "b"))),))
+
+
+def _all_plans():
+    """The seven benchmark plans: three single-link plans and four star plans."""
+    plans = [_single_link_plan(scheme) for scheme in Scheme]
+    graph = build_star(3, [0.9, 0.8, 0.7])
+    return plans + [builtin_plan(kind, graph) for kind in ("JBM2", "JBM3", "HYB2", "HYB3")]
+
+
+def _chained_plan():
+    """e2 is divided by e1, itself divided by e0: a withheld e1 is a nan divisor."""
+    return MonitoringPlan(
+        "chain",
+        (
+            MeasurementTask(Scheme.PEM, Path(("e0",), ("v0", "c"))),
+            MeasurementTask(Scheme.LZM, Path(("e0", "e1"), ("v0", "v1"))),
+            MeasurementTask(Scheme.JBM, Path(("e1", "e2"), ("v1", "v2"))),
+        ),
+    )
+
+
+def _batched(plan, counts, total):
+    steps = _plan_steps(plan)
+    return _solve_steps(plan, steps, _round_frequencies(plan, steps, counts, total))
+
+
+def _reference_solve(plan, counts_by_task):
+    """The sequential algorithm one round at a time, with Python floats."""
+    values, dead = {}, set()
+    for task, counts in zip(plan.tasks, counts_by_task):
+        new = [l for l in task.path.link_ids if l not in values and l not in dead]
+        if not new:
+            continue
+        (target,) = new
+        others = [l for l in task.path.link_ids if l != target]
+        divisor = math.prod(values.get(l, math.nan) for l in others)
+        if math.isnan(divisor) or abs(divisor) <= 1e-6:
+            dead.add(target)
+        else:
+            values[target] = min(1.0, max(0.0, estimate_path(task.scheme, counts).value / divisor))
+    return values, dead
+
+
+def _per_round(plan, counts, total):
+    """solve_plan on each round's counts, checked against the reference."""
+    solved = []
+    for row in counts:
+        per_task = [
+            OutcomeCounts(labels, dict(zip(labels, map(int, c))), total)
+            for labels, c in zip((SCHEMES[task.scheme].labels for task in plan.tasks), row)
+        ]
+        solved.append(solve_plan(plan, per_task))
+        assert (solved[-1].values, solved[-1].unidentifiable) == _reference_solve(plan, per_task)
+    return solved
+
+
+def _assert_same(batched, per_round):
+    """Each round's batched column entries equal solve_plan's, nan where withheld."""
+    for r, solved in enumerate(per_round):
+        assert set(solved.values) | solved.unidentifiable == set(batched)
+        for lid, column in batched.items():
+            if lid in solved.unidentifiable:
+                assert math.isnan(column[r])
+            else:
+                assert column[r] == solved.values[lid]
+
+
+class TestBatchedSolve:
+    """All rounds solved as arrays equal per-round solve_plan, bit for bit."""
+
+    @pytest.mark.parametrize("plan", _all_plans() + [_chained_plan()], ids=lambda plan: plan.name)
+    def test_matches_solve_plan_on_random_counts(self, plan):
+        rng = np.random.default_rng(len(plan.tasks) * 10 + len(plan.name))
+        total, rounds = 6, 400
+        # Dirichlet outcome weights over few samples: zero and one frequencies,
+        # dead divisors, clamped estimates and negative pre-root values abound.
+        counts = np.stack(
+            [
+                [rng.multinomial(total, rng.dirichlet(np.full(4, 0.5))) for _ in plan.tasks]
+                for _ in range(rounds)
+            ]
+        )
+        per_round = _per_round(plan, counts, total)
+        _assert_same(_batched(plan, counts, total), per_round)
+        dead = sum(len(solved.unidentifiable) for solved in per_round)
+        clamped = sum(v in (0.0, 1.0) for solved in per_round for v in solved.values.values())
+        assert clamped > 0
+        if any(others for _, _, others in _plan_steps(plan)):
+            assert dead > 0
+
+    def test_negative_jbm_pre_root_and_clamping_at_one(self):
+        plan = builtin_plan("JBM2", build_star(3, [0.9, 0.8, 0.7]))
+        # Round 0: phi+ below 1/4 on e0, so its pre-root value is negative, e0
+        # reads 0 and e2 (divided by e0) is withheld.  Round 1: the (e0, e2)
+        # path estimate exceeds e0's, so e2 clamps at 1.
+        counts = np.array(
+            [
+                [[0, 4, 4, 4], [9, 1, 1, 1], [12, 0, 0, 0]],
+                [[9, 1, 1, 1], [9, 1, 1, 1], [12, 0, 0, 0]],
+            ]
+        )
+        per_round = _per_round(plan, counts, 12)
+        assert per_round[0].values["e0"] == 0.0 and per_round[0].unidentifiable == {"e2"}
+        assert per_round[1].values["e2"] == 1.0 and not per_round[1].unidentifiable
+        _assert_same(_batched(plan, counts, 12), per_round)
+
+    def test_dead_divisor_at_w0_zero(self):
+        params = {"e0": 0.0, "e1": 0.5, "e2": 0.5}
+        plan = builtin_plan("HYB3", build_star(3, [0.0, 0.5, 0.5]))
+        dists = [task_distribution(task, params) for task in plan.tasks]
+        counts = np.array(
+            [
+                [
+                    [sample_outcomes(d, 100, derive_seed(5, r, t)).counts[label] for label in d.labels]
+                    for t, d in enumerate(dists)
+                ]
+                for r in range(30)
+            ]
+        )
+        per_round = _per_round(plan, counts, 100)
+        assert any(solved.unidentifiable for solved in per_round)
+        _assert_same(_batched(plan, counts, 100), per_round)
+
+
 class TestBenchmark:
     def _single_link_plan(self):
         return MonitoringPlan(
@@ -215,6 +347,25 @@ class TestBenchmark:
         )
         assert all(math.isinf(r.crb) for r in rows)
         assert all(math.isnan(r.ratio) for r in rows)
+
+    @pytest.mark.parametrize("plan", _all_plans(), ids=lambda plan: plan.name)
+    def test_matches_the_per_round_reference(self, plan, monkeypatch):
+        params = {"e0": 0.9, "e1": 0.6, "e2": 0.0}
+        n, rounds, seed = 50, 12, 2**64 + 1
+        dists = [task_distribution(task, params) for task in plan.tasks]
+        estimates = np.full((rounds, 3), np.nan)
+        for r in range(rounds):
+            counts = [sample_outcomes(d, n, derive_seed(seed, r, t)) for t, d in enumerate(dists)]
+            for lid, value in solve_plan(plan, counts).values.items():
+                estimates[r, int(lid[1])] = value
+        rows = benchmark_variance(plan, params, n, rounds, seed)
+        for k, row in enumerate(rows):
+            variance = float(np.var(estimates[:, k], ddof=1))
+            assert row.variance == variance or (math.isnan(row.variance) and math.isnan(variance))
+            assert row.unidentifiable_rounds == int(np.isnan(estimates[:, k]).sum())
+        # Blocks of rounds are seeded from their own round indices.
+        monkeypatch.setattr(estimators, "ROUND_BLOCK", 5)
+        assert repr(benchmark_variance(plan, params, n, rounds, seed)) == repr(rows)
 
     def test_parameter_validation(self):
         plan = self._single_link_plan()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnetomo import (
@@ -23,6 +23,7 @@ from qnetomo import (
     scheme_distribution,
     task_distribution,
 )
+from qnetomo.schemes import _pcg64_seed_words, _pcg64_state, _sample_rounds, _stream_seeds
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -182,6 +183,70 @@ class TestDerivedSeeds:
 
     def test_base_sensitivity(self):
         assert derive_seed(1, 0) != derive_seed(2, 0)
+
+
+# Seeds of 1 to 6 uint32 words, the word boundaries among them.
+_SEEDS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6).map(
+    lambda words: sum(w << (32 * i) for i, w in enumerate(words))
+)
+_DISTS = st.lists(
+    st.builds(scheme_distribution, st.sampled_from(list(Scheme)), unit), min_size=1, max_size=4
+)
+
+
+def _pcg64_states(children):
+    words = _pcg64_seed_words(np.asarray(children, dtype=np.uint64))
+    return [_pcg64_state(*(int(w[k]) for w in words)) for k in range(len(children))]
+
+
+class TestBatchedStreams:
+    """The batched sampler draws exactly the streams ``sample_outcomes`` draws.
+
+    Stream (r, t) is ``PCG64(derive_seed(seed, r, t))`` with one multinomial
+    call; each stage of the batch is checked against NumPy on its own.
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=_SEEDS,
+        start=st.integers(0, 5000),
+        rounds=st.integers(1, 40),
+        dists=_DISTS,
+        n=st.integers(1, 60),
+    )
+    @example(seed=0, start=0, rounds=3, dists=[pem_distribution(0.6)], n=5)
+    @example(seed=2**32 - 1, start=0, rounds=2, dists=[lzm_distribution(0.3)] * 2, n=7)
+    @example(seed=2**32, start=1, rounds=2, dists=[jbm_distribution(1.0)], n=9)
+    @example(seed=2**64 + 1, start=0, rounds=4, dists=[pem_distribution(0.0)] * 3, n=11)
+    @example(seed=2**130 + 12345, start=7, rounds=3, dists=[lzm_distribution(1.0)] * 4, n=13)
+    def test_every_stage_matches_the_single_stream_path(self, seed, start, rounds, dists, n):
+        block = range(start, start + rounds)
+        children = _stream_seeds(seed, block, len(dists))
+        expected = [[derive_seed(seed, r, t) for t in range(len(dists))] for r in block]
+        assert children.tolist() == expected
+        flat = [child for row in expected for child in row]
+        reference = [np.random.PCG64(child).state["state"] for child in flat]
+        assert _pcg64_states(flat) == [(ref["state"], ref["inc"]) for ref in reference]
+        counts = _sample_rounds(dists, n, seed, block)
+        assert counts.dtype == np.int64 and counts.shape == (rounds, len(dists), 4)
+        for i, r in enumerate(block):
+            for t, dist in enumerate(dists):
+                single = sample_outcomes(dist, n, derive_seed(seed, r, t))
+                assert counts[i, t].tolist() == [single.counts[label] for label in dist.labels]
+
+    def test_pcg64_states_of_edge_children(self):
+        children = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        reference = [np.random.PCG64(c).state["state"] for c in children]
+        assert _pcg64_states(children) == [(ref["state"], ref["inc"]) for ref in reference]
+
+    def test_rejects_what_the_batch_cannot_seed(self):
+        dists = [pem_distribution(0.5)]
+        with pytest.raises(ValueError, match="at least 1"):
+            _sample_rounds(dists, 0, 1, range(2))
+        with pytest.raises(ValueError, match="non-negative"):
+            _sample_rounds(dists, 5, -1, range(2))
+        with pytest.raises(ValueError, match="below 2"):
+            _sample_rounds(dists, 5, 1, range(2**32 - 1, 2**32 + 1))
 
 
 class TestExpectedCounts:
