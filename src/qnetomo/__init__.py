@@ -9,9 +9,7 @@ those bounds, all checked against an exact density-matrix oracle.
 from .estimators import (
     BenchmarkRow,
     LinkEstimates,
-    PathEstimate,
     benchmark_variance,
-    estimate_path,
     solve_plan,
 )
 from .fisher import (
@@ -41,31 +39,20 @@ from .network import (
     validate_plan,
 )
 from .oracle import (
-    BELL_LABELS,
-    ZZ_LABELS,
-    BellOutcome,
     DensityMatrix,
-    bsm,
-    bsm_probabilities,
-    cyclic_generation,
     jbm_oracle_probabilities,
     linear_generation,
     lzm_oracle_probabilities,
     pem_oracle_probabilities,
-    relabel,
-    tensor,
     werner_density,
-    werner_fidelity,
-    zz_probabilities,
 )
 from .schemes import (
+    BELL_LABELS,
+    ZZ_LABELS,
     OutcomeCounts,
     OutcomeDistribution,
     derive_seed,
     expected_counts,
-    jbm_distribution,
-    lzm_distribution,
-    pem_distribution,
     sample_outcomes,
     scheme_distribution,
     task_distribution,
@@ -76,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BELL_LABELS",
     "BUILTIN_PLAN_KINDS",
-    "BellOutcome",
     "BenchmarkRow",
     "DensityMatrix",
     "FisherMatrix",
@@ -88,33 +74,24 @@ __all__ = [
     "OutcomeCounts",
     "OutcomeDistribution",
     "Path",
-    "PathEstimate",
     "Scheme",
     "UsageLedger",
     "WernerLink",
     "ZZ_LABELS",
     "benchmark_variance",
-    "bsm",
-    "bsm_probabilities",
     "build_star",
     "builtin_plan",
     "channel_uses",
     "crb_diagonal",
     "crossover",
-    "cyclic_generation",
     "derive_seed",
-    "estimate_path",
     "expected_counts",
-    "jbm_distribution",
     "jbm_oracle_probabilities",
     "linear_generation",
-    "lzm_distribution",
     "lzm_oracle_probabilities",
-    "pem_distribution",
     "pem_oracle_probabilities",
     "plan_qfim",
     "qcrb",
-    "relabel",
     "sample_outcomes",
     "scheme_distribution",
     "single_link_fisher",
@@ -122,10 +99,7 @@ __all__ = [
     "solve_plan",
     "task_distribution",
     "task_qfim",
-    "tensor",
     "trace_path",
     "validate_plan",
     "werner_density",
-    "werner_fidelity",
-    "zz_probabilities",
 ]

@@ -39,15 +39,13 @@ from .network import (
     validate_plan,
 )
 from .oracle import (
-    BELL_LABELS,
-    ZZ_LABELS,
     jbm_oracle_probabilities,
     linear_generation,
     lzm_oracle_probabilities,
     pem_oracle_probabilities,
     werner_density,
 )
-from .schemes import jbm_distribution, lzm_distribution, pem_distribution
+from .schemes import SCHEMES, scheme_distribution
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -395,13 +393,13 @@ def _mode_gap(scheme: Scheme, param_sets: Sequence[Sequence[float]]) -> float:
     return float(np.max(gaps))
 
 
-def _distribution_gap(analytic, oracle, labels: Sequence[str]) -> float:
+def _distribution_gap(scheme: Scheme, oracle) -> float:
     worst = 0.0
     for i in range(21):
         w = i / 20.0
-        table = analytic(w).as_dict()
+        table = scheme_distribution(scheme, w).as_dict()
         exact = oracle([w])
-        worst = max(worst, max(abs(table[l] - exact[l]) for l in labels))
+        worst = max(worst, max(abs(table[l] - exact[l]) for l in SCHEMES[scheme].labels))
     return worst
 
 
@@ -417,17 +415,17 @@ def validation_checks() -> list:
 
     record(
         "lzm-distribution-vs-oracle",
-        _distribution_gap(lzm_distribution, lzm_oracle_probabilities, ZZ_LABELS),
+        _distribution_gap(Scheme.LZM, lzm_oracle_probabilities),
         1e-12,
     )
     record(
         "jbm-distribution-vs-oracle",
-        _distribution_gap(jbm_distribution, jbm_oracle_probabilities, BELL_LABELS),
+        _distribution_gap(Scheme.JBM, jbm_oracle_probabilities),
         1e-12,
     )
     record(
         "pem-distribution-vs-oracle",
-        _distribution_gap(pem_distribution, pem_oracle_probabilities, BELL_LABELS),
+        _distribution_gap(Scheme.PEM, pem_oracle_probabilities),
         1e-12,
     )
 

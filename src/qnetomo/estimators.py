@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fisher import FisherMode, crb_diagonal, plan_qfim
-from .network import MeasurementTask, MonitoringPlan, Scheme
+from .network import MonitoringPlan, Scheme
 from .schemes import SCHEMES, OutcomeCounts, _sample_rounds, task_distribution
 
 # Estimated divisors at or below this magnitude make the remaining link
@@ -27,32 +27,14 @@ ROUND_BLOCK = 4096
 
 
 @dataclass(frozen=True)
-class PathEstimate:
-    """Estimated path product from one task's counts.
-
-    ``raw`` is the inversion before clamping; ``value`` is clamped to [0, 1].
-    """
-
-    value: float
-    raw: float
-    total: float
-    task: MeasurementTask | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("clamped estimate must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class LinkEstimates:
-    """Per-link estimates with provenance and unidentifiability flags.
+    """Per-link estimates with unidentifiability flags.
 
     Links whose sequential divisor fell below the guard threshold appear in
     ``unidentifiable`` and carry no value.
     """
 
     values: Mapping[str, float]
-    provenance: Mapping[str, str]
     unidentifiable: frozenset = frozenset()
 
 
@@ -65,21 +47,6 @@ def _clamp(x):
 def _frequency(scheme: Scheme, counts: OutcomeCounts) -> float:
     observed = sum(counts.counts[label] for label in SCHEMES[scheme].estimator_labels)
     return observed / counts.total
-
-
-def estimate_path(
-    scheme: Scheme, counts: OutcomeCounts, task: MeasurementTask | None = None
-) -> PathEstimate:
-    """Invert a scheme's outcome distribution at the observed frequencies.
-
-    LZM reads the agreeing-bits frequency, PEM the top Bell outcome, and the
-    fused-copies scheme takes the nonnegative square root of the PEM-style
-    inversion, truncating negative pre-root values at zero.
-    """
-    if counts.total <= 0:
-        raise ValueError("counts total must be positive")
-    raw = float(SCHEMES[scheme].inverse(_frequency(scheme, counts)))
-    return PathEstimate(value=float(_clamp(raw)), raw=raw, total=counts.total, task=task)
 
 
 def _plan_steps(plan: MonitoringPlan) -> tuple:
@@ -144,37 +111,31 @@ def solve_plan(plan: MonitoringPlan, counts_by_task: Sequence[OutcomeCounts]) ->
     not covered earlier.  The new link's estimate divides the task's path
     estimate by the product of the previously estimated links on that path.
     Divisors at or below 1e-6 flag the link as unidentifiable instead of
-    exploding the division.
+    exploding the division.  Each task's counts must be over its scheme's
+    outcome labels.
     """
     if len(counts_by_task) != len(plan.tasks):
         raise ValueError(
             f"expected counts for {len(plan.tasks)} tasks, got {len(counts_by_task)}"
         )
+    for idx, (task, counts) in enumerate(zip(plan.tasks, counts_by_task)):
+        labels = SCHEMES[task.scheme].labels
+        if set(counts.labels) != set(labels):
+            raise ValueError(
+                f"task {idx} ({task.scheme.value}) needs counts over {labels},"
+                f" got {tuple(counts.labels)}"
+            )
     steps = _plan_steps(plan)
     frequencies = {
         idx: np.array([_frequency(plan.tasks[idx].scheme, counts_by_task[idx])])
         for idx, _, _ in steps
     }
     solved = _solve_steps(plan, steps, frequencies)
-    values: dict = {}
-    provenance: dict = {}
-    dead: set = set()
-    for idx, target, others in steps:
-        value = float(solved[target][0])
-        if math.isnan(value):
-            dead.add(target)
-            continue
-        values[target] = value
-        task = plan.tasks[idx]
-        if others:
-            provenance[target] = (
-                f"task {idx} ({task.scheme.value} on {'+'.join(task.path.link_ids)}),"
-                f" divided by {'*'.join(others)}"
-            )
-        else:
-            provenance[target] = f"task {idx} ({task.scheme.value} on {target})"
+    values = {lid: float(column[0]) for lid, column in solved.items()}
+    dead = frozenset(lid for lid, value in values.items() if math.isnan(value))
     return LinkEstimates(
-        values=values, provenance=provenance, unidentifiable=frozenset(dead)
+        values={lid: value for lid, value in values.items() if lid not in dead},
+        unidentifiable=dead,
     )
 
 
@@ -211,12 +172,20 @@ def benchmark_variance(
     arrays.  The reported bound is the diagonal of the inverse plan
     information scaled by the per-task sample count; the default mode is
     first-principles because that is the information of the distributions
-    actually sampled.
+    actually sampled.  ``true_params`` names exactly the links the plan
+    measures.
     """
     if rounds < 2:
         raise ValueError("variance needs at least 2 rounds")
     if samples_per_task < 1:
         raise ValueError("need at least 1 sample per task")
+    covered = plan.covered_links()
+    if set(true_params) != covered:
+        missing = sorted(covered - set(true_params))
+        extra = sorted(set(true_params) - covered)
+        raise ValueError(
+            f"true_params must name exactly the plan's links: missing {missing}, extra {extra}"
+        )
     for lid, w in true_params.items():
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"parameter for link {lid!r} outside [0, 1]")

@@ -97,10 +97,6 @@ class FisherMatrix:
         object.__setattr__(self, "order", tuple(self.order))
         object.__setattr__(self, "_eigenvalues", eig)
 
-    @property
-    def has_infinite(self) -> bool:
-        return bool(np.any(~np.isfinite(self.entries)))
-
 
 def _plain(x: np.ndarray) -> float | np.ndarray:
     """A float for a batch of one, the array otherwise."""

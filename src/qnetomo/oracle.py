@@ -1,14 +1,14 @@
 """Exact density-matrix oracle for small Werner-pair networks.
 
 Ground truth, on up to six qubits (64x64), for the analytic outcome
-distributions, multiplicative Werner composition under entanglement
-swapping, and the path-state generation procedures.  A Bell measurement is
-one einsum of the state's qubit tensor with the constant Bell basis, giving
-all four unnormalised outcome blocks <beta_k|rho|beta_k> at once, then the
-stacked Pauli fixups on one retained qubit; no projector or partial trace is
-ever formed.  States are validated at the public boundary: swaps inside the
-generators and the ``*_oracle_probabilities`` functions run on plain arrays,
-and a ``DensityMatrix`` is built only for a state a public function returns.
+distributions of the three schemes and for multiplicative Werner composition
+under entanglement swapping.  A Bell measurement is one einsum of the state's
+qubit tensor with the constant Bell basis, giving all four unnormalised
+outcome blocks <beta_k|rho|beta_k> at once, then the stacked Pauli fixups on
+one retained qubit; no projector or partial trace is ever formed.  The path
+constructions and the ``*_oracle_probabilities`` functions run on plain
+arrays; a validated ``DensityMatrix`` is built only for a state a public
+function returns.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .schemes import BELL_LABELS, ZZ_LABELS
+
 ATOL_EQ = 1e-12
 ATOL_PSD = 1e-10
-NEGLIGIBLE_PROB = 1e-14
 MAX_DIM = 64
-
-BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
-ZZ_LABELS = ("00", "01", "10", "11")
 
 # Outcome-dependent Pauli fixup (I, Z, X, XZ) in BELL_LABELS order, applied to one
 # retained qubit so every measurement branch collapses to the same swapped state.
@@ -38,27 +36,23 @@ _PHI_PLUS = np.outer(_BELL[0].ravel(), _BELL[0].ravel())
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix over labeled qubits.
+    """Validated density matrix of a few qubits.
 
-    Invariants enforced at construction: Hermitian and unit trace within
-    1e-12, smallest eigenvalue at least -1e-10, dimension 2**len(qubits).
+    Invariants enforced at construction: dimension a power of two up to 64,
+    Hermitian and unit trace within 1e-12, smallest eigenvalue at least -1e-10.
     """
 
     matrix: np.ndarray
-    qubits: tuple
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError("qubit labels must be unique")
-        if m.shape[0] != 2 ** len(self.qubits):
-            raise ValueError(
-                f"dimension {m.shape[0]} does not match {len(self.qubits)} qubit labels"
-            )
-        if m.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {m.shape[0]} exceeds the cap {MAX_DIM}")
+        dim = m.shape[0]
+        if not dim or dim & (dim - 1):
+            raise ValueError(f"dimension {dim} is not a power of two")
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension {dim} exceeds the cap {MAX_DIM}")
         if np.max(np.abs(m - m.conj().T)) > ATOL_EQ:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > ATOL_EQ or abs(np.trace(m).imag) > ATOL_EQ:
@@ -67,27 +61,6 @@ class DensityMatrix:
             raise ValueError("matrix is not positive semidefinite within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class BellOutcome:
-    """One Bell-measurement branch: label, probability, post-measurement state.
-
-    ``post_state`` is None and ``negligible`` is True when the branch
-    probability falls below 1e-14 and no normalized state exists.
-    """
-
-    label: str
-    probability: float
-    post_state: DensityMatrix | None
-    negligible: bool = False
-
-
 
 
 def _werner(w: float) -> np.ndarray:
@@ -96,34 +69,9 @@ def _werner(w: float) -> np.ndarray:
     return w * _PHI_PLUS + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
 
 
-def werner_density(w: float, labels: tuple = ("q0", "q1")) -> DensityMatrix:
+def werner_density(w: float) -> DensityMatrix:
     """Two-qubit Werner state: w times the phi+ projector plus (1-w)/4 times I."""
-    return DensityMatrix(_werner(w), tuple(labels))
-
-
-def werner_fidelity(w: float) -> float:
-    """Overlap of the Werner state with the phi+ Bell state: (1 + 3w) / 4."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w={w} outside [0, 1]")
-    return (1.0 + 3.0 * w) / 4.0
-
-
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product with concatenated qubit labels."""
-    if a.dimension * b.dimension > MAX_DIM:
-        raise ValueError(
-            f"combined dimension {a.dimension * b.dimension} exceeds the cap {MAX_DIM}"
-        )
-    if set(a.qubits) & set(b.qubits):
-        raise ValueError("qubit labels must be disjoint")
-    return DensityMatrix(np.kron(a.matrix, b.matrix), a.qubits + b.qubits)
-
-
-def relabel(state: DensityMatrix, labels: Sequence[str]) -> DensityMatrix:
-    """Same matrix under new qubit labels."""
-    if len(labels) != len(state.qubits):
-        raise ValueError("label count must match the qubit count")
-    return DensityMatrix(state.matrix, tuple(labels))
+    return DensityMatrix(_werner(w))
 
 
 def _bell_blocks(rho: np.ndarray, pair: tuple, fix: int | None = None) -> np.ndarray:
@@ -165,38 +113,6 @@ def _zz_probabilities(rho: np.ndarray) -> dict:
     return dict(zip(ZZ_LABELS, np.clip(np.diag(rho).real, 0.0, None).tolist()))
 
 
-def bsm(state: DensityMatrix, qubit_pair: tuple, correct_on: str | None = None) -> list:
-    """Bell-state measurement of two labeled qubits.
-
-    Returns the four BellOutcome branches in the fixed label order.  When
-    ``correct_on`` names a retained qubit, the outcome-dependent Pauli fixup
-    is applied there, which makes all non-negligible branches coincide for
-    entanglement swapping.  Branches with probability below 1e-14 carry no
-    post-state and are flagged negligible.
-    """
-    labels = state.qubits
-    for q in qubit_pair:
-        if q not in labels:
-            raise ValueError(f"unknown qubit label {q!r}")
-    if len(set(qubit_pair)) != 2:
-        raise ValueError("measurement pair must be two distinct qubits")
-    rest_labels = tuple(l for l in labels if l not in qubit_pair)
-    fix = None
-    if correct_on is not None:
-        if correct_on not in rest_labels:
-            raise ValueError(f"correction target {correct_on!r} is not a retained qubit")
-        fix = rest_labels.index(correct_on)
-    pair = (labels.index(qubit_pair[0]), labels.index(qubit_pair[1]))
-    outcomes = []
-    for label, block in zip(BELL_LABELS, _bell_blocks(state.matrix, pair, fix)):
-        prob = float(np.trace(block).real)
-        if prob < NEGLIGIBLE_PROB:
-            outcomes.append(BellOutcome(label, max(prob, 0.0), None, negligible=True))
-        else:
-            outcomes.append(BellOutcome(label, prob, DensityMatrix(block / prob, rest_labels)))
-    return outcomes
-
-
 def _linear(params: Sequence[float]) -> np.ndarray:
     if not 1 <= len(params) <= 3:
         raise ValueError("path length must be between 1 and 3 links")
@@ -209,42 +125,24 @@ def _linear(params: Sequence[float]) -> np.ndarray:
 
 
 def _cyclic(params: Sequence[float]) -> np.ndarray:
+    """Two linear path copies fused by a corrected Bell measurement at the far end.
+
+    The surviving pair sits at the near endpoint and carries the squared path
+    product as its Werner parameter.
+    """
     path = _linear(params)
     # Qubits: near 1, far 1, near 2, far 2; the far ends are fused.
     return _swap(np.kron(path, path), (1, 3), fix=1)
 
 
-def linear_generation(params: Sequence[float], labels: tuple = ("A", "B")) -> DensityMatrix:
+def linear_generation(params: Sequence[float]) -> DensityMatrix:
     """End-to-end path state from one Werner pair per link, swapped at relays.
 
     Each intermediate node measures its two qubits in the Bell basis with the
     Pauli fixup applied downstream, so the chain collapses to a single Werner
     pair whose parameter is the product of the link parameters.
     """
-    return DensityMatrix(_linear(params), tuple(labels))
-
-
-def cyclic_generation(params: Sequence[float], labels: tuple = ("A", "B")) -> DensityMatrix:
-    """Two linear path copies fused by a corrected Bell measurement at the far end.
-
-    The surviving pair sits at the near endpoint and carries the squared path
-    product as its Werner parameter.
-    """
-    return DensityMatrix(_cyclic(params), tuple(labels))
-
-
-def zz_probabilities(state: DensityMatrix) -> dict:
-    """Computational-basis outcome probabilities of a two-qubit state."""
-    if state.dimension != 4:
-        raise ValueError("expected a two-qubit state")
-    return _zz_probabilities(state.matrix)
-
-
-def bsm_probabilities(state: DensityMatrix) -> dict:
-    """Bell-measurement outcome probabilities of a two-qubit state."""
-    if state.dimension != 4:
-        raise ValueError("expected a two-qubit state")
-    return _bell_probabilities(state.matrix)
+    return DensityMatrix(_linear(params))
 
 
 def jbm_oracle_probabilities(params: Sequence[float]) -> dict:

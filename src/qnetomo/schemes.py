@@ -25,10 +25,11 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .oracle import BELL_LABELS, ZZ_LABELS
-
 if TYPE_CHECKING:
     from .network import MeasurementTask
+
+BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
+ZZ_LABELS = ("00", "01", "10", "11")
 
 
 class Scheme(Enum):
@@ -151,6 +152,7 @@ class OutcomeDistribution:
 class OutcomeCounts:
     """Outcome counts from sampling, or real-valued expected counts.
 
+    Labels are unique, and every count is finite and non-negative.
     ``seed`` records the RNG seed that produced sampled counts and is None
     for analytically constructed expected counts.
     """
@@ -161,9 +163,13 @@ class OutcomeCounts:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("outcome labels must be unique")
         if set(self.counts) != set(self.labels):
             raise ValueError("counts must cover exactly the outcome labels")
-        if self.total <= 0:
+        if not all(math.isfinite(c) and c >= 0 for c in self.counts.values()):
+            raise ValueError("counts must be finite and non-negative")
+        if not self.total > 0:
             raise ValueError("total must be positive")
         if abs(sum(self.counts.values()) - self.total) > 1e-9:
             raise ValueError("counts must sum to the total")
@@ -181,21 +187,6 @@ def scheme_distribution(scheme: Scheme, path_product: float) -> OutcomeDistribut
     return OutcomeDistribution(
         scheme=scheme, labels=spec.labels, probabilities=spec.probabilities(w), path_product=w
     )
-
-
-def lzm_distribution(path_product: float) -> OutcomeDistribution:
-    """Correlated Z-basis outcomes: equal bits carry (1+W)/4, unequal (1-W)/4."""
-    return scheme_distribution(Scheme.LZM, path_product)
-
-
-def jbm_distribution(path_product: float) -> OutcomeDistribution:
-    """Joint Bell outcomes on two fused path copies: quadratic in the product."""
-    return scheme_distribution(Scheme.JBM, path_product)
-
-
-def pem_distribution(path_product: float) -> OutcomeDistribution:
-    """Pair-assisted Bell outcomes: linear in the product."""
-    return scheme_distribution(Scheme.PEM, path_product)
 
 
 def task_distribution(task: MeasurementTask, params: Mapping[str, float]) -> OutcomeDistribution:

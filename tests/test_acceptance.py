@@ -27,15 +27,13 @@ from qnetomo import (
     channel_uses,
     crossover,
     expected_counts,
-    jbm_distribution,
     jbm_oracle_probabilities,
     linear_generation,
-    lzm_distribution,
     lzm_oracle_probabilities,
-    pem_distribution,
     pem_oracle_probabilities,
     plan_qfim,
     qcrb,
+    scheme_distribution,
     single_link_fisher,
     single_link_qcrb,
     solve_plan,
@@ -61,15 +59,15 @@ def verdict(number, name, ok, detail):
 def test_criterion_01_distributions_match_exact_oracle():
     start = time.perf_counter()
     pairs = (
-        (lzm_distribution, lzm_oracle_probabilities),
-        (jbm_distribution, jbm_oracle_probabilities),
-        (pem_distribution, pem_oracle_probabilities),
+        (Scheme.LZM, lzm_oracle_probabilities),
+        (Scheme.JBM, jbm_oracle_probabilities),
+        (Scheme.PEM, pem_oracle_probabilities),
     )
     worst = 0.0
-    for analytic, oracle in pairs:
+    for scheme, oracle in pairs:
         for i in range(21):
             w = i / 20.0
-            table = analytic(w).as_dict()
+            table = scheme_distribution(scheme, w).as_dict()
             exact = oracle([w])
             worst = max(worst, max(abs(table[k] - exact[k]) for k in table))
     elapsed = time.perf_counter() - start

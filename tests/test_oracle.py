@@ -6,21 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnetomo import (
-    BELL_LABELS,
     DensityMatrix,
-    bsm,
-    bsm_probabilities,
-    cyclic_generation,
     jbm_oracle_probabilities,
     linear_generation,
     lzm_oracle_probabilities,
     pem_oracle_probabilities,
-    relabel,
-    tensor,
     werner_density,
-    werner_fidelity,
-    zz_probabilities,
 )
+from qnetomo.oracle import _bell_blocks, _bell_probabilities, _cyclic, _swap, _werner
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -55,13 +48,15 @@ class TestWernerDensity:
         assert abs(np.trace(state.matrix).real - 1.0) < 1e-12
 
 
-class TestWernerFidelity:
+class TestBellOverlap:
+    """The phi+ probability of the pair-assisted oracle is the Werner fidelity (1 + 3w)/4."""
+
     def test_endpoints(self):
-        assert werner_fidelity(1.0) == 1.0
-        assert werner_fidelity(0.0) == 0.25
+        assert abs(pem_oracle_probabilities([1.0])["phi+"] - 1.0) < 1e-12
+        assert abs(pem_oracle_probabilities([0.0])["phi+"] - 0.25) < 1e-12
 
     def test_direct_value(self):
-        assert abs(werner_fidelity(0.6) - 0.7) < 1e-15
+        assert abs(pem_oracle_probabilities([0.6])["phi+"] - 0.7) < 1e-12
 
     @given(unit)
     @settings(max_examples=30)
@@ -70,7 +65,7 @@ class TestWernerFidelity:
         bell = np.zeros(4)
         bell[0] = bell[3] = 1 / np.sqrt(2)
         overlap = float(np.real(bell @ state.matrix @ bell))
-        assert abs(overlap - werner_fidelity(w)) < 1e-12
+        assert abs(overlap - pem_oracle_probabilities([w])["phi+"]) < 1e-12
 
 
 class TestDensityMatrixInvariants:
@@ -78,20 +73,26 @@ class TestDensityMatrixInvariants:
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(m, ("a", "b"))
+            DensityMatrix(m)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(4, dtype=complex) / 2, ("a", "b"))
+            DensityMatrix(np.eye(4, dtype=complex) / 2)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([0.7, 0.7, -0.2, -0.2]).astype(complex)
         with pytest.raises(ValueError, match="semidefinite"):
-            DensityMatrix(m, ("a", "b"))
+            DensityMatrix(m)
 
-    def test_rejects_label_mismatch(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(4, dtype=complex) / 4, ("a", "b", "c"))
+    @pytest.mark.parametrize("dim", [0, 3, 6])
+    def test_rejects_dimension_not_a_power_of_two(self, dim):
+        with pytest.raises(ValueError, match="power of two"):
+            DensityMatrix(np.eye(dim, dtype=complex) / max(dim, 1))
+
+    def test_dimension_cap(self):
+        assert DensityMatrix(np.eye(64, dtype=complex) / 64).matrix.shape == (64, 64)
+        with pytest.raises(ValueError, match="cap"):
+            DensityMatrix(np.eye(128, dtype=complex) / 128)
 
     def test_entries_are_read_only(self):
         state = werner_density(0.5)
@@ -99,87 +100,42 @@ class TestDensityMatrixInvariants:
             state.matrix[0, 0] = 0.0
 
 
-class TestTensor:
-    def test_mixed_times_mixed(self):
-        prod = tensor(werner_density(0.0, ("a", "b")), werner_density(0.0, ("c", "d")))
-        assert max_abs(prod.matrix, np.eye(16) / 16) < 1e-15
-
-    def test_purity_preserved(self):
-        prod = tensor(werner_density(1.0, ("a", "b")), werner_density(1.0, ("c", "d")))
-        eigs = np.linalg.eigvalsh(prod.matrix)
-        assert abs(eigs[-1] - 1.0) < 1e-12
-
-    def test_dimension_cap(self):
-        a = tensor(werner_density(0.5, ("a", "b")), werner_density(0.5, ("c", "d")))
-        b = tensor(a, werner_density(0.5, ("e", "f")))
-        assert b.dimension == 64
-        with pytest.raises(ValueError, match="cap"):
-            tensor(b, werner_density(0.5, ("g", "h")))
-
-    def test_label_collision(self):
-        with pytest.raises(ValueError):
-            tensor(werner_density(0.5, ("a", "b")), werner_density(0.5, ("b", "c")))
-
-    @given(unit, unit)
-    @settings(max_examples=20)
-    def test_trace_multiplicative(self, w1, w2):
-        prod = tensor(werner_density(w1, ("a", "b")), werner_density(w2, ("c", "d")))
-        assert abs(np.trace(prod.matrix).real - 1.0) < 1e-12
-
-
-class TestBsm:
+class TestBellBlocks:
     def test_corrected_swap_merges_to_product_parameter(self):
         for w1, w2 in [(0.9, 0.8), (1.0, 1.0), (0.0, 0.5), (0.3, 0.3)]:
-            joint = tensor(
-                werner_density(w1, ("a", "m1")), werner_density(w2, ("m2", "b"))
-            )
-            target = werner_density(w1 * w2, ("a", "b"))
-            for branch in bsm(joint, ("m1", "m2"), correct_on="b"):
-                assert abs(branch.probability - 0.25) < 1e-12
-                assert max_abs(branch.post_state.matrix, target.matrix) < 1e-12
+            # Qubits: a, m1, m2, b; the relays m1 and m2 are measured, b corrected.
+            joint = np.kron(_werner(w1), _werner(w2))
+            target = _werner(w1 * w2)
+            for block in _bell_blocks(joint, (1, 2), fix=1):
+                prob = np.trace(block).real
+                assert abs(prob - 0.25) < 1e-12
+                assert max_abs(block / prob, target) < 1e-12
+            assert max_abs(_swap(joint, (1, 2), fix=1), target) < 1e-12
 
     def test_probabilities_on_a_single_werner_pair(self):
         for w in (0.0, 0.4, 1.0):
-            probs = bsm_probabilities(werner_density(w))
+            probs = _bell_probabilities(_werner(w))
             assert abs(probs["phi+"] - (1 + 3 * w) / 4) < 1e-12
             for label in ("phi-", "psi+", "psi-"):
                 assert abs(probs[label] - (1 - w) / 4) < 1e-12
 
     def test_maximally_mixed_two_pairs(self):
-        joint = tensor(werner_density(0.0, ("a", "b")), werner_density(0.0, ("c", "d")))
-        for branch in bsm(joint, ("b", "c")):
-            assert abs(branch.probability - 0.25) < 1e-12
-            assert max_abs(branch.post_state.matrix, np.eye(4) / 4) < 1e-12
-
-    def test_unknown_label(self):
-        with pytest.raises(ValueError, match="unknown qubit"):
-            bsm(werner_density(0.5), ("q0", "nope"))
-
-    def test_correction_target_must_remain(self):
-        joint = tensor(werner_density(0.5, ("a", "b")), werner_density(0.5, ("c", "d")))
-        with pytest.raises(ValueError, match="retained"):
-            bsm(joint, ("b", "c"), correct_on="b")
-
-    def test_negligible_branches_are_flagged(self):
-        branches = bsm(werner_density(1.0), ("q0", "q1"))
-        by_label = {o.label: o for o in branches}
-        assert not by_label["phi+"].negligible
-        for label in ("phi-", "psi+", "psi-"):
-            assert by_label[label].negligible
-            assert by_label[label].post_state is None
+        joint = np.kron(_werner(0.0), _werner(0.0))
+        for block in _bell_blocks(joint, (1, 2)):
+            assert abs(np.trace(block).real - 0.25) < 1e-12
+            assert max_abs(block / 0.25, np.eye(4) / 4) < 1e-12
 
     def test_probabilities_symmetric_under_pair_swap(self):
-        joint = tensor(werner_density(0.7, ("a", "b")), werner_density(0.4, ("c", "d")))
-        forward = {o.label: o.probability for o in bsm(joint, ("b", "c"))}
-        backward = {o.label: o.probability for o in bsm(joint, ("c", "b"))}
-        for label in BELL_LABELS:
-            assert abs(forward[label] - backward[label]) < 1e-12
+        joint = np.kron(_werner(0.7), _werner(0.4))
+        forward = np.trace(_bell_blocks(joint, (1, 2)), axis1=1, axis2=2).real
+        backward = np.trace(_bell_blocks(joint, (2, 1)), axis1=1, axis2=2).real
+        assert max_abs(forward, backward) < 1e-12
 
 
-def test_bsm_branch_probabilities_sum_to_one():
-    branches = bsm(werner_density(0.5), ("q0", "q1"))
-    assert len(branches) == 4
-    assert abs(sum(o.probability for o in branches) - 1.0) < 1e-12
+def test_bell_block_probabilities_sum_to_one():
+    blocks = _bell_blocks(_werner(0.5), (0, 1))
+    assert blocks.shape == (4, 1, 1)
+    assert abs(blocks.sum().real - 1.0) < 1e-12
 
 
 class TestLinearGeneration:
@@ -210,46 +166,31 @@ class TestLinearGeneration:
 
 class TestCyclicGeneration:
     def test_single_link_squares(self):
-        state = cyclic_generation([0.6])
-        assert max_abs(state.matrix, werner_density(0.36).matrix) < 1e-12
+        assert max_abs(_cyclic([0.6]), _werner(0.36)) < 1e-12
 
     def test_noiseless(self):
-        state = cyclic_generation([1.0])
-        assert max_abs(state.matrix, werner_density(1.0).matrix) < 1e-12
+        assert max_abs(_cyclic([1.0]), _werner(1.0)) < 1e-12
 
     def test_two_links(self):
-        state = cyclic_generation([0.9, 0.8])
-        assert max_abs(state.matrix, werner_density(0.5184).matrix) < 1e-12
+        assert max_abs(_cyclic([0.9, 0.8]), _werner(0.5184)) < 1e-12
 
 
-class TestZzProbabilities:
+class TestLzmOracleProbabilities:
     def test_bell_correlations(self):
-        probs = zz_probabilities(werner_density(1.0))
+        probs = lzm_oracle_probabilities([1.0])
         assert abs(probs["00"] - 0.5) < 1e-12
         assert abs(probs["11"] - 0.5) < 1e-12
         assert probs["01"] < 1e-12 and probs["10"] < 1e-12
 
     def test_uniform_at_zero(self):
-        probs = zz_probabilities(werner_density(0.0))
+        probs = lzm_oracle_probabilities([0.0])
         for p in probs.values():
             assert abs(p - 0.25) < 1e-12
 
     def test_half(self):
-        probs = zz_probabilities(werner_density(0.5))
+        probs = lzm_oracle_probabilities([0.5])
         assert abs(probs["00"] - 0.375) < 1e-12
         assert abs(probs["01"] - 0.125) < 1e-12
-
-    def test_wrong_dimension(self):
-        big = tensor(werner_density(0.5, ("a", "b")), werner_density(0.5, ("c", "d")))
-        with pytest.raises(ValueError):
-            zz_probabilities(big)
-
-
-def test_relabel_keeps_the_matrix():
-    state = relabel(werner_density(0.5, ("a", "b")), ("x", "y"))
-    assert state.qubits == ("x", "y")
-    with pytest.raises(ValueError):
-        relabel(state, ("x",))
 
 
 # Textbook Bell measurement, kept apart from the oracle's contraction: dense
@@ -304,28 +245,24 @@ def measured_states(draw):
     return rho / np.trace(rho).real, n, pair, fix
 
 
-class TestBsmAgainstProjectors:
+class TestBellBlocksAgainstProjectors:
     @given(measured_states())
     @settings(max_examples=60, deadline=None)
     def test_matches_textbook_projector_measurement(self, case):
         rho, n, pair, fix = case
-        labels = tuple(f"q{i}" for i in range(n))
-        rest = tuple(l for i, l in enumerate(labels) if i not in pair)
-        correct_on = None if fix is None else rest[fix]
-        state = DensityMatrix((rho + rho.conj().T) / 2, labels)
-        got = bsm(state, (labels[pair[0]], labels[pair[1]]), correct_on=correct_on)
-        for branch, (label, prob, block) in zip(got, _reference_bsm(state.matrix, n, pair, fix)):
-            assert branch.label == label
-            assert abs(branch.probability - prob) < 1e-12
-            assert not branch.negligible and branch.post_state.qubits == rest
-            assert max_abs(branch.post_state.matrix, block / prob) < 1e-12
+        rho = DensityMatrix((rho + rho.conj().T) / 2).matrix
+        got = _bell_blocks(rho, pair, fix)
+        assert got.shape == (4, 2 ** (n - 2), 2 ** (n - 2))
+        for block, (_, prob, reduced) in zip(got, _reference_bsm(rho, n, pair, fix)):
+            assert abs(np.trace(block).real - prob) < 1e-12
+            assert max_abs(block, reduced) < 1e-12
 
 
 @pytest.mark.parametrize(
     "oracle",
     [
         linear_generation,
-        cyclic_generation,
+        _cyclic,
         lzm_oracle_probabilities,
         jbm_oracle_probabilities,
         pem_oracle_probabilities,

@@ -13,11 +13,8 @@ from qnetomo import (
     Scheme,
     derive_seed,
     expected_counts,
-    jbm_distribution,
     jbm_oracle_probabilities,
-    lzm_distribution,
     lzm_oracle_probabilities,
-    pem_distribution,
     pem_oracle_probabilities,
     sample_outcomes,
     scheme_distribution,
@@ -26,58 +23,60 @@ from qnetomo import (
 from qnetomo.schemes import _pcg64_seed_words, _pcg64_state, _sample_rounds, _stream_seeds
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_dist = scheme_distribution
 
 
 class TestClosedForms:
     def test_lzm_half(self):
-        d = lzm_distribution(0.5).as_dict()
+        d = scheme_distribution(Scheme.LZM, 0.5).as_dict()
         assert abs(d["00"] - 0.375) < 1e-15
         assert abs(d["11"] - 0.375) < 1e-15
         assert abs(d["01"] - 0.125) < 1e-15
         assert abs(d["10"] - 0.125) < 1e-15
 
     def test_jbm_half(self):
-        d = jbm_distribution(0.5).as_dict()
+        d = scheme_distribution(Scheme.JBM, 0.5).as_dict()
         assert abs(d["phi+"] - 0.4375) < 1e-15
         for label in ("phi-", "psi+", "psi-"):
             assert abs(d[label] - 0.1875) < 1e-15
 
     def test_pem_point_six(self):
-        d = pem_distribution(0.6).as_dict()
+        d = scheme_distribution(Scheme.PEM, 0.6).as_dict()
         assert abs(d["phi+"] - 0.7) < 1e-15
         for label in ("phi-", "psi+", "psi-"):
             assert abs(d[label] - 0.1) < 1e-15
 
     def test_labels_per_scheme(self):
-        assert lzm_distribution(0.3).labels == ("00", "01", "10", "11")
-        assert jbm_distribution(0.3).labels == ("phi+", "phi-", "psi+", "psi-")
-        assert pem_distribution(0.3).labels == ("phi+", "phi-", "psi+", "psi-")
+        assert scheme_distribution(Scheme.LZM, 0.3).labels == ("00", "01", "10", "11")
+        assert scheme_distribution(Scheme.JBM, 0.3).labels == ("phi+", "phi-", "psi+", "psi-")
+        assert scheme_distribution(Scheme.PEM, 0.3).labels == ("phi+", "phi-", "psi+", "psi-")
 
     def test_degenerate_endpoints(self):
-        for dist in (lzm_distribution(0.0), jbm_distribution(0.0), pem_distribution(0.0)):
+        for scheme in Scheme:
+            dist = scheme_distribution(scheme, 0.0)
             np.testing.assert_allclose(dist.probabilities, [0.25] * 4, atol=1e-15)
-        assert abs(jbm_distribution(1.0).as_dict()["phi+"] - 1.0) < 1e-15
-        assert abs(pem_distribution(1.0).as_dict()["phi+"] - 1.0) < 1e-15
-        assert abs(lzm_distribution(1.0).as_dict()["00"] - 0.5) < 1e-15
+        assert abs(scheme_distribution(Scheme.JBM, 1.0).as_dict()["phi+"] - 1.0) < 1e-15
+        assert abs(scheme_distribution(Scheme.PEM, 1.0).as_dict()["phi+"] - 1.0) < 1e-15
+        assert abs(scheme_distribution(Scheme.LZM, 1.0).as_dict()["00"] - 0.5) < 1e-15
 
     def test_domain_guard(self):
-        for fn in (lzm_distribution, jbm_distribution, pem_distribution):
+        for scheme in Scheme:
             with pytest.raises(ValueError):
-                fn(-0.01)
+                scheme_distribution(scheme, -0.01)
             with pytest.raises(ValueError):
-                fn(1.01)
+                scheme_distribution(scheme, 1.01)
 
     @given(unit)
     @settings(max_examples=50)
     def test_probabilities_sum_to_one(self, w):
-        for fn in (lzm_distribution, jbm_distribution, pem_distribution):
-            assert abs(sum(fn(w).probabilities) - 1.0) < 1e-12
+        for scheme in Scheme:
+            assert abs(sum(scheme_distribution(scheme, w).probabilities) - 1.0) < 1e-12
 
     @given(unit)
     @settings(max_examples=50)
     def test_jbm_equals_pem_of_squared_product(self, w):
-        jbm = jbm_distribution(w)
-        pem = pem_distribution(w * w)
+        jbm = scheme_distribution(Scheme.JBM, w)
+        pem = scheme_distribution(Scheme.PEM, w * w)
         for a, b in zip(jbm.probabilities, pem.probabilities):
             assert abs(a - b) < 1e-12
 
@@ -87,19 +86,19 @@ class TestOracleAgreement:
 
     def test_lzm_two_links(self):
         exact = lzm_oracle_probabilities([0.9, 0.8])
-        analytic = lzm_distribution(0.72).as_dict()
+        analytic = scheme_distribution(Scheme.LZM, 0.72).as_dict()
         for label, p in exact.items():
             assert abs(p - analytic[label]) < 1e-12
 
     def test_jbm_one_link(self):
         exact = jbm_oracle_probabilities([0.7])
-        analytic = jbm_distribution(0.7).as_dict()
+        analytic = scheme_distribution(Scheme.JBM, 0.7).as_dict()
         for label, p in exact.items():
             assert abs(p - analytic[label]) < 1e-12
 
     def test_pem_three_links(self):
         exact = pem_oracle_probabilities([0.9, 0.7, 0.5])
-        analytic = pem_distribution(0.9 * 0.7 * 0.5).as_dict()
+        analytic = scheme_distribution(Scheme.PEM, 0.9 * 0.7 * 0.5).as_dict()
         for label, p in exact.items():
             assert abs(p - analytic[label]) < 1e-12
 
@@ -137,27 +136,27 @@ class TestDistributionValidation:
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        dist = pem_distribution(0.6)
+        dist = scheme_distribution(Scheme.PEM, 0.6)
         a = sample_outcomes(dist, 10000, seed=42)
         b = sample_outcomes(dist, 10000, seed=42)
         assert a.counts == b.counts
         assert a.seed == 42
 
     def test_different_seeds_differ(self):
-        dist = pem_distribution(0.6)
+        dist = scheme_distribution(Scheme.PEM, 0.6)
         a = sample_outcomes(dist, 10000, seed=1)
         b = sample_outcomes(dist, 10000, seed=2)
         assert a.counts != b.counts
 
     def test_counts_total(self):
-        counts = sample_outcomes(lzm_distribution(0.3), 987, seed=7)
+        counts = sample_outcomes(scheme_distribution(Scheme.LZM, 0.3), 987, seed=7)
         assert counts.total == 987
         assert sum(counts.counts.values()) == 987
 
     def test_law_of_large_numbers(self):
         # 3-sigma band per outcome at n = 1e6
         n = 1_000_000
-        dist = jbm_distribution(0.5)
+        dist = scheme_distribution(Scheme.JBM, 0.5)
         counts = sample_outcomes(dist, n, seed=2024)
         for label, p in dist.as_dict().items():
             sigma = np.sqrt(p * (1 - p) / n)
@@ -165,10 +164,10 @@ class TestSampling:
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            sample_outcomes(lzm_distribution(0.5), 0, seed=1)
+            sample_outcomes(scheme_distribution(Scheme.LZM, 0.5), 0, seed=1)
 
     def test_degenerate_distribution(self):
-        counts = sample_outcomes(jbm_distribution(1.0), 500, seed=3)
+        counts = sample_outcomes(scheme_distribution(Scheme.JBM, 1.0), 500, seed=3)
         assert counts.counts["phi+"] == 500
 
 
@@ -214,11 +213,11 @@ class TestBatchedStreams:
         dists=_DISTS,
         n=st.integers(1, 60),
     )
-    @example(seed=0, start=0, rounds=3, dists=[pem_distribution(0.6)], n=5)
-    @example(seed=2**32 - 1, start=0, rounds=2, dists=[lzm_distribution(0.3)] * 2, n=7)
-    @example(seed=2**32, start=1, rounds=2, dists=[jbm_distribution(1.0)], n=9)
-    @example(seed=2**64 + 1, start=0, rounds=4, dists=[pem_distribution(0.0)] * 3, n=11)
-    @example(seed=2**130 + 12345, start=7, rounds=3, dists=[lzm_distribution(1.0)] * 4, n=13)
+    @example(seed=0, start=0, rounds=3, dists=[_dist(Scheme.PEM, 0.6)], n=5)
+    @example(seed=2**32 - 1, start=0, rounds=2, dists=[_dist(Scheme.LZM, 0.3)] * 2, n=7)
+    @example(seed=2**32, start=1, rounds=2, dists=[_dist(Scheme.JBM, 1.0)], n=9)
+    @example(seed=2**64 + 1, start=0, rounds=4, dists=[_dist(Scheme.PEM, 0.0)] * 3, n=11)
+    @example(seed=2**130 + 12345, start=7, rounds=3, dists=[_dist(Scheme.LZM, 1.0)] * 4, n=13)
     def test_every_stage_matches_the_single_stream_path(self, seed, start, rounds, dists, n):
         block = range(start, start + rounds)
         children = _stream_seeds(seed, block, len(dists))
@@ -240,7 +239,7 @@ class TestBatchedStreams:
         assert _pcg64_states(children) == [(ref["state"], ref["inc"]) for ref in reference]
 
     def test_rejects_what_the_batch_cannot_seed(self):
-        dists = [pem_distribution(0.5)]
+        dists = [scheme_distribution(Scheme.PEM, 0.5)]
         with pytest.raises(ValueError, match="at least 1"):
             _sample_rounds(dists, 0, 1, range(2))
         with pytest.raises(ValueError, match="non-negative"):
@@ -251,18 +250,18 @@ class TestBatchedStreams:
 
 class TestExpectedCounts:
     def test_values(self):
-        counts = expected_counts(pem_distribution(0.6), 1000)
+        counts = expected_counts(scheme_distribution(Scheme.PEM, 0.6), 1000)
         assert abs(counts.counts["phi+"] - 700.0) < 1e-9
         assert abs(counts.counts["psi-"] - 100.0) < 1e-9
         assert counts.seed is None
 
     def test_fractional_totals_allowed(self):
-        counts = expected_counts(lzm_distribution(0.5), 10.5)
+        counts = expected_counts(scheme_distribution(Scheme.LZM, 0.5), 10.5)
         assert abs(counts.total - 10.5) < 1e-15
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            expected_counts(lzm_distribution(0.5), 0)
+            expected_counts(scheme_distribution(Scheme.LZM, 0.5), 0)
 
 
 class TestOutcomeCounts:
@@ -273,6 +272,27 @@ class TestOutcomeCounts:
     def test_label_cover(self):
         with pytest.raises(ValueError, match="cover"):
             OutcomeCounts(("a", "b"), {"a": 100}, 100)
+
+    @pytest.mark.parametrize(
+        "labels,counts,total,match",
+        [
+            (("a", "b"), {"a": 120, "b": -20}, 100, "non-negative"),
+            (("a", "b"), {"a": float("nan"), "b": 0}, 100, "finite"),
+            (("a", "b"), {"a": float("inf"), "b": 0}, float("inf"), "finite"),
+            (("a", "a"), {"a": 10}, 10, "unique"),
+            (("a", "b"), {"a": 0, "b": 0}, float("nan"), "positive"),
+            (
+                ("phi+", "phi-", "psi+", "psi-"),
+                {"phi+": 1200, "phi-": -100, "psi+": -50, "psi-": -50},
+                1000,
+                "non-negative",
+            ),
+        ],
+        ids=["negative", "nan", "infinite", "duplicate-labels", "nan-total", "bell-negative"],
+    )
+    def test_impossible_counts_are_rejected(self, labels, counts, total, match):
+        with pytest.raises(ValueError, match=match):
+            OutcomeCounts(labels, counts, total)
 
     def test_total_consistency(self):
         with pytest.raises(ValueError, match="sum"):
