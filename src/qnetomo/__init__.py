@@ -52,7 +52,6 @@ from .schemes import (
     OutcomeCounts,
     OutcomeDistribution,
     derive_seed,
-    expected_counts,
     sample_outcomes,
     scheme_distribution,
     task_distribution,
@@ -85,7 +84,6 @@ __all__ = [
     "crb_diagonal",
     "crossover",
     "derive_seed",
-    "expected_counts",
     "jbm_oracle_probabilities",
     "linear_generation",
     "lzm_oracle_probabilities",

@@ -3,7 +3,9 @@
 Subcommands: single-link, ratio, star, validate, benchmark.  Results are CSV
 with a fixed header per command, values at 12 significant digits, and
 byte-identical output for identical config and seed.  Exit codes: 0 success,
-1 invalid config, 2 validation failure.
+1 invalid config, 2 validation failure.  This module parses flags and config
+files and formats rows; the checks ``validate`` reports live in
+``qnetomo.validation``.
 """
 
 from __future__ import annotations
@@ -24,28 +26,19 @@ from .fisher import (
     qcrb,
     single_link_fisher,
     single_link_qcrb,
-    task_qfim,
 )
 from .network import (
     BUILTIN_PLAN_KINDS,
     MeasurementTask,
     MonitoringPlan,
-    NetworkGraph,
     Scheme,
-    WernerLink,
+    _chain,
     build_star,
     builtin_plan,
     trace_path,
     validate_plan,
 )
-from .oracle import (
-    jbm_oracle_probabilities,
-    linear_generation,
-    lzm_oracle_probabilities,
-    pem_oracle_probabilities,
-    werner_density,
-)
-from .schemes import SCHEMES, scheme_distribution
+from .validation import validation_checks
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -320,12 +313,7 @@ def cmd_star(cfg: RunConfig) -> tuple:
 
 def _benchmark_plan(cfg: RunConfig) -> tuple:
     if cfg.plan in Scheme.__members__:
-        graph = NetworkGraph(
-            nodes=frozenset({"a", "b"}),
-            links=(WernerLink("e0", cfg.fixed["w"]),),
-            endpoints={"e0": ("a", "b")},
-            monitors=frozenset({"a", "b"}),
-        )
+        graph = _chain({"e0": cfg.fixed["w"]})
         task = MeasurementTask(scheme=Scheme[cfg.plan], path=trace_path(graph, ("e0",)))
         plan = MonitoringPlan(name=cfg.plan, tasks=(task,))
         validate_plan(graph, plan)
@@ -360,103 +348,6 @@ def cmd_benchmark(cfg: RunConfig) -> tuple:
                 f"note: link {row.link} has a zero bound and zero variance; ratio undefined"
             )
     return lines, notes
-
-
-def _chain_task(scheme: Scheme, ws: Sequence[float]) -> tuple:
-    """A path task over a fresh chain graph with the given link parameters."""
-    n = len(ws)
-    nodes = frozenset(f"c{i}" for i in range(n + 1))
-    links = tuple(WernerLink(f"p{i}", w) for i, w in enumerate(ws))
-    endpoints = {f"p{i}": (f"c{i}", f"c{i + 1}") for i in range(n)}
-    graph = NetworkGraph(nodes=nodes, links=links, endpoints=endpoints, monitors=nodes)
-    task = MeasurementTask(
-        scheme=scheme, path=trace_path(graph, tuple(f"p{i}" for i in range(n)))
-    )
-    return task, graph.params()
-
-
-def _mode_gap(scheme: Scheme, param_sets: Sequence[Sequence[float]]) -> float:
-    """Largest relative entry gap between the modes, one batch per path length.
-
-    An infinite entry in one mode only gives a nan gap, which fails the check.
-    """
-    gaps = [0.0]
-    for length in {len(ws) for ws in param_sets}:
-        task, params = _chain_task(scheme, [0.5] * length)
-        columns = np.array([ws for ws in param_sets if len(ws) == length]).T
-        params = dict(zip(params, columns))
-        closed = task_qfim(task, params, FisherMode.CLOSED_FORM).entries
-        first = task_qfim(task, params, FisherMode.FIRST_PRINCIPLES).entries
-        with np.errstate(invalid="ignore"):
-            gap = np.abs(closed - first) / np.maximum(np.abs(closed), np.abs(first))
-        gaps.append(np.where(closed == first, 0.0, gap).max())
-    return float(np.max(gaps))
-
-
-def _distribution_gap(scheme: Scheme, oracle) -> float:
-    worst = 0.0
-    for i in range(21):
-        w = i / 20.0
-        table = scheme_distribution(scheme, w).as_dict()
-        exact = oracle([w])
-        worst = max(worst, max(abs(table[l] - exact[l]) for l in SCHEMES[scheme].labels))
-    return worst
-
-
-def validation_checks() -> list:
-    """All oracle-equivalence and mode-consistency checks.
-
-    Returns (name, max_error, tolerance, passed) tuples.
-    """
-    results = []
-
-    def record(name: str, err: float, tol: float) -> None:
-        results.append((name, err, tol, err <= tol))
-
-    record(
-        "lzm-distribution-vs-oracle",
-        _distribution_gap(Scheme.LZM, lzm_oracle_probabilities),
-        1e-12,
-    )
-    record(
-        "jbm-distribution-vs-oracle",
-        _distribution_gap(Scheme.JBM, jbm_oracle_probabilities),
-        1e-12,
-    )
-    record(
-        "pem-distribution-vs-oracle",
-        _distribution_gap(Scheme.PEM, pem_oracle_probabilities),
-        1e-12,
-    )
-
-    worst = 0.0
-    for i in range(10):
-        for j in range(10):
-            w1, w2 = i / 9.0, j / 9.0
-            chained = linear_generation([w1, w2]).matrix
-            direct = werner_density(w1 * w2).matrix
-            worst = max(worst, float(np.max(np.abs(chained - direct))))
-    record("swap-multiplicativity", worst, 1e-12)
-
-    ws = 0.05 * np.arange(1, 20)
-    closed = single_link_fisher(Scheme.LZM, ws, FisherMode.CLOSED_FORM)
-    first = single_link_fisher(Scheme.LZM, ws, FisherMode.FIRST_PRINCIPLES)
-    record("lzm-direct-mode-ratio-of-two", float(np.abs(closed / first - 2.0).max()), 1e-12)
-
-    direct_grid = [[0.05 + 0.1 * k] for k in range(10)]
-    pair_grid = [
-        [a, b] for a in (0.1, 0.3, 0.5, 0.7, 0.9) for b in (0.1, 0.3, 0.5, 0.7, 0.9)
-    ]
-    triple_grid = [
-        [a, b, c] for a in (0.2, 0.5, 0.8) for b in (0.2, 0.5, 0.8) for c in (0.2, 0.5, 0.8)
-    ]
-    paths = pair_grid + triple_grid
-    record("mode-consistency-lzm-path", _mode_gap(Scheme.LZM, paths), 1e-9)
-    record("mode-consistency-jbm-direct", _mode_gap(Scheme.JBM, direct_grid), 1e-9)
-    record("mode-consistency-jbm-path", _mode_gap(Scheme.JBM, paths), 1e-9)
-    record("mode-consistency-pem-direct", _mode_gap(Scheme.PEM, direct_grid), 1e-9)
-    record("mode-consistency-pem-path", _mode_gap(Scheme.PEM, paths), 1e-9)
-    return results
 
 
 def cmd_validate() -> tuple:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fisher import FisherMode, crb_diagonal, plan_qfim
-from .network import MonitoringPlan, Scheme
+from .network import MonitoringPlan, Scheme, _plan_steps
 from .schemes import SCHEMES, OutcomeCounts, _sample_rounds, task_distribution
 
 # Estimated divisors at or below this magnitude make the remaining link
@@ -47,29 +47,6 @@ def _clamp(x):
 def _frequency(scheme: Scheme, counts: OutcomeCounts) -> float:
     observed = sum(counts.counts[label] for label in SCHEMES[scheme].estimator_labels)
     return observed / counts.total
-
-
-def _plan_steps(plan: MonitoringPlan) -> tuple:
-    """(task index, link it resolves, links divided out) per resolving task.
-
-    Tasks that introduce no new link are skipped; a task that introduces
-    more than one makes the plan order unsolvable.
-    """
-    resolved: set = set()
-    steps = []
-    for idx, task in enumerate(plan.tasks):
-        path_ids = task.path.link_ids
-        new = [l for l in path_ids if l not in resolved]
-        if not new:
-            continue
-        if len(new) > 1:
-            raise ValueError(
-                f"task {idx} introduces {len(new)} unresolved links; plan order is not solvable"
-            )
-        target = new[0]
-        resolved.add(target)
-        steps.append((idx, target, tuple(l for l in path_ids if l != target)))
-    return tuple(steps)
 
 
 def _round_frequencies(plan: MonitoringPlan, steps: tuple, counts: np.ndarray, total: int) -> dict:

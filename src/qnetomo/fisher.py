@@ -173,7 +173,6 @@ def task_qfim(
     task: MeasurementTask,
     params: Mapping[str, float | np.ndarray],
     mode: FisherMode,
-    order: Sequence[str] | None = None,
 ) -> FisherMatrix:
     """Information matrix of one task over the full parameter vector.
 
@@ -181,10 +180,8 @@ def task_qfim(
     on the closed interval [0, 1]; where a probability vanishes the affected
     entries are +inf rather than a silent overflow.
     """
-    param_order = tuple(order) if order is not None else tuple(sorted(params))
-    return FisherMatrix(
-        entries=_information((task,), params, mode, param_order), order=param_order, mode=mode
-    )
+    order = tuple(sorted(params))
+    return FisherMatrix(entries=_information((task,), params, mode, order), order=order, mode=mode)
 
 
 def plan_qfim(

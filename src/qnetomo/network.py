@@ -13,7 +13,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .schemes import SCHEMES, Scheme
 
-BUILTIN_PLAN_KINDS = ("JBM2", "JBM3", "HYB2", "HYB3")
+# The star strategies, each as its (scheme, *link ids) tasks in solve order.
+_BUILTIN_TASKS = {
+    "JBM2": ((Scheme.JBM, "e0"), (Scheme.JBM, "e1"), (Scheme.JBM, "e0", "e2")),
+    "JBM3": ((Scheme.JBM, "e0"), (Scheme.JBM, "e1"), (Scheme.JBM, "e2")),
+    "HYB2": ((Scheme.JBM, "e0"), (Scheme.JBM, "e0", "e2"), (Scheme.LZM, "e0", "e1")),
+    "HYB3": ((Scheme.JBM, "e0"), (Scheme.LZM, "e0", "e1"), (Scheme.LZM, "e0", "e2")),
+}
+BUILTIN_PLAN_KINDS = tuple(_BUILTIN_TASKS)
 
 
 @dataclass(frozen=True)
@@ -164,20 +171,37 @@ def _task_monitor_ok(task: MeasurementTask, graph: NetworkGraph) -> bool:
     return all(watched) if SCHEMES[task.scheme].both_monitors else any(watched)
 
 
-def validate_plan(
-    graph: NetworkGraph,
-    plan: MonitoringPlan,
-    targets: Iterable[str] | None = None,
-) -> None:
+def _plan_steps(plan: MonitoringPlan) -> tuple:
+    """(task index, link it resolves, links divided out) per resolving task.
+
+    Tasks that introduce no new link are skipped; a task that introduces
+    more than one makes the plan order unsolvable.
+    """
+    resolved: set = set()
+    steps = []
+    for idx, task in enumerate(plan.tasks):
+        path_ids = task.path.link_ids
+        new = [l for l in path_ids if l not in resolved]
+        if not new:
+            continue
+        if len(new) > 1:
+            raise ValueError(
+                f"task {idx} introduces {len(new)} unresolved links; plan order is not solvable"
+            )
+        target = new[0]
+        resolved.add(target)
+        steps.append((idx, target, tuple(l for l in path_ids if l != target)))
+    return tuple(steps)
+
+
+def validate_plan(graph: NetworkGraph, plan: MonitoringPlan) -> None:
     """Check a plan against a graph; raise ValueError on any violation.
 
-    Checks per-task path contiguity, monitor requirements (LZM needs monitors
-    at both path endpoints, JBM and PEM at one), coverage of the target link
-    set, and in-order solvability: each task may contain at most one link not
-    covered by earlier tasks.
+    Checks per-task path contiguity and monitor requirements (LZM needs
+    monitors at both path endpoints, JBM and PEM at one), then in-order
+    solvability: each task may contain at most one link not covered by
+    earlier tasks.  Last, the plan must cover exactly the graph's links.
     """
-    target_set = set(targets) if targets is not None else {l.id for l in graph.links}
-    known: set = set()
     for idx, task in enumerate(plan.tasks):
         traced = trace_path(graph, task.path.link_ids)
         if set(traced.endpoints) != set(task.path.endpoints):
@@ -186,14 +210,9 @@ def validate_plan(
             raise ValueError(
                 f"task {idx} ({task.scheme.value}): monitor requirement not met"
             )
-        unknown = [l for l in task.path.link_ids if l not in known]
-        if len(unknown) > 1:
-            raise ValueError(
-                f"task {idx}: {len(unknown)} unresolved links; plan order is not solvable"
-            )
-        known.update(task.path.link_ids)
-    if plan.covered_links() != frozenset(target_set):
-        raise ValueError("plan does not cover exactly the target links")
+    _plan_steps(plan)
+    if plan.covered_links() != frozenset(l.id for l in graph.links):
+        raise ValueError("plan does not cover exactly the graph's links")
 
 
 def build_star(
@@ -220,6 +239,14 @@ def build_star(
     return NetworkGraph(nodes=nodes, links=links, endpoints=endpoints, monitors=mon)
 
 
+def _chain(params: Mapping[str, float]) -> NetworkGraph:
+    """Chain v0 - v1 - ... - vn over the given links in order, every node a monitor."""
+    nodes = frozenset(f"v{i}" for i in range(len(params) + 1))
+    links = tuple(WernerLink(lid, w) for lid, w in params.items())
+    endpoints = {lid: (f"v{i}", f"v{i + 1}") for i, lid in enumerate(params)}
+    return NetworkGraph(nodes=nodes, links=links, endpoints=endpoints, monitors=nodes)
+
+
 def _require_three_leaf_star(graph: NetworkGraph) -> None:
     expected_nodes = {"v0", "v1", "v2", "v3"}
     expected = {f"e{i}": ("v0", f"v{i + 1}") for i in range(3)}
@@ -238,37 +265,13 @@ def builtin_plan(kind: str, graph: NetworkGraph) -> MonitoringPlan:
     HYB2: JBM direct on e0, JBM indirect over (e0, e2), LZM indirect over (e0, e1).
     HYB3: JBM direct on e0, LZM indirect over (e0, e1) and over (e0, e2).
     """
-    if kind not in BUILTIN_PLAN_KINDS:
+    if kind not in _BUILTIN_TASKS:
         raise ValueError(f"unknown plan kind {kind!r}")
     _require_three_leaf_star(graph)
-
-    def task(scheme: Scheme, *link_ids: str) -> MeasurementTask:
-        return MeasurementTask(scheme=scheme, path=trace_path(graph, link_ids))
-
-    if kind == "JBM2":
-        tasks = (
-            task(Scheme.JBM, "e0"),
-            task(Scheme.JBM, "e1"),
-            task(Scheme.JBM, "e0", "e2"),
-        )
-    elif kind == "JBM3":
-        tasks = (
-            task(Scheme.JBM, "e0"),
-            task(Scheme.JBM, "e1"),
-            task(Scheme.JBM, "e2"),
-        )
-    elif kind == "HYB2":
-        tasks = (
-            task(Scheme.JBM, "e0"),
-            task(Scheme.JBM, "e0", "e2"),
-            task(Scheme.LZM, "e0", "e1"),
-        )
-    else:
-        tasks = (
-            task(Scheme.JBM, "e0"),
-            task(Scheme.LZM, "e0", "e1"),
-            task(Scheme.LZM, "e0", "e2"),
-        )
+    tasks = tuple(
+        MeasurementTask(scheme=scheme, path=trace_path(graph, link_ids))
+        for scheme, *link_ids in _BUILTIN_TASKS[kind]
+    )
     plan = MonitoringPlan(name=kind, tasks=tasks)
     validate_plan(graph, plan)
     return plan

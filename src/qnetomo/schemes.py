@@ -193,6 +193,8 @@ def task_distribution(task: MeasurementTask, params: Mapping[str, float]) -> Out
     """Outcome distribution of a task given per-link Werner parameters."""
     product = 1.0
     for lid in task.path.link_ids:
+        if lid not in params:
+            raise ValueError(f"path link {lid!r} missing from the parameter vector")
         product *= params[lid]
     return scheme_distribution(task.scheme, product)
 
@@ -347,10 +349,3 @@ def _sample_rounds(
             counts[i, t, : len(drawn)] = drawn
     return counts
 
-
-def expected_counts(dist: OutcomeDistribution, n: float) -> OutcomeCounts:
-    """Noise-free expected counts n * p_k, used for consistency checks."""
-    if n <= 0:
-        raise ValueError("total must be positive")
-    counts = {label: n * p for label, p in zip(dist.labels, dist.probabilities)}
-    return OutcomeCounts(labels=dist.labels, counts=counts, total=float(n), seed=None)

@@ -26,7 +26,6 @@ from qnetomo import (
     builtin_plan,
     channel_uses,
     crossover,
-    expected_counts,
     jbm_oracle_probabilities,
     linear_generation,
     lzm_oracle_probabilities,
@@ -41,7 +40,10 @@ from qnetomo import (
     task_qfim,
     werner_density,
 )
-from qnetomo.cli import _chain_task, main
+from qnetomo.cli import main
+from qnetomo.validation import _chain_task
+
+from helpers import expected_counts
 
 CLOSED = FisherMode.CLOSED_FORM
 FIRST = FisherMode.FIRST_PRINCIPLES
@@ -158,7 +160,7 @@ def test_criterion_04_analytic_derivatives_match_finite_differences():
         ws = rng.uniform(0.1, 0.9, size=length)
         task, params = _chain_task(scheme, ws)
         order = tuple(sorted(params))
-        analytic = task_qfim(task, params, FIRST, order).entries
+        analytic = task_qfim(task, params, FIRST).entries
         numeric = _finite_difference_matrix(task, params, order)
         for a, b in zip(analytic.ravel(), numeric.ravel()):
             worst = max(worst, _relative_gap(a, b))

@@ -395,15 +395,32 @@ class TestBenchmark:
 
 
 class TestValidate:
+    ROWS = [
+        ("lzm-distribution-vs-oracle", "PASS", "1e-12"),
+        ("jbm-distribution-vs-oracle", "PASS", "1e-12"),
+        ("pem-distribution-vs-oracle", "PASS", "1e-12"),
+        ("swap-multiplicativity", "PASS", "1e-12"),
+        ("lzm-direct-mode-ratio-of-two", "PASS", "1e-12"),
+        ("mode-consistency-lzm-path", "PASS", "1e-09"),
+        ("mode-consistency-jbm-direct", "PASS", "1e-09"),
+        ("mode-consistency-jbm-path", "PASS", "1e-09"),
+        ("mode-consistency-pem-direct", "PASS", "1e-09"),
+        ("mode-consistency-pem-path", "PASS", "1e-09"),
+    ]
+
     def test_all_checks_pass(self, capsys):
         code, lines, _ = run_lines(capsys, ["validate"])
         assert code == 0
         assert lines[0] == "check,status,max_error,tolerance"
-        assert len(lines) == 11
-        assert all(l.split(",")[1] == "PASS" for l in lines[1:])
-        names = [l.split(",")[0] for l in lines[1:]]
-        assert "lzm-direct-mode-ratio-of-two" in names
-        assert "swap-multiplicativity" in names
+        rows = [tuple(l.split(",")[k] for k in (0, 1, 3)) for l in lines[1:]]
+        assert rows == self.ROWS
+
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["validate", "--out", str(out)]) == 0
+        capsys.readouterr()
+        digest = "c2b33d031238f257bc6a156380db14df348bd7c9e1f80052fac339c5460a6f89"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_report_file_and_stdout_echo(self, capsys, tmp_path):
         out = tmp_path / "report.csv"

@@ -14,7 +14,6 @@ from qnetomo import (
     benchmark_variance,
     build_star,
     builtin_plan,
-    expected_counts,
     derive_seed,
     sample_outcomes,
     scheme_distribution,
@@ -22,8 +21,11 @@ from qnetomo import (
     task_distribution,
 )
 from qnetomo import estimators
-from qnetomo.estimators import _plan_steps, _round_frequencies, _solve_steps
+from qnetomo.estimators import _round_frequencies, _solve_steps
+from qnetomo.network import _plan_steps
 from qnetomo.schemes import SCHEMES
+
+from helpers import expected_counts
 
 BELL = ("phi+", "phi-", "psi+", "psi-")
 ZZ = ("00", "01", "10", "11")

@@ -16,6 +16,7 @@ from qnetomo import (
     trace_path,
     validate_plan,
 )
+from qnetomo.network import _chain
 
 
 def star():
@@ -59,6 +60,21 @@ class TestBuildStar:
     def test_too_few_leaves(self):
         with pytest.raises(ValueError):
             build_star(1, [0.5])
+
+
+class TestChain:
+    def test_links_in_order_with_contiguous_endpoints_all_monitored(self):
+        g = _chain({"p0": 0.9, "p1": 0.8, "p2": 0.7})
+        assert [l.id for l in g.links] == ["p0", "p1", "p2"]
+        assert g.params() == {"p0": 0.9, "p1": 0.8, "p2": 0.7}
+        assert g.nodes == frozenset({"v0", "v1", "v2", "v3"})
+        assert [g.endpoints[l] for l in ("p0", "p1", "p2")] == [
+            ("v0", "v1"),
+            ("v1", "v2"),
+            ("v2", "v3"),
+        ]
+        assert g.monitors == g.nodes
+        assert trace_path(g, ["p0", "p1", "p2"]).endpoints == ("v0", "v3")
 
 
 class TestGraphInvariants:
@@ -237,7 +253,7 @@ class TestValidatePlan:
         )
         with pytest.raises(ValueError, match="cover"):
             validate_plan(g, plan)
-        validate_plan(g, plan, targets=["e0"])
+        validate_plan(_chain({"e0": 0.9}), plan)
 
     def test_lzm_needs_monitors_at_both_ends(self):
         g = build_star(3, [0.9, 0.8, 0.7], monitors={"v1"})
@@ -246,4 +262,4 @@ class TestValidatePlan:
             tasks=(MeasurementTask(scheme=Scheme.LZM, path=trace_path(g, ["e0", "e1"])),),
         )
         with pytest.raises(ValueError, match="monitor"):
-            validate_plan(g, plan, targets=["e0", "e1"])
+            validate_plan(g, plan)

@@ -12,7 +12,6 @@ from qnetomo import (
     Path,
     Scheme,
     derive_seed,
-    expected_counts,
     jbm_oracle_probabilities,
     lzm_oracle_probabilities,
     pem_oracle_probabilities,
@@ -116,7 +115,7 @@ class TestTaskDistribution:
 
     def test_missing_link_parameter(self):
         task = MeasurementTask(Scheme.LZM, Path(("e9",), ("a", "b")))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'e9'"):
             task_distribution(task, {"e0": 0.5})
 
 
@@ -248,26 +247,15 @@ class TestBatchedStreams:
             _sample_rounds(dists, 5, 1, range(2**32 - 1, 2**32 + 1))
 
 
-class TestExpectedCounts:
-    def test_values(self):
-        counts = expected_counts(scheme_distribution(Scheme.PEM, 0.6), 1000)
-        assert abs(counts.counts["phi+"] - 700.0) < 1e-9
-        assert abs(counts.counts["psi-"] - 100.0) < 1e-9
-        assert counts.seed is None
-
-    def test_fractional_totals_allowed(self):
-        counts = expected_counts(scheme_distribution(Scheme.LZM, 0.5), 10.5)
-        assert abs(counts.total - 10.5) < 1e-15
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            expected_counts(scheme_distribution(Scheme.LZM, 0.5), 0)
-
-
 class TestOutcomeCounts:
     def test_frequency(self):
         counts = OutcomeCounts(("a", "b"), {"a": 30, "b": 70}, 100)
         assert abs(counts.frequency("b") - 0.7) < 1e-15
+
+    def test_real_valued_counts_allowed(self):
+        counts = OutcomeCounts(("a", "b"), {"a": 7.35, "b": 3.15}, 10.5)
+        assert abs(counts.frequency("a") - 0.7) < 1e-15
+        assert counts.seed is None
 
     def test_label_cover(self):
         with pytest.raises(ValueError, match="cover"):
@@ -281,6 +269,7 @@ class TestOutcomeCounts:
             (("a", "b"), {"a": float("inf"), "b": 0}, float("inf"), "finite"),
             (("a", "a"), {"a": 10}, 10, "unique"),
             (("a", "b"), {"a": 0, "b": 0}, float("nan"), "positive"),
+            (("a", "b"), {"a": 0, "b": 0}, 0, "positive"),
             (
                 ("phi+", "phi-", "psi+", "psi-"),
                 {"phi+": 1200, "phi-": -100, "psi+": -50, "psi-": -50},
@@ -288,7 +277,15 @@ class TestOutcomeCounts:
                 "non-negative",
             ),
         ],
-        ids=["negative", "nan", "infinite", "duplicate-labels", "nan-total", "bell-negative"],
+        ids=[
+            "negative",
+            "nan",
+            "infinite",
+            "duplicate-labels",
+            "nan-total",
+            "zero-total",
+            "bell-negative",
+        ],
     )
     def test_impossible_counts_are_rejected(self, labels, counts, total, match):
         with pytest.raises(ValueError, match=match):

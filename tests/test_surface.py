@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "crb_diagonal",
     "crossover",
     "derive_seed",
-    "expected_counts",
     "jbm_oracle_probabilities",
     "linear_generation",
     "lzm_oracle_probabilities",
@@ -55,7 +54,7 @@ PACKAGE = Path(qnetomo.__file__).parent
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(qnetomo.__all__) == PUBLIC_NAMES
 
 
@@ -73,8 +72,8 @@ def test_labels_live_with_the_scheme_table():
     assert oracle.ZZ_LABELS is schemes.ZZ_LABELS is qnetomo.ZZ_LABELS
 
 
-def _imports_oracle(source: str) -> bool:
-    """True if any import statement, at any depth, names a module ``oracle``."""
+def _imports(source: str, module: str) -> bool:
+    """True if any import statement, at any depth, names ``module``."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             parts = [part for alias in node.names for part in alias.name.split(".")]
@@ -82,14 +81,30 @@ def _imports_oracle(source: str) -> bool:
             parts = (node.module or "").split(".") + [alias.name for alias in node.names]
         else:
             continue
-        if "oracle" in parts:
+        if module in parts:
             return True
     return False
 
 
+def _source(module: str) -> str:
+    return (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("module", ["schemes", "network", "fisher", "estimators"])
 def test_core_modules_do_not_import_the_oracle(module):
-    assert not _imports_oracle((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert not _imports(_source(module), "oracle")
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "cli")
+)
+def test_only_the_cli_imports_validation(module):
+    assert not _imports(_source(module), "validation")
+
+
+def test_the_cli_reaches_the_oracle_only_through_validation():
+    assert not _imports(_source("cli"), "oracle")
+    assert _imports(_source("cli"), "validation")
 
 
 @pytest.mark.parametrize(
@@ -103,8 +118,8 @@ def test_core_modules_do_not_import_the_oracle(module):
     ],
 )
 def test_the_import_scan_sees_an_oracle_import(source):
-    assert _imports_oracle(source)
+    assert _imports(source, "oracle")
 
 
 def test_the_import_scan_passes_other_imports():
-    assert not _imports_oracle("from .schemes import BELL_LABELS\nimport numpy as np\n")
+    assert not _imports("from .schemes import BELL_LABELS\nimport numpy as np\n", "oracle")
