@@ -5,7 +5,8 @@ with a fixed header per command, values at 12 significant digits, and
 byte-identical output for identical config and seed.  Exit codes: 0 success,
 1 invalid config, 2 validation failure.  This module parses flags and config
 files and formats rows; the checks ``validate`` reports live in
-``qnetomo.validation``.
+``qnetomo.validation``.  ``_DEFAULTS`` lists every config key of each command
+with its default; a flag overrides the config file, which overrides defaults.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,9 +44,6 @@ EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
 EXIT_VALIDATION_FAILED = 2
 
-DEFAULT_SEED = 12345
-DEFAULT_SAMPLES = 100000
-DEFAULT_ROUNDS = 200
 GRID_MIN = 0.01
 GRID_MAX = 0.99
 # Size caps: larger requests are a ConfigError rather than an unbounded run.
@@ -54,15 +51,30 @@ MAX_GRID_POINTS = 100_000
 MAX_SAMPLES = 10**9
 MAX_ROUNDS = 10**6
 
-_BASE_KEYS = {"experiment", "mode", "seed", "output"}
-_GRID_KEYS = {"grid.start", "grid.stop", "grid.step"}
-_ALLOWED_KEYS = {
-    "single-link": _BASE_KEYS | _GRID_KEYS | {"normalize"},
-    "ratio": _BASE_KEYS | _GRID_KEYS | {"normalize"},
-    "star": _BASE_KEYS | _GRID_KEYS | {"normalize", "fixed.w0", "fixed.w1"},
-    "benchmark": _BASE_KEYS
-    | {"samples", "rounds", "plan", "fixed.w", "fixed.w0", "fixed.w1", "fixed.w2"},
+# Every key each command takes, with its default text (None: no default).
+# build_config checks keys in this order.
+_BASE = {"experiment": None, "mode": "closed-form", "seed": "12345", "output": None}
+_SWEEP = {
+    **_BASE,
+    "grid.start": str(GRID_MIN),
+    "grid.stop": str(GRID_MAX),
+    "grid.step": "0.01",
+    "normalize": "off",
 }
+_DEFAULTS = {
+    "single-link": _SWEEP,
+    "ratio": _SWEEP,
+    "star": {**_SWEEP, "normalize": "on", "fixed.w0": None, "fixed.w1": None},
+    "benchmark": {
+        **_BASE,
+        "mode": "first-principles",
+        "samples": "100000",
+        "rounds": "200",
+        "plan": None,
+        **dict.fromkeys(("fixed.w", "fixed.w0", "fixed.w1", "fixed.w2")),
+    },
+}
+_ALLOWED_KEYS = {command: set(keys) for command, keys in _DEFAULTS.items()}
 
 
 class ConfigError(Exception):
@@ -76,46 +88,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
-class RunConfig:
-    """Merged run settings: defaults, then config file, then CLI flags."""
-
-    command: str
-    mode: FisherMode
-    normalize: bool
-    seed: int
-    grid_start: float = GRID_MIN
-    grid_stop: float = GRID_MAX
-    grid_step: float = 0.01
-    samples: int = DEFAULT_SAMPLES
-    rounds: int = DEFAULT_ROUNDS
-    fixed: dict = field(default_factory=dict)
-    plan: str | None = None
-    output: str | None = None
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _onoff(flag: bool) -> str:
-    return "on" if flag else "off"
-
-
-def _parse_mode(text: str) -> FisherMode:
-    normalized = text.replace("_", "-")
-    for mode in FisherMode:
-        if mode.value == normalized:
-            return mode
-    raise ConfigError(f"unknown mode {text!r}; use closed-form or first-principles")
-
-
-def _parse_onoff(text: str, key: str) -> bool:
-    if text == "on":
-        return True
-    if text == "off":
-        return False
-    raise ConfigError(f"{key} must be on or off, got {text!r}")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -140,170 +114,153 @@ def _parse_config_file(path: str) -> dict:
     return table
 
 
-def _take_float(table: Mapping[str, str], key: str, default: float) -> float:
-    if key not in table:
-        return default
+def _value(key: str, text: str):
+    """The value of config key ``key`` written as ``text``, typed and range-checked."""
+    if key == "mode":
+        for mode in FisherMode:
+            if mode.value == text:
+                return mode
+        raise ConfigError(f"unknown mode {text!r}; use closed-form or first-principles")
+    if key == "normalize":
+        if text not in ("on", "off"):
+            raise ConfigError(f"normalize must be on or off, got {text!r}")
+        return text == "on"
+    if key in ("seed", "samples", "rounds"):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+        if key == "seed" and value < 0:
+            raise ConfigError(f"seed must be non-negative, got {value}")
+        return value
+    if not key.startswith(("grid.", "fixed.")):
+        return text
     try:
-        value = float(table[key])
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {table[key]!r}") from None
+        raise ConfigError(f"{key} must be a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {table[key]!r}")
+        raise ConfigError(f"{key} must be a finite number, got {text!r}")
+    if key.startswith("fixed.") and not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{key} must lie in [0, 1], got {text}")
     return value
 
 
-def _take_int(table: Mapping[str, str], key: str, default: int) -> int:
-    if key not in table:
-        return default
-    try:
-        return int(table[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {table[key]!r}") from None
-
-
-def build_config(command: str, args: argparse.Namespace) -> RunConfig:
+def build_config(command: str, args: argparse.Namespace) -> dict:
+    """Settings by config key: defaults, then the config file, then flags."""
     table = _parse_config_file(args.config) if args.config else {}
-    allowed = _ALLOWED_KEYS[command]
     for key in table:
-        if key not in allowed:
+        if key not in _ALLOWED_KEYS[command]:
             raise ConfigError(f"config key {key!r} is not applicable to {command}")
     experiment = table.get("experiment", command)
     if experiment != command:
         raise ConfigError(
             f"config experiment={experiment!r} does not match command {command!r}"
         )
-
-    default_mode = "first-principles" if command == "benchmark" else "closed-form"
-    mode = _parse_mode(args.mode or table.get("mode", default_mode))
-
-    default_normalize = "on" if command == "star" else "off"
-    normalize_text = getattr(args, "normalize", None) or table.get(
-        "normalize", default_normalize
-    )
-    normalize = _parse_onoff(normalize_text, "normalize")
-
-    seed = args.seed if args.seed is not None else _take_int(table, "seed", DEFAULT_SEED)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-
-    cfg = RunConfig(command=command, mode=mode, normalize=normalize, seed=seed)
-    cfg.output = args.out or table.get("output")
-    cfg.grid_start = _take_float(table, "grid.start", GRID_MIN)
-    cfg.grid_stop = _take_float(table, "grid.stop", GRID_MAX)
-    cfg.grid_step = _take_float(table, "grid.step", 0.01)
-    cfg.samples = _take_int(table, "samples", DEFAULT_SAMPLES)
-    cfg.rounds = _take_int(table, "rounds", DEFAULT_ROUNDS)
-    cfg.plan = table.get("plan")
-    for key, value in table.items():
-        if key.startswith("fixed."):
-            name = key[len("fixed.") :]
-            cfg.fixed[name] = _take_float(table, key, 0.0)
-            if not 0.0 <= cfg.fixed[name] <= 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1], got {value}")
-
-    if command in ("single-link", "ratio", "star"):
-        _check_grid(cfg)
-    if command == "star" and cfg.fixed:
-        if set(cfg.fixed) != {"w0", "w1"}:
-            raise ConfigError(
-                "heterogeneous star sweeps need exactly fixed.w0 and fixed.w1"
-            )
+    defaults = _DEFAULTS[command]
+    # A flag's dest is its config key (--out sets output); None or "" leaves it unset.
+    flags = {k: str(v) for k, v in vars(args).items() if k in defaults and v not in (None, "")}
+    merged = {**defaults, **table, **flags}
+    cfg = {key: _value(key, text) for key, text in merged.items() if text is not None}
     if command == "benchmark":
         _check_benchmark(cfg)
+    else:
+        _check_grid(cfg)
+    if command == "star" and ("fixed.w0" in cfg) != ("fixed.w1" in cfg):
+        raise ConfigError("heterogeneous star sweeps need exactly fixed.w0 and fixed.w1")
     return cfg
 
 
-def _check_grid(cfg: RunConfig) -> None:
-    if cfg.grid_step <= 0:
+def _check_grid(cfg: dict) -> None:
+    start, stop, step = cfg["grid.start"], cfg["grid.stop"], cfg["grid.step"]
+    if step <= 0:
         raise ConfigError("grid.step must be positive")
-    if cfg.grid_start > cfg.grid_stop:
+    if start > stop:
         raise ConfigError("grid.start must not exceed grid.stop")
-    if cfg.grid_start < GRID_MIN - 1e-12 or cfg.grid_stop > GRID_MAX + 1e-12:
+    if start < GRID_MIN - 1e-12 or stop > GRID_MAX + 1e-12:
         raise ConfigError(f"grid must stay within [{GRID_MIN}, {GRID_MAX}]")
     # Checked before the grid is built; the division may overflow to inf.
-    if (cfg.grid_stop - cfg.grid_start) / cfg.grid_step > MAX_GRID_POINTS - 1:
+    if (stop - start) / step > MAX_GRID_POINTS - 1:
         raise ConfigError(f"grid.step gives more than {MAX_GRID_POINTS} grid points")
 
 
-def _check_benchmark(cfg: RunConfig) -> None:
-    if cfg.plan is None:
+def _check_benchmark(cfg: dict) -> None:
+    plan = cfg.get("plan")
+    if plan is None:
         raise ConfigError("benchmark needs a plan key")
-    if cfg.plan in Scheme.__members__:
-        needed = {"w"}
-    elif cfg.plan in BUILTIN_PLAN_KINDS:
-        needed = {"w0", "w1", "w2"}
+    if plan in Scheme.__members__:
+        needed = {"fixed.w"}
+    elif plan in BUILTIN_PLAN_KINDS:
+        needed = {"fixed.w0", "fixed.w1", "fixed.w2"}
     else:
         raise ConfigError(
-            f"unknown plan {cfg.plan!r}; use one of "
+            f"unknown plan {plan!r}; use one of "
             f"{', '.join([*Scheme.__members__, *BUILTIN_PLAN_KINDS])}"
         )
-    if set(cfg.fixed) != needed:
-        raise ConfigError(
-            f"plan {cfg.plan} needs exactly {', '.join('fixed.' + k for k in sorted(needed))}"
-        )
-    if not 1 <= cfg.samples <= MAX_SAMPLES:
-        raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}], got {cfg.samples}")
-    if not 2 <= cfg.rounds <= MAX_ROUNDS:
-        raise ConfigError(f"rounds must lie in [2, {MAX_ROUNDS}], got {cfg.rounds}")
+    if {key for key in cfg if key.startswith("fixed.")} != needed:
+        raise ConfigError(f"plan {plan} needs exactly {', '.join(sorted(needed))}")
+    if not 1 <= cfg["samples"] <= MAX_SAMPLES:
+        raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}], got {cfg['samples']}")
+    if not 2 <= cfg["rounds"] <= MAX_ROUNDS:
+        raise ConfigError(f"rounds must lie in [2, {MAX_ROUNDS}], got {cfg['rounds']}")
 
 
-def _grid(cfg: RunConfig) -> list:
-    count = int(round((cfg.grid_stop - cfg.grid_start) / cfg.grid_step)) + 1
+def _grid(cfg: dict) -> list:
+    start, stop, step = cfg["grid.start"], cfg["grid.stop"], cfg["grid.step"]
+    count = int(round((stop - start) / step)) + 1
     values = []
     for i in range(count):
-        v = round(cfg.grid_start + i * cfg.grid_step, 12)
-        if v <= cfg.grid_stop + 1e-9:
+        v = round(start + i * step, 12)
+        if v <= stop + 1e-9:
             values.append(v)
     return values
 
 
-def cmd_single_link(cfg: RunConfig) -> tuple:
+def cmd_single_link(cfg: dict) -> tuple:
     """Per-scheme information and variance bound over the parameter grid."""
     grid = _grid(cfg)
     ws = np.array(grid)
     columns = [
         (
             scheme,
-            single_link_fisher(scheme, ws, cfg.mode, cfg.normalize).tolist(),
-            single_link_qcrb(scheme, ws, cfg.mode, cfg.normalize).tolist(),
+            single_link_fisher(scheme, ws, cfg["mode"], cfg["normalize"]).tolist(),
+            single_link_qcrb(scheme, ws, cfg["mode"], cfg["normalize"]).tolist(),
         )
         for scheme in Scheme
     ]
+    settings = f"{cfg['mode'].value},{'on' if cfg['normalize'] else 'off'}"
     lines = ["scheme,w,fisher,qcrb,mode,normalized"]
     for i, w in enumerate(grid):
         for scheme, info, bound in columns:
-            lines.append(
-                f"{scheme.value},{_fmt(w)},{_fmt(info[i])},{_fmt(bound[i])},"
-                f"{cfg.mode.value},{_onoff(cfg.normalize)}"
-            )
+            lines.append(f"{scheme.value},{_fmt(w)},{_fmt(info[i])},{_fmt(bound[i])},{settings}")
     return lines, []
 
 
-def cmd_ratio(cfg: RunConfig) -> tuple:
+def cmd_ratio(cfg: dict) -> tuple:
     """Bound ratio of the two local schemes, plus their crossover point."""
     grid = _grid(cfg)
     ws = np.array(grid)
-    lzm_bound = single_link_qcrb(Scheme.LZM, ws, cfg.mode, cfg.normalize)
-    jbm_bound = single_link_qcrb(Scheme.JBM, ws, cfg.mode, cfg.normalize)
+    lzm_bound = single_link_qcrb(Scheme.LZM, ws, cfg["mode"], cfg["normalize"])
+    jbm_bound = single_link_qcrb(Scheme.JBM, ws, cfg["mode"], cfg["normalize"])
     lines = ["w,qcrb_lzm/qcrb_jbm"]
     for w, ratio in zip(grid, (lzm_bound / jbm_bound).tolist()):
         lines.append(f"{_fmt(w)},{_fmt(ratio)}")
-    root = crossover(Scheme.LZM, Scheme.JBM, cfg.mode, cfg.normalize)
+    root = crossover(Scheme.LZM, Scheme.JBM, cfg["mode"], cfg["normalize"])
     note = f"crossover_w = {'none' if root is None else _fmt(root)}"
     return lines, [note]
 
 
-def cmd_star(cfg: RunConfig) -> tuple:
+def cmd_star(cfg: dict) -> tuple:
     """Bounds of the four star strategies over a homogeneous or w2 sweep."""
     graph = build_star(3, [0.5, 0.5, 0.5])
     plans = [builtin_plan(kind, graph) for kind in BUILTIN_PLAN_KINDS]
     grid = _grid(cfg)
     ws = np.array(grid)
-    if cfg.fixed:
-        params = {"e0": cfg.fixed["w0"], "e1": cfg.fixed["w1"], "e2": ws}
+    if "fixed.w0" in cfg:
+        params = {"e0": cfg["fixed.w0"], "e1": cfg["fixed.w1"], "e2": ws}
     else:
         params = {"e0": ws, "e1": ws, "e2": ws}
-    bounds = [qcrb(plan_qfim(plan, params, cfg.mode, cfg.normalize)).tolist() for plan in plans]
+    bounds = [qcrb(plan_qfim(p, params, cfg["mode"], cfg["normalize"])).tolist() for p in plans]
     lines = ["strategy,w,qcrb"]
     for i, w in enumerate(grid):
         for plan, column in zip(plans, bounds):
@@ -311,27 +268,28 @@ def cmd_star(cfg: RunConfig) -> tuple:
     return lines, []
 
 
-def _benchmark_plan(cfg: RunConfig) -> tuple:
-    if cfg.plan in Scheme.__members__:
-        graph = _chain({"e0": cfg.fixed["w"]})
-        task = MeasurementTask(scheme=Scheme[cfg.plan], path=trace_path(graph, ("e0",)))
-        plan = MonitoringPlan(name=cfg.plan, tasks=(task,))
+def _benchmark_plan(cfg: dict) -> tuple:
+    name = cfg["plan"]
+    if name in Scheme.__members__:
+        graph = _chain({"e0": cfg["fixed.w"]})
+        task = MeasurementTask(scheme=Scheme[name], path=trace_path(graph, ("e0",)))
+        plan = MonitoringPlan(name=name, tasks=(task,))
         validate_plan(graph, plan)
         return plan, graph
-    graph = build_star(3, [cfg.fixed["w0"], cfg.fixed["w1"], cfg.fixed["w2"]])
-    return builtin_plan(cfg.plan, graph), graph
+    graph = build_star(3, [cfg["fixed.w0"], cfg["fixed.w1"], cfg["fixed.w2"]])
+    return builtin_plan(name, graph), graph
 
 
-def cmd_benchmark(cfg: RunConfig) -> tuple:
+def cmd_benchmark(cfg: dict) -> tuple:
     """Monte-Carlo estimator variance per link against the matching bound."""
     plan, graph = _benchmark_plan(cfg)
     rows = benchmark_variance(
-        plan, graph.params(), cfg.samples, cfg.rounds, cfg.seed, cfg.mode
+        plan, graph.params(), cfg["samples"], cfg["rounds"], cfg["seed"], cfg["mode"]
     )
     lines = ["plan,link,true_w,empirical_variance,crb,ratio"]
     for row in rows:
         lines.append(
-            f"{cfg.plan},{row.link},{_fmt(row.true_w)},{_fmt(row.variance)},"
+            f"{cfg['plan']},{row.link},{_fmt(row.true_w)},{_fmt(row.variance)},"
             f"{_fmt(row.crb)},{_fmt(row.ratio)}"
         )
     notes = []
@@ -339,7 +297,7 @@ def cmd_benchmark(cfg: RunConfig) -> tuple:
         if row.unidentifiable_rounds:
             notes.append(
                 f"note: link {row.link} unidentifiable in {row.unidentifiable_rounds} "
-                f"of {cfg.rounds} rounds"
+                f"of {cfg['rounds']} rounds"
             )
         elif math.isinf(row.crb) and math.isnan(row.ratio):
             notes.append(f"note: link {row.link} has an infinite bound; ratio undefined")
@@ -387,9 +345,11 @@ def _build_parser() -> _Parser:
         if name != "benchmark":
             p.add_argument("--normalize", choices=["on", "off"])
         p.add_argument("--seed", type=int)
-        p.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
+        p.add_argument(
+            "--out", dest="output", metavar="PATH", help="CSV output path (default stdout)"
+        )
     v = sub.add_parser("validate", help="run the exact-oracle equivalence checks")
-    v.add_argument("--out", metavar="PATH", help="CSV report path (default stdout)")
+    v.add_argument("--out", dest="output", metavar="PATH", help="CSV report path (default stdout)")
     return parser
 
 
@@ -399,8 +359,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "validate":
             lines, ok = cmd_validate()
-            _write_lines(lines, args.out)
-            if args.out:
+            _write_lines(lines, args.output)
+            if args.output:
                 _write_lines(lines, None)
             return EXIT_OK if ok else EXIT_VALIDATION_FAILED
         cfg = build_config(args.command, args)
@@ -411,10 +371,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             "benchmark": cmd_benchmark,
         }[args.command]
         lines, notes = runner(cfg)
-        _write_lines(lines, cfg.output)
+        _write_lines(lines, cfg.get("output"))
         for note in notes:
             # Keep stdout clean when the CSV itself goes to stdout.
-            stream = sys.stdout if cfg.output else sys.stderr
+            stream = sys.stdout if "output" in cfg else sys.stderr
             print(note, file=stream)
         return EXIT_OK
     except ConfigError as exc:

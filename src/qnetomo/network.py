@@ -123,11 +123,6 @@ class MeasurementTask:
     scheme: Scheme
     path: Path
 
-    @property
-    def direct(self) -> bool:
-        """True for single-link paths (direct monitoring)."""
-        return len(self.path.link_ids) == 1
-
 
 @dataclass(frozen=True)
 class MonitoringPlan:

@@ -12,7 +12,8 @@ draws of task t in round r, is ``PCG64(derive_seed(s, r, t))`` with one
 ``multinomial`` call per stream.  ``sample_outcomes`` draws one such stream;
 ``_sample_rounds`` draws every stream of a block of rounds in one batch,
 computing the seeds with NumPy's documented ``SeedSequence`` hash over
-arrays, and produces the same counts.
+arrays, and produces the same counts.  It checks the first stream of each
+block against NumPy's own seeding and raises ``RuntimeError`` if they differ.
 """
 
 from __future__ import annotations
@@ -331,6 +332,14 @@ def _sample_rounds(
         p = np.clip(np.array(dist.probabilities, dtype=float), 0.0, 1.0)
         pvals.append(p / p.sum())
     words = np.stack(_pcg64_seed_words(_stream_seeds(seed, rounds, len(dists))), axis=-1)
+    if words.size:
+        # The batch recomputes NumPy's seeding; check one stream against NumPy itself.
+        reference = np.random.PCG64(derive_seed(seed, rounds.start, 0)).state["state"]
+        if _pcg64_state(*words[0, 0].tolist()) != (reference["state"], reference["inc"]):
+            raise RuntimeError(
+                f"NumPy {np.__version__} seeds PCG64 streams differently from the batched "
+                "SeedSequence hash; batched counts would not match sample_outcomes"
+            )
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     counts = np.zeros((len(rounds), len(dists), max((len(p) for p in pvals), default=0)), np.int64)

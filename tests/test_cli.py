@@ -7,6 +7,7 @@ can be asserted directly; one smoke test goes through a real subprocess.
 import contextlib
 import hashlib
 import io
+import re
 import subprocess
 import sys
 import tempfile
@@ -103,6 +104,26 @@ class TestSingleLink:
         )
         assert code == 0
         assert all(l.split(",")[4] == "first-principles" for l in lines[1:])
+
+    @pytest.mark.parametrize(
+        "key, flag, default, in_file, in_flag",
+        [
+            ("mode", "--mode", CLOSED, ("first-principles", FIRST), ("closed-form", CLOSED)),
+            ("normalize", "--normalize", False, ("on", True), ("off", False)),
+            ("seed", "--seed", 12345, ("7", 7), ("0", 0)),
+            ("output", "--out", None, ("file.csv", "file.csv"), ("flag.csv", "flag.csv")),
+        ],
+        ids=["mode", "normalize", "seed", "output"],
+    )
+    def test_flag_beats_file_beats_default(self, tmp_path, key, flag, default, in_file, in_flag):
+        def resolve(text, *flags):
+            config = write_config(tmp_path, "experiment = single-link\n" + text)
+            args = _build_parser().parse_args(["single-link", "--config", config, *flags])
+            return build_config("single-link", args).get(key)
+
+        assert resolve("") == default
+        assert resolve(f"{key} = {in_file[0]}\n") == in_file[1]
+        assert resolve(f"{key} = {in_file[0]}\n", flag, in_flag[0]) == in_flag[1]
 
     def test_normalize_halves_the_fused_scheme(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SMALL_GRID)
@@ -517,6 +538,14 @@ class TestExitCodes:
         assert code == 1 and lines == []
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_mode_has_only_hyphenated_spellings(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "experiment = single-link\nmode = first_principles\n")
+        code, lines, err = run_lines(capsys, ["single-link", "--config", cfg])
+        assert code == 1 and lines == []
+        assert err.splitlines() == [
+            "error: unknown mode 'first_principles'; use closed-form or first-principles"
+        ]
+
     def test_caps_are_inclusive(self, tmp_path):
         bench = write_config(
             tmp_path,
@@ -525,7 +554,7 @@ class TestExitCodes:
         )
         args = _build_parser().parse_args(["benchmark", "--config", bench])
         cfg = build_config("benchmark", args)
-        assert (cfg.samples, cfg.rounds) == (MAX_SAMPLES, MAX_ROUNDS)
+        assert (cfg["samples"], cfg["rounds"]) == (MAX_SAMPLES, MAX_ROUNDS)
         step = 0.98 / (MAX_GRID_POINTS - 1)
         sweep = write_config(tmp_path, f"experiment = single-link\ngrid.step = {step!r}\n")
         args = _build_parser().parse_args(["single-link", "--config", sweep])
@@ -560,6 +589,22 @@ def test_subprocess_smoke(tmp_path):
 
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_key_table_names_every_config_key():
+    table = README.read_text(encoding="utf-8").split("\nKeys:\n", 1)[1].split("\n\n", 1)[0]
+    names = set()
+    for row in table.splitlines()[2:]:
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            # `fixed.w0..w2` stands for fixed.w0, fixed.w1 and fixed.w2.
+            span = re.fullmatch(r"(.*\.(\w+?))(\d)\.\.\2(\d)", name)
+            if span:
+                low, high = int(span[3]), int(span[4])
+                names.update(f"{span[1]}{i}" for i in range(low, high + 1))
+            else:
+                names.add(name)
+    assert names == set().union(*_ALLOWED_KEYS.values())
 
 
 class TestPinnedSweeps:

@@ -20,7 +20,7 @@ from qnetomo import (
     solve_plan,
     task_distribution,
 )
-from qnetomo import estimators
+from qnetomo import estimators, schemes
 from qnetomo.estimators import _round_frequencies, _solve_steps
 from qnetomo.network import _plan_steps
 from qnetomo.schemes import SCHEMES
@@ -309,6 +309,12 @@ class TestBenchmark:
         a = benchmark_variance(plan, {"e0": 0.6}, 2000, 20, seed=9)
         b = benchmark_variance(plan, {"e0": 0.6}, 2000, 20, seed=9)
         assert a == b
+
+    def test_stream_guard_catches_a_seeding_mismatch(self, monkeypatch):
+        # A wrong SeedSequence constant stands in for a NumPy that hashes differently.
+        monkeypatch.setattr(schemes, "_INIT_A", schemes._INIT_A ^ 1)
+        with pytest.raises(RuntimeError, match=f"NumPy {np.__version__} seeds PCG64"):
+            benchmark_variance(self._single_link_plan(), {"e0": 0.6}, 100, 5, seed=9)
 
     def test_seed_changes_the_variance(self):
         plan = self._single_link_plan()

@@ -157,7 +157,7 @@ class TestBuiltinPlans:
 
     def test_jbm3_all_direct(self):
         plan = builtin_plan("JBM3", star())
-        assert all(t.direct for t in plan.tasks)
+        assert all(len(t.path.link_ids) == 1 for t in plan.tasks)
         assert plan.covered_links() == frozenset({"e0", "e1", "e2"})
 
     def test_hyb2_tasks(self):
