@@ -359,8 +359,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "validate":
             lines, ok = cmd_validate()
-            _write_lines(lines, args.output)
-            if args.output:
+            # As for every other command, an empty --out means stdout only.
+            output = args.output or None
+            _write_lines(lines, output)
+            if output:
                 _write_lines(lines, None)
             return EXIT_OK if ok else EXIT_VALIDATION_FAILED
         cfg = build_config(args.command, args)

@@ -2,13 +2,28 @@
 
 Ground truth, on up to six qubits (64x64), for the analytic outcome
 distributions of the three schemes and for multiplicative Werner composition
-under entanglement swapping.  A Bell measurement is one einsum of the state's
-qubit tensor with the constant Bell basis, giving all four unnormalised
-outcome blocks <beta_k|rho|beta_k> at once, then the stacked Pauli fixups on
-one retained qubit; no projector or partial trace is ever formed.  The path
-constructions and the ``*_oracle_probabilities`` functions run on plain
-arrays; a validated ``DensityMatrix`` is built only for a state a public
-function returns.
+under entanglement swapping.  A Bell measurement is two pairwise einsum
+contractions of the state's qubit tensor with the constant Bell basis: the
+conjugate basis over the measured row axes, then the basis over the measured
+column axes.  That gives all four unnormalised outcome blocks
+<beta_k|rho|beta_k> at once; the stacked Pauli fixups on one retained qubit
+follow in two more pairwise steps, rows then columns.  No projector or
+partial trace is ever formed.
+
+Everything is array-valued over a batch of parameter points, with the same
+contract as ``fisher``: a link parameter is a float or a 1-D array, all
+arrays in one call of equal length.  States carry the batch axes first, shape
+(..., d, d), and a float is the batch-of-one case of the same code: floats in
+give one (d, d) state and float probabilities, arrays in give a stack of
+states and one probability array per outcome.  The path constructions and the
+``*_oracle_probabilities`` functions run on plain arrays; a validated
+``DensityMatrix`` is built only for a state a public function returns, and it
+validates the whole batch at once.
+
+Every contraction is a plain ``einsum`` or an elementwise product, never
+``optimize=``, ``tensordot``, ``dot``, ``matmul`` or ``@``: those hand the
+small products to the BLAS library, whose worker threads compete for the one
+core a pinned benchmark process runs on.
 """
 
 from __future__ import annotations
@@ -32,99 +47,130 @@ _CORRECTIONS = np.array(
 # Bell vectors as [outcome, first qubit, second qubit]: |beta_k> = (1 x fixup_k)|phi+>.
 _BELL = _CORRECTIONS.transpose(0, 2, 1) / np.sqrt(2.0)
 _PHI_PLUS = np.outer(_BELL[0].ravel(), _BELL[0].ravel())
+_EYE = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix of a few qubits.
+    """Validated density matrix of a few qubits, or a batch of them.
 
-    Invariants enforced at construction: dimension a power of two up to 64,
-    Hermitian and unit trace within 1e-12, smallest eigenvalue at least -1e-10.
+    ``matrix`` has shape (d, d), or (..., d, d) for a batch.  Invariants
+    enforced at construction for every member: dimension a power of two up
+    to 64, Hermitian and unit trace within 1e-12, smallest eigenvalue at
+    least -1e-10 (one batched ``eigvalsh``).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError("matrix must be square")
-        dim = m.shape[0]
+        dim = m.shape[-1]
         if not dim or dim & (dim - 1):
             raise ValueError(f"dimension {dim} is not a power of two")
         if dim > MAX_DIM:
             raise ValueError(f"dimension {dim} exceeds the cap {MAX_DIM}")
-        if np.max(np.abs(m - m.conj().T)) > ATOL_EQ:
+        # Written as "all within tolerance" so that a nan entry fails too.
+        if not (np.abs(m - m.conj().swapaxes(-2, -1)) <= ATOL_EQ).all():
             raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > ATOL_EQ or abs(np.trace(m).imag) > ATOL_EQ:
+        trace = np.trace(m, axis1=-2, axis2=-1)
+        if not ((np.abs(trace.real - 1.0) <= ATOL_EQ) & (np.abs(trace.imag) <= ATOL_EQ)).all():
             raise ValueError("trace must equal 1 within tolerance")
-        if np.linalg.eigvalsh(m)[0] < -ATOL_PSD:
+        if not (np.linalg.eigvalsh(m)[..., 0] >= -ATOL_PSD).all():
             raise ValueError("matrix is not positive semidefinite within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
-def _werner(w: float) -> np.ndarray:
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w={w} outside [0, 1]")
-    return w * _PHI_PLUS + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
+def _werner(w: float | np.ndarray) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.ndim > 1:
+        raise ValueError("w must be a float or a 1-D array")
+    inside = (w >= 0.0) & (w <= 1.0)
+    if not inside.all():
+        raise ValueError(f"w={np.extract(~inside, w)[0]} outside [0, 1]")
+    w = w[..., None, None]
+    return w * _PHI_PLUS + (1.0 - w) * _EYE / 4.0
 
 
-def werner_density(w: float) -> DensityMatrix:
-    """Two-qubit Werner state: w times the phi+ projector plus (1-w)/4 times I."""
+def werner_density(w: float | np.ndarray) -> DensityMatrix:
+    """Two-qubit Werner state: w times the phi+ projector plus (1-w)/4 times I.
+
+    An array of parameters gives the stack of their states.
+    """
     return DensityMatrix(_werner(w))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the trailing (d, d) axes, broadcast over the batch axes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    dim = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (dim, dim))
+
+
 def _bell_blocks(rho: np.ndarray, pair: tuple, fix: int | None = None) -> np.ndarray:
-    """Unnormalised outcome blocks <beta_k|rho|beta_k>, stacked as (4, R, R).
+    """Unnormalised outcome blocks <beta_k|rho|beta_k>, stacked as (..., 4, R, R).
 
     ``pair`` holds the positions of the two measured qubits; ``fix`` is a
     position among the retained qubits that gets outcome k's Pauli fixup.
     """
-    n = rho.shape[0].bit_length() - 1
+    n = rho.shape[-1].bit_length() - 1
     # einsum labels: qubit q is row axis q and column axis n + q of the tensor.
     k, a, b, c, d, x, y = range(2 * n, 2 * n + 7)
     axes = list(range(2 * n))
     axes[pair[0]], axes[pair[1]], axes[n + pair[0]], axes[n + pair[1]] = a, b, c, d
     keep = [q for q in range(n) if q not in pair]
     out = [k, *keep, *(n + q for q in keep)]
-    t = rho.reshape((2,) * (2 * n))
-    blocks = np.einsum(_BELL.conj(), [k, a, b], t, axes, _BELL, [k, c, d], out)
+    t = rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
+    rows = [k] + [i for i in axes if i not in (a, b)]
+    half = np.einsum(_BELL.conj(), [k, a, b], t, [..., *axes], [..., *rows])
+    blocks = np.einsum(_BELL, [k, c, d], half, [..., *rows], [..., *out])
     if fix is not None:
         q = keep[fix]
-        fixed = [x if i == q else y if i == n + q else i for i in out]
-        fixups = (_CORRECTIONS, [k, x, q], blocks, out, _CORRECTIONS.conj(), [k, y, n + q])
-        blocks = np.einsum(*fixups, fixed)
+        rows = [x if i == q else i for i in out]
+        fixed = [y if i == n + q else i for i in rows]
+        half = np.einsum(_CORRECTIONS, [k, x, q], blocks, [..., *out], [..., *rows])
+        blocks = np.einsum(_CORRECTIONS.conj(), [k, y, n + q], half, [..., *rows], [..., *fixed])
     size = 2 ** len(keep)
-    return blocks.reshape(4, size, size)
+    return blocks.reshape(blocks.shape[: -2 * len(keep) - 1] + (4, size, size))
 
 
 def _swap(rho: np.ndarray, pair: tuple, fix: int) -> np.ndarray:
     """Corrected Bell measurement with every branch merged back into one state."""
-    merged = _bell_blocks(rho, pair, fix).sum(axis=0)
-    return merged / np.trace(merged).real
+    merged = _bell_blocks(rho, pair, fix).sum(axis=-3)
+    return merged / np.trace(merged, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _by_label(labels: tuple, probs: np.ndarray) -> dict:
+    """Floats for one point, one array over the batch per outcome for a batch."""
+    return dict(zip(labels, probs.tolist() if probs.ndim == 1 else list(probs.T)))
 
 
 def _bell_probabilities(rho: np.ndarray) -> dict:
-    probs = np.maximum(_bell_blocks(rho, (0, 1))[:, 0, 0].real, 0.0)
-    return dict(zip(BELL_LABELS, probs.tolist()))
+    probs = np.maximum(_bell_blocks(rho, (0, 1))[..., 0, 0].real, 0.0)
+    return _by_label(BELL_LABELS, probs)
 
 
 def _zz_probabilities(rho: np.ndarray) -> dict:
-    return dict(zip(ZZ_LABELS, np.clip(np.diag(rho).real, 0.0, None).tolist()))
+    return _by_label(ZZ_LABELS, np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None))
 
 
-def _linear(params: Sequence[float]) -> np.ndarray:
+def _linear(params: Sequence[float | np.ndarray]) -> np.ndarray:
     if not 1 <= len(params) <= 3:
         raise ValueError("path length must be between 1 and 3 links")
-    rho = _werner(params[0])
-    for w in params[1:]:
+    ws = [np.asarray(w, dtype=float) for w in params]
+    if len({w.shape for w in ws} - {()}) > 1:
+        raise ValueError("link parameters must be floats or equal-length 1-D arrays")
+    rho = _werner(ws[0])
+    for w in ws[1:]:
         # Qubits: near end, relay, relay, far end; the relay pair is measured
         # and the far end corrected.
-        rho = _swap(np.kron(rho, _werner(w)), (1, 2), fix=1)
+        rho = _swap(_kron(rho, _werner(w)), (1, 2), fix=1)
     return rho
 
 
-def _cyclic(params: Sequence[float]) -> np.ndarray:
+def _cyclic(params: Sequence[float | np.ndarray]) -> np.ndarray:
     """Two linear path copies fused by a corrected Bell measurement at the far end.
 
     The surviving pair sits at the near endpoint and carries the squared path
@@ -132,25 +178,26 @@ def _cyclic(params: Sequence[float]) -> np.ndarray:
     """
     path = _linear(params)
     # Qubits: near 1, far 1, near 2, far 2; the far ends are fused.
-    return _swap(np.kron(path, path), (1, 3), fix=1)
+    return _swap(_kron(path, path), (1, 3), fix=1)
 
 
-def linear_generation(params: Sequence[float]) -> DensityMatrix:
+def linear_generation(params: Sequence[float | np.ndarray]) -> DensityMatrix:
     """End-to-end path state from one Werner pair per link, swapped at relays.
 
     Each intermediate node measures its two qubits in the Bell basis with the
     Pauli fixup applied downstream, so the chain collapses to a single Werner
-    pair whose parameter is the product of the link parameters.
+    pair whose parameter is the product of the link parameters.  Array
+    parameters give the stack of path states over the batch.
     """
     return DensityMatrix(_linear(params))
 
 
-def jbm_oracle_probabilities(params: Sequence[float]) -> dict:
+def jbm_oracle_probabilities(params: Sequence[float | np.ndarray]) -> dict:
     """Joint-Bell-measurement statistics from the exact cyclic construction."""
     return _bell_probabilities(_cyclic(params))
 
 
-def pem_oracle_probabilities(params: Sequence[float]) -> dict:
+def pem_oracle_probabilities(params: Sequence[float | np.ndarray]) -> dict:
     """Pair-assisted measurement statistics from the exact teleport construction.
 
     A noiseless Bell pair is appended at the path ends, the far endpoint
@@ -158,10 +205,10 @@ def pem_oracle_probabilities(params: Sequence[float]) -> dict:
     measures its two qubits jointly.
     """
     # Qubits: path near, path far, ideal near, ideal far.
-    joint = np.kron(_linear(params), _PHI_PLUS)
+    joint = _kron(_linear(params), _PHI_PLUS)
     return _bell_probabilities(_swap(joint, (1, 3), fix=1))
 
 
-def lzm_oracle_probabilities(params: Sequence[float]) -> dict:
+def lzm_oracle_probabilities(params: Sequence[float | np.ndarray]) -> dict:
     """Correlated Z-basis statistics from the exact path construction."""
     return _zz_probabilities(_linear(params))

@@ -449,6 +449,15 @@ class TestValidate:
         assert code == 0
         assert out.read_text().splitlines() == lines
 
+    def test_empty_out_means_stdout(self, capsys, tmp_path, monkeypatch):
+        # As for the other commands, an empty --out is treated as not given.
+        monkeypatch.chdir(tmp_path)
+        code, lines, err = run_lines(capsys, ["validate", "--out", ""])
+        assert (code, err) == (0, "")
+        assert lines[0] == "check,status,max_error,tolerance"
+        assert [l.split(",")[0] for l in lines[1:]] == [row[0] for row in self.ROWS]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(

@@ -40,6 +40,8 @@ class TestWernerDensity:
             werner_density(-0.1)
         with pytest.raises(ValueError):
             werner_density(1.01)
+        with pytest.raises(ValueError, match="w=1.5 outside"):
+            werner_density(np.array([0.2, 1.5]))
 
     @given(unit)
     @settings(max_examples=30)
@@ -268,7 +270,113 @@ class TestBellBlocksAgainstProjectors:
         pem_oracle_probabilities,
     ],
 )
-@pytest.mark.parametrize("params", [[-0.1], [1.1], [0.5, -1e-9], [0.5, 0.5, 1.5], [float("nan")]])
+@pytest.mark.parametrize(
+    "params",
+    [
+        [-0.1],
+        [1.1],
+        [0.5, -1e-9],
+        [0.5, 0.5, 1.5],
+        [float("nan")],
+        [np.array([0.2, 1.5, 0.3])],
+        [0.5, np.array([0.4, 0.6, -0.1])],
+        [np.array([0.5, np.nan]), np.array([0.5, 0.5])],
+    ],
+)
 def test_link_parameter_outside_unit_interval_rejected(oracle, params):
     with pytest.raises(ValueError, match="outside"):
         oracle(params)
+
+
+# A link parameter is a float or a 1-D array; the ends 0 and 1 are drawn often.
+edge_or_unit = st.sampled_from([0.0, 1.0]) | unit
+
+
+@st.composite
+def link_batches(draw):
+    """1 to 3 link parameters: an array first, then arrays or floats that broadcast."""
+    size = draw(st.integers(1, 6))
+    column = st.lists(edge_or_unit, min_size=size, max_size=size).map(np.array)
+    rest = draw(st.lists(column | edge_or_unit, max_size=2))
+    return [draw(column), *rest]
+
+
+ORACLES = [lzm_oracle_probabilities, jbm_oracle_probabilities, pem_oracle_probabilities]
+
+
+class TestBatchedOracle:
+    @given(link_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_per_point_bit_for_bit(self, columns):
+        size = len(columns[0])
+        points = [[float(np.broadcast_to(c, size)[i]) for c in columns] for i in range(size)]
+        states = linear_generation(columns).matrix
+        assert states.shape == (size, 4, 4)
+        for state, point in zip(states, points):
+            assert np.array_equal(state, linear_generation(point).matrix)
+        for oracle in ORACLES:
+            batch = oracle(columns)
+            for i, point in enumerate(points):
+                single = oracle(point)
+                assert all(np.array_equal(batch[label][i], p) for label, p in single.items())
+
+    def test_werner_density_batch_equals_per_point(self):
+        ws = np.array([0.0, 0.3, 1.0])
+        states = werner_density(ws).matrix
+        assert states.shape == (3, 4, 4)
+        for state, w in zip(states, ws.tolist()):
+            assert np.array_equal(state, werner_density(w).matrix)
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_floats_in_floats_out_arrays_in_arrays_out(self, oracle):
+        assert all(type(p) is float for p in oracle([0.4, 0.7]).values())
+        batch = oracle([np.array([0.4, 0.5, 0.6]), 0.7])
+        assert all(p.shape == (3,) for p in batch.values())
+
+
+def _three_states():
+    return np.array(werner_density(np.array([0.2, 0.5, 0.9])).matrix)
+
+
+def _break_hermitian(m):
+    m[0, 1] += 0.1
+
+
+def _break_trace(m):
+    m *= 2.0
+
+
+def _break_psd(m):
+    m[...] = np.diag([0.7, 0.7, -0.2, -0.2])
+
+
+class TestBatchValidation:
+    def test_a_valid_batch_keeps_its_shape(self):
+        assert DensityMatrix(np.stack([_three_states()] * 2)).matrix.shape == (2, 3, 4, 4)
+
+    @pytest.mark.parametrize("member", [1, 2])
+    @pytest.mark.parametrize(
+        "fault, match",
+        [(_break_hermitian, "Hermitian"), (_break_trace, "trace"), (_break_psd, "semidefinite")],
+    )
+    def test_one_bad_member_rejects_the_batch(self, member, fault, match):
+        states = _three_states()
+        fault(states[member])
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix(states)
+
+    def test_dimension_cap_applies_to_the_trailing_axes(self):
+        assert DensityMatrix(np.stack([np.eye(64) / 64] * 3)).matrix.shape == (3, 64, 64)
+        with pytest.raises(ValueError, match="cap"):
+            DensityMatrix(np.stack([np.eye(128) / 128] * 2))
+
+    @pytest.mark.parametrize("oracle", [linear_generation, *ORACLES])
+    def test_unequal_lengths_rejected(self, oracle):
+        with pytest.raises(ValueError, match="equal-length"):
+            oracle([np.array([0.1, 0.2]), np.array([0.3, 0.4, 0.5])])
+
+    def test_two_dimensional_parameter_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            werner_density(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="1-D"):
+            linear_generation([np.full((2, 2), 0.5)])

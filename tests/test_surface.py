@@ -123,3 +123,52 @@ def test_the_import_scan_sees_an_oracle_import(source):
 
 def test_the_import_scan_passes_other_imports():
     assert not _imports("from .schemes import BELL_LABELS\nimport numpy as np\n", "oracle")
+
+
+# The oracle's products stay in plain einsum calls and elementwise ufuncs.
+# einsum(optimize=True) sends them through tensordot into OpenBLAS.  Measured
+# under perfbench, which pins its process to one core, the BLAS worker threads
+# then compete for that core: warm `validate` read 0.034-0.042 s instead of
+# 0.0135 s for the pairwise einsums, and 0.0115 s with OPENBLAS_NUM_THREADS=1.
+_BLAS_NAMES = {"tensordot", "dot", "matmul"}
+
+
+def _blas_uses(source: str) -> list:
+    """Every ``optimize=`` keyword, BLAS product name and ``@`` in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "optimize":
+            found.append("optimize=")
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in _BLAS_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in _BLAS_NAMES:
+            found.append(node.name)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+    return found
+
+
+def test_the_oracle_stays_off_blas():
+    assert _blas_uses(_source("oracle")) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "np.einsum('ij,jk', a, b, optimize=True)",
+        "np.tensordot(a, b, 2)",
+        "a.dot(b)",
+        "np.matmul(a, b)",
+        "a @ b",
+        "a @= b",
+        "from numpy import dot",
+    ],
+)
+def test_the_blas_scan_sees_a_blas_product(source):
+    assert _blas_uses(source)
+
+
+def test_the_blas_scan_passes_einsum_and_ufuncs():
+    assert _blas_uses("np.einsum('ij,jk->ik', a, b)\nc = a * b\nnp.linalg.eigvalsh(c)") == []
