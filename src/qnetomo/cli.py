@@ -38,7 +38,6 @@ from .network import (
     trace_path,
     validate_plan,
 )
-from .validation import validation_checks
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -50,6 +49,7 @@ GRID_MAX = 0.99
 MAX_GRID_POINTS = 100_000
 MAX_SAMPLES = 10**9
 MAX_ROUNDS = 10**6
+MAX_CONFIG_CHARS = 1 << 20
 
 # Every key each command takes, with its default text (None: no default).
 # build_config checks keys in this order.
@@ -95,9 +95,11 @@ def _fmt(x: float) -> str:
 def _parse_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+            text = handle.read(MAX_CONFIG_CHARS + 1)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    if len(text) > MAX_CONFIG_CHARS:
+        raise ConfigError(f"config file is longer than {MAX_CONFIG_CHARS} characters")
     table: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -310,6 +312,9 @@ def cmd_benchmark(cfg: dict) -> tuple:
 
 def cmd_validate() -> tuple:
     """Machine-readable pass/fail report of every oracle check."""
+    # Imported here so that no other command loads the checks.
+    from .validation import validation_checks
+
     lines = ["check,status,max_error,tolerance"]
     all_ok = True
     for name, err, tol, ok in validation_checks():

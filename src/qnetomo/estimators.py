@@ -9,14 +9,13 @@ variance against the Cramér-Rao bound of the sampling experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .fisher import FisherMode, crb_diagonal, plan_qfim
 from .network import MonitoringPlan, Scheme, _plan_steps
-from .schemes import SCHEMES, OutcomeCounts, _sample_rounds, task_distribution
+from .schemes import SCHEMES, OutcomeCounts, _Record, _sample_rounds, task_distribution
 
 # Estimated divisors at or below this magnitude make the remaining link
 # unidentifiable in practice; the estimate is withheld instead of divided.
@@ -26,16 +25,19 @@ DIVISOR_GUARD = 1e-6
 ROUND_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class LinkEstimates:
+class LinkEstimates(_Record):
     """Per-link estimates with unidentifiability flags.
 
     Links whose sequential divisor fell below the guard threshold appear in
     ``unidentifiable`` and carry no value.
     """
 
-    values: Mapping[str, float]
-    unidentifiable: frozenset = frozenset()
+    __match_args__ = ("values", "unidentifiable")
+
+    def __init__(
+        self, values: Mapping[str, float], unidentifiable: frozenset = frozenset()
+    ) -> None:
+        self.__dict__.update(values=values, unidentifiable=unidentifiable)
 
 
 def _clamp(x):
@@ -116,8 +118,7 @@ def solve_plan(plan: MonitoringPlan, counts_by_task: Sequence[OutcomeCounts]) ->
     )
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
+class BenchmarkRow(_Record):
     """Per-link benchmark outcome: empirical variance against its bound.
 
     ``unidentifiable_rounds`` counts the rounds whose estimate of the link was
@@ -125,12 +126,25 @@ class BenchmarkRow:
     variance against an infinite bound also makes ``ratio`` nan.
     """
 
-    link: str
-    true_w: float
-    variance: float
-    crb: float
-    ratio: float
-    unidentifiable_rounds: int
+    __match_args__ = ("link", "true_w", "variance", "crb", "ratio", "unidentifiable_rounds")
+
+    def __init__(
+        self,
+        link: str,
+        true_w: float,
+        variance: float,
+        crb: float,
+        ratio: float,
+        unidentifiable_rounds: int,
+    ) -> None:
+        self.__dict__.update(
+            link=link,
+            true_w=true_w,
+            variance=variance,
+            crb=crb,
+            ratio=ratio,
+            unidentifiable_rounds=unidentifiable_rounds,
+        )
 
 
 def benchmark_variance(

@@ -30,7 +30,6 @@ members with the same finite coordinates is inverted in one batched call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from operator import mul
@@ -39,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .network import MeasurementTask, MonitoringPlan, UsageLedger, channel_uses
-from .schemes import SCHEMES, Scheme
+from .schemes import SCHEMES, Scheme, _Record
 
 SYM_ATOL = 1e-12
 PSD_ATOL = 1e-10
@@ -53,25 +52,34 @@ class FisherMode(Enum):
     FIRST_PRINCIPLES = "first-principles"
 
 
-@dataclass(frozen=True)
-class FisherMatrix:
+class FisherMatrix(_Record):
     """Symmetric PSD information matrix over an ordered link-parameter vector.
 
     ``entries`` has shape (n, n), or (..., n, n) for a batch of parameter
     points.  Entries may be +inf where a probability vanishes and the
     information diverges; such coordinates are treated as exactly known by
     the bound computations.  ``ledger`` records the channel-use normalization
-    when ``normalized`` is set.
+    when ``normalized`` is set.  ``_eigenvalues`` holds the ascending
+    eigenvalues of each member with all-finite entries, else nan, over the
+    flattened batch: shape (members, n).  It is not a field, so equality,
+    hashing and repr leave it out.
     """
 
-    entries: np.ndarray
-    order: tuple
-    mode: FisherMode
-    normalized: bool = False
-    ledger: UsageLedger | None = None
-    # Ascending eigenvalues of each member with all-finite entries, else nan,
-    # over the flattened batch: shape (members, n).
-    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    __match_args__ = ("entries", "order", "mode", "normalized", "ledger")
+
+    def __init__(
+        self,
+        entries: np.ndarray,
+        order: tuple,
+        mode: FisherMode,
+        normalized: bool = False,
+        ledger: UsageLedger | None = None,
+    ) -> None:
+        self.__dict__.update(
+            entries=entries, order=order, mode=mode, normalized=normalized, ledger=ledger
+        )
+        # A hook of its own: perfbench's recorder wraps it to count constructions.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         e = np.array(self.entries, dtype=float)
@@ -93,9 +101,7 @@ class FisherMatrix:
             raise ValueError("matrix is not positive semidefinite within tolerance")
         e.setflags(write=False)
         eig.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "_eigenvalues", eig)
+        self.__dict__.update(entries=e, order=tuple(self.order), _eigenvalues=eig)
 
 
 def _plain(x: np.ndarray) -> float | np.ndarray:

@@ -8,10 +8,9 @@ equal resource footing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .schemes import SCHEMES, Scheme
+from .schemes import SCHEMES, Scheme, _Record
 
 # The star strategies, each as its (scheme, *link ids) tasks in solve order.
 _BUILTIN_TASKS = {
@@ -23,62 +22,59 @@ _BUILTIN_TASKS = {
 BUILTIN_PLAN_KINDS = tuple(_BUILTIN_TASKS)
 
 
-@dataclass(frozen=True)
-class WernerLink:
+class WernerLink(_Record):
     """A network link distributing Werner states with parameter ``w``."""
 
-    id: str
-    w: float
+    __match_args__ = ("id", "w")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError(f"link {self.id!r}: w={self.w} outside [0, 1]")
+    def __init__(self, id: str, w: float) -> None:
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"link {id!r}: w={w} outside [0, 1]")
+        self.__dict__.update(id=id, w=w)
 
 
-@dataclass(frozen=True)
-class NetworkGraph:
+class NetworkGraph(_Record):
     """Undirected graph of nodes, Werner links, and monitor placements.
 
     ``endpoints`` maps each link id to its node pair.  Instances are treated
     as immutable after construction.
     """
 
-    nodes: frozenset
-    links: tuple
-    endpoints: Mapping[str, tuple]
-    monitors: frozenset
+    __match_args__ = ("nodes", "links", "endpoints", "monitors")
 
-    def __post_init__(self) -> None:
-        ids = [l.id for l in self.links]
+    def __init__(
+        self, nodes: frozenset, links: tuple, endpoints: Mapping[str, tuple], monitors: frozenset
+    ) -> None:
+        ids = [l.id for l in links]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate link ids")
-        if set(self.endpoints) != set(ids):
+        if set(endpoints) != set(ids):
             raise ValueError("endpoints must cover exactly the link ids")
-        for lid, (a, b) in self.endpoints.items():
-            if a not in self.nodes or b not in self.nodes:
+        for lid, (a, b) in endpoints.items():
+            if a not in nodes or b not in nodes:
                 raise ValueError(f"link {lid!r} endpoint not a graph node")
             if a == b:
                 raise ValueError(f"link {lid!r} is a self-loop")
-        if not self.monitors <= self.nodes:
+        if not monitors <= nodes:
             raise ValueError("monitors must be a subset of nodes")
+        self.__dict__.update(nodes=nodes, links=links, endpoints=endpoints, monitors=monitors)
 
     def params(self) -> dict:
         """Link id to Werner parameter, for the whole graph."""
         return {l.id: l.w for l in self.links}
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """Ordered simple path of link ids with its two terminal nodes."""
 
-    link_ids: tuple
-    endpoints: tuple
+    __match_args__ = ("link_ids", "endpoints")
 
-    def __post_init__(self) -> None:
-        if len(self.link_ids) < 1:
+    def __init__(self, link_ids: tuple, endpoints: tuple) -> None:
+        if len(link_ids) < 1:
             raise ValueError("path needs at least one link")
-        if len(set(self.link_ids)) != len(self.link_ids):
+        if len(set(link_ids)) != len(link_ids):
             raise ValueError("path repeats a link")
+        self.__dict__.update(link_ids=link_ids, endpoints=endpoints)
 
 
 def trace_path(graph: NetworkGraph, link_ids: Sequence[str]) -> Path:
@@ -116,24 +112,26 @@ def trace_path(graph: NetworkGraph, link_ids: Sequence[str]) -> Path:
     return Path(ids, (start, current))
 
 
-@dataclass(frozen=True)
-class MeasurementTask:
+class MeasurementTask(_Record):
     """One scheme executed over one path."""
 
-    scheme: Scheme
-    path: Path
+    __match_args__ = ("scheme", "path")
+
+    def __init__(self, scheme: Scheme, path: Path) -> None:
+        self.__dict__.update(scheme=scheme, path=path)
 
 
-@dataclass(frozen=True)
-class MonitoringPlan:
+class MonitoringPlan(_Record):
     """Named, ordered list of measurement tasks.
 
     Task order matters: sequential estimation resolves each indirect task
     using link estimates produced by earlier tasks.
     """
 
-    name: str
-    tasks: tuple
+    __match_args__ = ("name", "tasks")
+
+    def __init__(self, name: str, tasks: tuple) -> None:
+        self.__dict__.update(name=name, tasks=tasks)
 
     def covered_links(self) -> frozenset:
         out = set()
@@ -142,23 +140,21 @@ class MonitoringPlan:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class UsageLedger:
+class UsageLedger(_Record):
     """Per-link channel-use counts for one round of a plan.
 
     Pre-shared Bell pairs consumed by PEM tasks are tracked separately and
     never enter ``total``: only network-link uses are counted there.
     """
 
-    uses: Mapping[str, int]
-    total: int
-    preshared_pairs: int = 0
+    __match_args__ = ("uses", "total", "preshared_pairs")
 
-    def __post_init__(self) -> None:
-        if self.total != sum(self.uses.values()):
+    def __init__(self, uses: Mapping[str, int], total: int, preshared_pairs: int = 0) -> None:
+        if total != sum(uses.values()):
             raise ValueError("ledger total must equal the sum of per-link uses")
-        if any(c < 0 for c in self.uses.values()) or self.preshared_pairs < 0:
+        if any(c < 0 for c in uses.values()) or preshared_pairs < 0:
             raise ValueError("ledger counts must be nonnegative")
+        self.__dict__.update(uses=uses, total=total, preshared_pairs=preshared_pairs)
 
 
 def _task_monitor_ok(task: MeasurementTask, graph: NetworkGraph) -> bool:

@@ -19,8 +19,8 @@ block against NumPy's own seeding and raises ``RuntimeError`` if they differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -46,8 +46,44 @@ class Scheme(Enum):
     PEM = "PEM"
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__match_args__`` and its ``__init__``
+    stores them in the instance ``__dict__``, so copy and pickle need nothing
+    more.  Equality, hashing and repr go over the fields in that order, as a
+    frozen dataclass's do, and no attribute can be assigned or deleted.
+    These are plain classes because a dataclass builds its methods with
+    ``exec`` at import, which every fresh command would pay for.
+    """
+
+    __match_args__: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls.__match_args__)
+        # The tuple of field values; attrgetter returns a lone field bare.
+        cls._values = property(get if len(cls.__match_args__) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SchemeSpec(_Record):
     """Every fact about one measurement scheme.
 
     Outcome k has probability ``(1 + slopes[k] * W**degree) / 4``.
@@ -57,16 +93,44 @@ class SchemeSpec:
     arrays.
     """
 
-    labels: tuple
-    slopes: tuple
-    degree: int
-    closed_form: Callable[[float], float]
-    direct_factor: float
-    uses_per_link: int
-    preshared_pairs: int
-    both_monitors: bool
-    estimator_labels: tuple
-    inverse: Callable
+    __match_args__ = (
+        "labels",
+        "slopes",
+        "degree",
+        "closed_form",
+        "direct_factor",
+        "uses_per_link",
+        "preshared_pairs",
+        "both_monitors",
+        "estimator_labels",
+        "inverse",
+    )
+
+    def __init__(
+        self,
+        labels: tuple,
+        slopes: tuple,
+        degree: int,
+        closed_form: Callable[[float], float],
+        direct_factor: float,
+        uses_per_link: int,
+        preshared_pairs: int,
+        both_monitors: bool,
+        estimator_labels: tuple,
+        inverse: Callable,
+    ) -> None:
+        self.__dict__.update(
+            labels=labels,
+            slopes=slopes,
+            degree=degree,
+            closed_form=closed_form,
+            direct_factor=direct_factor,
+            uses_per_link=uses_per_link,
+            preshared_pairs=preshared_pairs,
+            both_monitors=both_monitors,
+            estimator_labels=estimator_labels,
+            inverse=inverse,
+        )
 
     def probabilities(self, w: float) -> tuple:
         # Left to right, as in (1 + 3*W*W)/4: grouping W*W first moves last bits.
@@ -122,35 +186,35 @@ SCHEMES: Mapping[Scheme, SchemeSpec] = MappingProxyType(
 PROB_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(_Record):
     """Labeled probability vector over a scheme's measurement outcomes.
 
     ``path_product`` is the product of the Werner parameters along the
     measured path.
     """
 
-    scheme: Scheme
-    labels: tuple
-    probabilities: tuple
-    path_product: float
+    __match_args__ = ("scheme", "labels", "probabilities", "path_product")
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.probabilities):
+    def __init__(
+        self, scheme: Scheme, labels: tuple, probabilities: tuple, path_product: float
+    ) -> None:
+        if len(labels) != len(probabilities):
             raise ValueError("labels and probabilities must align")
-        if not 0.0 <= self.path_product <= 1.0:
-            raise ValueError(f"path product {self.path_product} outside [0, 1]")
-        if any(p < -PROB_ATOL for p in self.probabilities):
+        if not 0.0 <= path_product <= 1.0:
+            raise ValueError(f"path product {path_product} outside [0, 1]")
+        if any(p < -PROB_ATOL for p in probabilities):
             raise ValueError("negative outcome probability")
-        if abs(sum(self.probabilities) - 1.0) > PROB_ATOL:
+        if abs(sum(probabilities) - 1.0) > PROB_ATOL:
             raise ValueError("probabilities must sum to 1")
+        self.__dict__.update(
+            scheme=scheme, labels=labels, probabilities=probabilities, path_product=path_product
+        )
 
     def as_dict(self) -> dict:
         return dict(zip(self.labels, self.probabilities))
 
 
-@dataclass(frozen=True)
-class OutcomeCounts:
+class OutcomeCounts(_Record):
     """Outcome counts from sampling, or real-valued expected counts.
 
     Labels are unique, and every count is finite and non-negative.
@@ -158,22 +222,22 @@ class OutcomeCounts:
     for analytically constructed expected counts.
     """
 
-    labels: tuple
-    counts: Mapping[str, float]
-    total: float
-    seed: int | None = None
+    __match_args__ = ("labels", "counts", "total", "seed")
 
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(
+        self, labels: tuple, counts: Mapping[str, float], total: float, seed: int | None = None
+    ) -> None:
+        if len(set(labels)) != len(labels):
             raise ValueError("outcome labels must be unique")
-        if set(self.counts) != set(self.labels):
+        if set(counts) != set(labels):
             raise ValueError("counts must cover exactly the outcome labels")
-        if not all(math.isfinite(c) and c >= 0 for c in self.counts.values()):
+        if not all(math.isfinite(c) and c >= 0 for c in counts.values()):
             raise ValueError("counts must be finite and non-negative")
-        if not self.total > 0:
+        if not total > 0:
             raise ValueError("total must be positive")
-        if abs(sum(self.counts.values()) - self.total) > 1e-9:
+        if abs(sum(counts.values()) - total) > 1e-9:
             raise ValueError("counts must sum to the total")
+        self.__dict__.update(labels=labels, counts=counts, total=total, seed=seed)
 
     def frequency(self, label: str) -> float:
         return self.counts[label] / self.total

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from qnetomo import FisherMode, Scheme, single_link_fisher, single_link_qcrb
 from qnetomo.cli import (
+    MAX_CONFIG_CHARS,
     MAX_GRID_POINTS,
     MAX_ROUNDS,
     MAX_SAMPLES,
@@ -481,6 +482,27 @@ class TestExitCodes:
             capsys, ["single-link", "--config", str(tmp_path / "absent.cfg")]
         )
         assert code == 1 and "cannot read config" in err
+
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"mode = \xff\n")
+        code, _, err = run_lines(capsys, ["single-link", "--config", str(path)])
+        assert code == 1
+        assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
+
+    def test_config_file_over_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "long.cfg"
+        path.write_text("#" * MAX_CONFIG_CHARS + "\n", encoding="utf-8")
+        code, _, err = run_lines(capsys, ["single-link", "--config", str(path)])
+        assert code == 1
+        assert err == f"error: config file is longer than {MAX_CONFIG_CHARS} characters\n"
+
+    def test_config_file_at_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "full.cfg"
+        path.write_text("#" * (MAX_CONFIG_CHARS - 1) + "\n", encoding="utf-8")
+        code, lines, err = run_lines(capsys, ["ratio", "--config", str(path)])
+        assert (code, lines[0]) == (0, "w,qcrb_lzm/qcrb_jbm")
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "experiment = single-link\nwibble = 3\n")

@@ -1,6 +1,9 @@
 """The package's public names and the direction of its internal imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,34 @@ def test_only_the_cli_imports_validation(module):
 def test_the_cli_reaches_the_oracle_only_through_validation():
     assert not _imports(_source("cli"), "oracle")
     assert _imports(_source("cli"), "validation")
+
+
+# The value classes are plain classes: a dataclass builds its methods with
+# exec at import, 7-9 ms of every fresh command.
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    assert not _imports(_source(module), "dataclasses")
+
+
+def test_importing_the_cli_loads_every_layer_but_not_the_checks():
+    # perfbench finds each layer in sys.modules right after this import.
+    code = (
+        "import sys, qnetomo.cli\n"
+        "print(' '.join(sorted(n for n in sys.modules if n.startswith('qnetomo.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=60,
+    )
+    loaded = result.stdout.split()
+    for layer in ("schemes", "network", "fisher", "estimators", "oracle", "cli"):
+        assert f"qnetomo.{layer}" in loaded
+    assert "qnetomo.validation" not in loaded
 
 
 @pytest.mark.parametrize(
