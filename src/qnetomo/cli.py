@@ -233,8 +233,9 @@ def cmd_single_link(cfg: dict) -> tuple:
     settings = f"{cfg['mode'].value},{'on' if cfg['normalize'] else 'off'}"
     lines = ["scheme,w,fisher,qcrb,mode,normalized"]
     for i, w in enumerate(grid):
+        text = _fmt(w)
         for scheme, info, bound in columns:
-            lines.append(f"{scheme.value},{_fmt(w)},{_fmt(info[i])},{_fmt(bound[i])},{settings}")
+            lines.append(f"{scheme.value},{text},{_fmt(info[i])},{_fmt(bound[i])},{settings}")
     return lines, []
 
 
@@ -253,7 +254,11 @@ def cmd_ratio(cfg: dict) -> tuple:
 
 
 def cmd_star(cfg: dict) -> tuple:
-    """Bounds of the four star strategies over a homogeneous or w2 sweep."""
+    """Bounds of the four star strategies over a homogeneous or w2 sweep.
+
+    The four plans go through one stacked ``plan_qfim`` call, so the whole
+    sweep is validated and inverted as a single batch.
+    """
     graph = build_star(3, [0.5, 0.5, 0.5])
     plans = [builtin_plan(kind, graph) for kind in BUILTIN_PLAN_KINDS]
     grid = _grid(cfg)
@@ -262,11 +267,12 @@ def cmd_star(cfg: dict) -> tuple:
         params = {"e0": cfg["fixed.w0"], "e1": cfg["fixed.w1"], "e2": ws}
     else:
         params = {"e0": ws, "e1": ws, "e2": ws}
-    bounds = [qcrb(plan_qfim(p, params, cfg["mode"], cfg["normalize"])).tolist() for p in plans]
+    bounds = qcrb(plan_qfim(plans, params, cfg["mode"], cfg["normalize"])).tolist()
     lines = ["strategy,w,qcrb"]
     for i, w in enumerate(grid):
+        text = _fmt(w)
         for plan, column in zip(plans, bounds):
-            lines.append(f"{plan.name},{_fmt(w)},{_fmt(column[i])}")
+            lines.append(f"{plan.name},{text},{_fmt(column[i])}")
     return lines, []
 
 

@@ -25,6 +25,9 @@ built: symmetry, symmetric infinities, and positive semidefiniteness of every
 member whose entries are all finite, from one batched `eigvalsh`.  Those
 eigenvalues also serve `crb_diagonal`'s singularity test, and each group of
 members with the same finite coordinates is inverted in one batched call.
+`plan_qfim` also takes a sequence of plans and stacks them on a new leading
+axis of one matrix, so a sweep over several plans is validated and inverted
+as one batch.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ def _leave_one_out(ws: Sequence) -> list:
     return [a * b for a, b in zip(prefix, suffix[1:])]
 
 
-def _rank_one(scheme: Scheme, ws: Sequence, mode: FisherMode) -> tuple:
-    """(J, g) over the batch: a task's information block is J * outer(g, g).
+def _rank_one(scheme: Scheme, ws: Sequence, mode: FisherMode) -> np.ndarray:
+    """J over the batch: a task's information block is J * outer(g, g).
 
     J is +inf only at W = 1, where every link is 1 and so is every g_i.  In
     first principles an outcome with dp_k = 0 contributes nothing and one with
@@ -137,7 +140,7 @@ def _rank_one(scheme: Scheme, ws: Sequence, mode: FisherMode) -> tuple:
             info = 0.0
             for term in terms:
                 info = info + term
-    return info, _leave_one_out(ws)
+    return info
 
 
 def _information(
@@ -168,8 +171,9 @@ def _information(
     # Link-major (n, n, ...) while summing; the batch axes move to the front.
     total = np.zeros((len(order), len(order)) + batch)
     for task in tasks:
-        info, g = _rank_one(task.scheme, [row[lid] for lid in task.path.link_ids], mode)
-        g = np.array(g)
+        ws = [row[lid] for lid in task.path.link_ids]
+        info = _rank_one(task.scheme, ws, mode)
+        g = np.array(_leave_one_out(ws))
         coords = np.array([index[lid] for lid in task.path.link_ids])
         total[coords[:, None], coords] += info * (g[:, None] * g[None, :])
     return total.transpose(tuple(range(2, total.ndim)) + (0, 1))
@@ -191,7 +195,7 @@ def task_qfim(
 
 
 def plan_qfim(
-    plan: MonitoringPlan,
+    plan: MonitoringPlan | Sequence[MonitoringPlan],
     params: Mapping[str, float | np.ndarray],
     mode: FisherMode,
     normalize: bool = False,
@@ -201,15 +205,30 @@ def plan_qfim(
     Tasks are independent experiments, so their information matrices add.
     Normalization divides by the plan's total channel uses for one round.
     Link parameters are floats or equal-length 1-D arrays.
+
+    A sequence of plans over the same parameters gives one matrix that stacks
+    the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
+    validated and later inverted as one batch.  Each member is bit for bit
+    the matrix its plan gives alone.  With ``normalize`` each plan is divided
+    by its own total and ``ledger`` is the tuple of the plans' ledgers.
     """
+    single = isinstance(plan, MonitoringPlan)
+    plans = (plan,) if single else tuple(plan)
+    if not plans:
+        raise ValueError("plan_qfim needs at least one plan")
     order = tuple(sorted(params))
-    total = _information(plan.tasks, params, mode, order)
-    ledger = None
+    totals = [_information(p.tasks, params, mode, order) for p in plans]
+    ledgers = None
     if normalize:
-        ledger = channel_uses(plan)
-        total = total / ledger.total
+        ledgers = tuple(channel_uses(p) for p in plans)
+        totals = [total / ledger.total for total, ledger in zip(totals, ledgers)]
+    if single:
+        entries, ledger = totals[0], None if ledgers is None else ledgers[0]
+    else:
+        # A plan that reads only float parameters gives one (n, n) matrix.
+        entries, ledger = np.stack(np.broadcast_arrays(*totals)), ledgers
     return FisherMatrix(
-        entries=total, order=order, mode=mode, normalized=normalize, ledger=ledger
+        entries=entries, order=order, mode=mode, normalized=normalize, ledger=ledger
     )
 
 
@@ -219,20 +238,25 @@ def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     Coordinates with infinite information contribute a bound of 0.  If the
     finite part is singular (eigenvalue ratio below 1e-12), its coordinates
     get +inf: the parameters are not jointly identifiable.  A batched matrix
-    gives an array of bounds per parameter.
+    gives an array of bounds per parameter.  ``scale`` (the samples per task)
+    must be a positive finite number.
     """
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be a positive finite number, got {scale!r}")
     e = matrix.entries
     n = len(matrix.order)
     flat = e.reshape(math.prod(e.shape[:-2]), n, n)
     bounds = np.zeros(flat.shape[:-1])
     finite = np.isfinite(np.diagonal(flat, axis1=1, axis2=2))
     # Members with the same finite coordinates share one eigvalsh and one inv.
-    masks, group = np.unique(finite, axis=0, return_inverse=True)
-    for k, mask in enumerate(masks):
-        rows = np.flatnonzero(group.reshape(-1) == k)
+    groups: dict = {}
+    for member, mask in enumerate(finite.tolist()):
+        groups.setdefault(tuple(mask), []).append(member)
+    for mask, members in groups.items():
         coords = np.flatnonzero(mask)
         if not coords.size:
             continue
+        rows = np.array(members)
         sub = flat[rows[:, None, None], coords[:, None], coords]
         if not np.isfinite(sub).all():
             raise ValueError("off-diagonal infinity with finite diagonal is not supported")
@@ -272,7 +296,7 @@ def single_link_fisher(
         raise ValueError("w must be a float or a 1-D array")
     if not ((ws >= 0.0) & (ws <= 1.0)).all():
         raise ValueError(f"w={w} outside [0, 1]")
-    info, _ = _rank_one(scheme, [ws], mode)
+    info = _rank_one(scheme, [ws], mode)
     return _plain(info / SCHEMES[scheme].uses_per_link if normalize else info)
 
 

@@ -7,6 +7,7 @@ can be asserted directly; one smoke test goes through a real subprocess.
 import contextlib
 import hashlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import tempfile
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +246,22 @@ class TestStar:
         hom_values = {l.split(",")[0]: float(l.split(",")[2]) for l in lines2[1:]}
         for kind in ("JBM2", "JBM3", "HYB2", "HYB3"):
             assert abs(values[kind] - hom_values[kind]) < 1e-12
+
+    def test_shipped_sweep_is_one_stacked_inversion(self, capsys, tmp_path, monkeypatch):
+        # The four plans share one validated matrix: one PSD eigvalsh, one inv.
+        calls = dict.fromkeys(("eigvalsh", "inv"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        out = tmp_path / "star.csv"
+        argv = ["star", "--config", str(MANIFESTS / "star_homogeneous.cfg"), "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == {"eigvalsh": 1, "inv": 1}
 
     def test_incomplete_fixed_pair_rejected(self, capsys, tmp_path):
         cfg = write_config(
@@ -610,17 +628,22 @@ class TestExitCodes:
 def test_subprocess_smoke(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(textwrap.dedent(SMALL_GRID), encoding="utf-8")
+    # The child imports the same source tree as this process, installed or not.
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "qnetomo.cli", "single-link", "--config", str(cfg)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout.startswith("scheme,w,fisher,qcrb,mode,normalized\n")
 
 
-MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+MANIFESTS = ROOT / "manifests"
+README = ROOT / "README.md"
 
 
 def test_readme_key_table_names_every_config_key():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from qnetomo import (
     FisherMatrix,
     FisherMode,
+    MeasurementTask,
+    MonitoringPlan,
     Scheme,
     build_star,
     builtin_plan,
@@ -21,6 +23,7 @@ from qnetomo import (
     single_link_fisher,
     single_link_qcrb,
     task_qfim,
+    trace_path,
 )
 from qnetomo.validation import _chain_task
 
@@ -322,6 +325,56 @@ class TestBatchedCore:
             # The batch-of-one call is the same code and gives the same bits.
             assert total[i] == qcrb(plan_qfim(plan, point, mode, normalize))
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    def test_stacked_plans_match_per_plan_calls(self, mode, normalize):
+        plans = [
+            builtin_plan(kind, build_star(3, [0.5, 0.5, 0.5]))
+            for kind in ("JBM2", "JBM3", "HYB2", "HYB3")
+        ]
+        columns = np.array(self.ROWS).T
+        params = {"e0": columns[0], "e1": columns[1], "e2": columns[2]}
+        stacked = plan_qfim(plans, params, mode, normalize)
+        assert stacked.entries.shape == (len(plans), len(self.ROWS), 3, 3)
+        assert stacked.normalized is normalize
+        if normalize:
+            assert stacked.ledger == tuple(channel_uses(plan) for plan in plans)
+        else:
+            assert stacked.ledger is None
+        bounds = crb_diagonal(stacked)
+        total = qcrb(stacked)
+        for k, plan in enumerate(plans):
+            alone = plan_qfim(plan, params, mode, normalize)
+            assert alone.entries.shape == (len(self.ROWS), 3, 3)
+            assert alone.ledger == (channel_uses(plan) if normalize else None)
+            assert np.array_equal(stacked.entries[k], alone.entries)
+            for lid, column in crb_diagonal(alone).items():
+                assert np.array_equal(bounds[lid][k], column)
+            assert np.array_equal(total[k], qcrb(alone))
+
+    def test_one_plan_sequence_keeps_the_stacking_axis(self):
+        plan = builtin_plan("HYB3", build_star(3, [0.5, 0.5, 0.5]))
+        point = {"e0": 0.9, "e1": 0.8, "e2": 0.7}
+        alone = plan_qfim(plan, point, FIRST, normalize=True)
+        stacked = plan_qfim([plan], point, FIRST, normalize=True)
+        assert alone.entries.shape == (3, 3) and stacked.entries.shape == (1, 3, 3)
+        assert np.array_equal(stacked.entries[0], alone.entries)
+        assert alone.ledger == channel_uses(plan) and stacked.ledger == (alone.ledger,)
+        assert isinstance(qcrb(alone), float) and qcrb(stacked).shape == (1,)
+        with pytest.raises(ValueError, match="at least one plan"):
+            plan_qfim([], point, FIRST)
+
+    def test_stacked_plan_on_float_links_spans_the_batch(self):
+        graph = build_star(3, [0.5, 0.5, 0.5])
+        task = MeasurementTask(scheme=Scheme.JBM, path=trace_path(graph, ("e0",)))
+        direct = MonitoringPlan(name="e0", tasks=(task,))
+        params = {"e0": 0.9, "e1": 0.8, "e2": np.array([0.2, 0.6])}
+        stacked = plan_qfim([direct, builtin_plan("HYB3", graph)], params, CLOSED)
+        assert stacked.entries.shape == (2, 2, 3, 3)
+        alone = plan_qfim(direct, params, CLOSED).entries
+        assert alone.shape == (3, 3)
+        assert all(np.array_equal(member, alone) for member in stacked.entries[0])
+
     def test_float_and_array_parameters_mix(self):
         plan = builtin_plan("HYB3", build_star(3, [0.5, 0.5, 0.5]))
         params = {"e0": 0.99, "e1": 0.99, "e2": np.array([0.2, 0.6])}
@@ -375,6 +428,13 @@ class TestBounds:
         bounds = crb_diagonal(self._matrix([[2.0, 0.0], [0.0, 4.0]]), scale=100.0)
         assert abs(bounds["a"] - 0.005) < 1e-15
 
+    @pytest.mark.parametrize("scale", [-2.0, 0.0, math.nan, math.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        graph = build_star(3, [0.9, 0.8, 0.7])
+        matrix = plan_qfim(builtin_plan("HYB3", graph), graph.params(), FIRST)
+        with pytest.raises(ValueError, match="scale"):
+            crb_diagonal(matrix, scale=scale)
+
     def test_singular_matrix_gives_inf(self):
         bounds = crb_diagonal(self._matrix([[1.0, 1.0], [1.0, 1.0]]))
         assert bounds["a"] == math.inf and bounds["b"] == math.inf
@@ -394,6 +454,32 @@ class TestBounds:
         task, params = _chain_task(Scheme.PEM, [0.8, 0.5])
         bounds = crb_diagonal(task_qfim(task, params, FIRST))
         assert bounds["p0"] == math.inf and bounds["p1"] == math.inf
+
+
+class TestBoundGrouping:
+    def test_interleaved_masks_match_single_member_calls(self):
+        inf = math.inf
+        members = [
+            [[2.0, 0.5, 0.1], [0.5, 3.0, 0.2], [0.1, 0.2, 1.5]],
+            [[inf, 0.0, 0.0], [0.0, 4.0, 1.0], [0.0, 1.0, 2.0]],
+            [[inf, inf, inf], [inf, inf, inf], [inf, inf, inf]],
+            [[1.0, 0.0, 0.3], [0.0, inf, 0.0], [0.3, 0.0, 2.0]],
+            [[inf, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+            [[5.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+            [[1.0, 0.0, 0.3], [0.0, inf, 0.0], [0.3, 0.0, 0.09]],
+            [[inf, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 1.0]],
+        ]
+        order = ("a", "b", "c")
+        batch = FisherMatrix(np.array(members).reshape(2, 4, 3, 3), order, FIRST)
+        bounds = crb_diagonal(batch, scale=7.0)
+        for flat, entries in enumerate(members):
+            i, j = divmod(flat, 4)
+            single = crb_diagonal(FisherMatrix(np.array(entries), order, FIRST), scale=7.0)
+            for lid in order:
+                assert bounds[lid].shape == (2, 4)
+                assert np.array_equal(bounds[lid][i, j], single[lid])
+        assert all(bounds[lid][0, 2] == 0.0 for lid in order)
+        assert bounds["b"][1, 0] == math.inf and bounds["a"][1, 2] == math.inf
 
 
 class TestFisherMatrixValidation:
