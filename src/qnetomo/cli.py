@@ -12,6 +12,7 @@ with its default; a flag overrides the config file, which overrides defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
@@ -338,7 +339,14 @@ def _write_lines(lines: Sequence[str], path: str | None) -> None:
             handle.write(text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared afterwards.
+
+    Parsing reads the parser and writes only the namespace it returns, so
+    repeated ``main`` calls in one process can share it; a fresh command
+    still builds exactly one.
+    """
     parser = _Parser(
         prog="qnetomo",
         description="Werner-link network tomography sweeps, validation, and benchmarks",

@@ -155,14 +155,20 @@ def _information(
     for lid in links:
         if lid not in index:
             raise ValueError(f"path link {lid!r} missing from the parameter vector")
-    columns = [np.asarray(params[lid], dtype=float) for lid in links]
-    shapes = {w.shape for w in columns} - {()}
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+    # The batch shape comes from every parameter, read by the tasks or not.
+    shapes = set()
+    for lid, w in params.items():
+        shape = np.shape(w)
+        if len(shape) > 1:
+            raise ValueError(f"parameter for link {lid!r} must be a float or a 1-D array")
+        shapes.add(shape)
+    shapes.discard(())
+    if len(shapes) > 1:
         raise ValueError("link parameters must be floats or equal-length 1-D arrays")
     batch = shapes.pop() if shapes else ()
     values = np.empty((len(links),) + batch)
-    for k, w in enumerate(columns):
-        values[k] = w
+    for k, lid in enumerate(links):
+        values[k] = params[lid]
     inside = (values >= 0.0) & (values <= 1.0)
     if not inside.all():
         bad = links[int(inside.reshape(len(links), -1).all(axis=1).argmin())]
@@ -204,7 +210,8 @@ def plan_qfim(
 
     Tasks are independent experiments, so their information matrices add.
     Normalization divides by the plan's total channel uses for one round.
-    Link parameters are floats or equal-length 1-D arrays.
+    Link parameters are floats or equal-length 1-D arrays; the batch spans
+    every parameter, including links no task reads.
 
     A sequence of plans over the same parameters gives one matrix that stacks
     the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
@@ -225,8 +232,7 @@ def plan_qfim(
     if single:
         entries, ledger = totals[0], None if ledgers is None else ledgers[0]
     else:
-        # A plan that reads only float parameters gives one (n, n) matrix.
-        entries, ledger = np.stack(np.broadcast_arrays(*totals)), ledgers
+        entries, ledger = np.stack(totals), ledgers
     return FisherMatrix(
         entries=entries, order=order, mode=mode, normalized=normalize, ledger=ledger
     )
@@ -319,10 +325,14 @@ def crossover(
     Bisection to 1e-10 on (0, 1); returns None when the curves do not cross
     (identical schemes included).
     """
+    # Every bisection point lies in (0, 1), so the information is taken from
+    # _rank_one directly, without single_link_fisher's input checks.
+    uses_a = SCHEMES[scheme_a].uses_per_link if normalize else 1
+    uses_b = SCHEMES[scheme_b].uses_per_link if normalize else 1
 
     def gap(w: float) -> float:
-        return single_link_fisher(scheme_a, w, mode, normalize) - single_link_fisher(
-            scheme_b, w, mode, normalize
+        return float(_rank_one(scheme_a, [w], mode) / uses_a) - float(
+            _rank_one(scheme_b, [w], mode) / uses_b
         )
 
     lo, hi = 1e-9, 1.0 - 1e-9

@@ -28,6 +28,7 @@ from qnetomo.cli import (
     MAX_SAMPLES,
     _ALLOWED_KEYS,
     _build_parser,
+    _Parser,
     _fmt,
     _grid,
     build_config,
@@ -661,6 +662,9 @@ def test_readme_key_table_names_every_config_key():
     assert names == set().union(*_ALLOWED_KEYS.values())
 
 
+STAR_HOMOGENEOUS_SHA256 = "b10da683442cdad275db4e84317b4c717b2c0ee2facf3e17bf2f9c12cbdef717"
+
+
 class TestPinnedSweeps:
     """SHA-256 of sweep CSVs, pinned to the per-point computation's output.
 
@@ -679,10 +683,7 @@ class TestPinnedSweeps:
                 ["ratio", "ratio.cfg"],
                 "dcc5ffbce481fd216829dfaa33e107b4a25d59ceb9e4a9e709a1f7b651422b3f",
             ),
-            (
-                ["star", "star_homogeneous.cfg"],
-                "b10da683442cdad275db4e84317b4c717b2c0ee2facf3e17bf2f9c12cbdef717",
-            ),
+            (["star", "star_homogeneous.cfg"], STAR_HOMOGENEOUS_SHA256),
             (
                 ["star", "star_heterogeneous.cfg"],
                 "467e6698afab1836efdc0d5d5a2838b8ad2c249779a064880d09b2ce891c0630",
@@ -732,6 +733,64 @@ class TestPinnedSweeps:
         assert main(["star", "--config", cfg, *flags, "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and keeps no state in it."""
+
+    def star_digest(self, capsys, tmp_path, *flags):
+        out = tmp_path / "star.csv"
+        argv = ["star", "--config", str(MANIFESTS / "star_homogeneous.cfg"), *flags]
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_one_parser_for_every_command(self, capsys, tmp_path, monkeypatch):
+        _build_parser.cache_clear()
+        built = []
+        original = _Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Parser, "__init__", counted)
+        bench = write_config(tmp_path, TestBenchmark.BENCH, name="bench.cfg")
+        for argv in (
+            ["single-link", "--config", str(MANIFESTS / "single_link.cfg")],
+            ["ratio", "--config", str(MANIFESTS / "ratio.cfg")],
+            ["star", "--config", str(MANIFESTS / "star_homogeneous.cfg")],
+            ["benchmark", "--config", bench],
+            ["validate"],
+        ):
+            assert main(argv) == 0
+        capsys.readouterr()
+        # One top-level parser; each subcommand parser is a _Parser too.
+        assert built.count("qnetomo") == 1
+        assert len(built) == 6
+
+    def test_flags_do_not_carry_over(self, capsys, tmp_path):
+        _build_parser.cache_clear()
+        self.star_digest(capsys, tmp_path, "--mode", "first-principles", "--normalize", "off")
+        assert self.star_digest(capsys, tmp_path) == STAR_HOMOGENEOUS_SHA256
+
+    def test_parse_error_leaves_no_state(self, capsys, tmp_path):
+        _build_parser.cache_clear()
+        code, _, err = run_lines(capsys, ["star", "--mode", "bogus"])
+        assert code == 1
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert self.star_digest(capsys, tmp_path) == STAR_HOMOGENEOUS_SHA256
+
+    def test_help_twice(self, capsys):
+        _build_parser.cache_clear()
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--help"])
+            assert exit_info.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("usage: qnetomo")
 
 
 _W0_ZERO = "fixed.w0 = 0\nfixed.w1 = 0.5\nfixed.w2 = 0.5\nsamples = 100\nrounds = 5\n"

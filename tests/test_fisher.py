@@ -371,9 +371,22 @@ class TestBatchedCore:
         params = {"e0": 0.9, "e1": 0.8, "e2": np.array([0.2, 0.6])}
         stacked = plan_qfim([direct, builtin_plan("HYB3", graph)], params, CLOSED)
         assert stacked.entries.shape == (2, 2, 3, 3)
-        alone = plan_qfim(direct, params, CLOSED).entries
-        assert alone.shape == (3, 3)
-        assert all(np.array_equal(member, alone) for member in stacked.entries[0])
+        alone = plan_qfim(direct, params, CLOSED)
+        # The batch comes from params, although the plan never reads e2.
+        assert alone.entries.shape == (2, 3, 3)
+        assert np.array_equal(stacked.entries[0], alone.entries)
+        bound = qcrb(alone)
+        assert isinstance(bound, np.ndarray) and bound.shape == (2,)
+
+    def test_unread_link_must_be_float_or_1d(self):
+        graph = build_star(3, [0.5, 0.5, 0.5])
+        task = MeasurementTask(scheme=Scheme.JBM, path=trace_path(graph, ("e0",)))
+        direct = MonitoringPlan(name="e0", tasks=(task,))
+        params = {"e0": 0.9, "e1": 0.8, "e2": np.array([[0.2, 0.6]])}
+        with pytest.raises(ValueError, match="'e2'"):
+            plan_qfim(direct, params, CLOSED)
+        with pytest.raises(ValueError, match="'e2'"):
+            task_qfim(task, params, CLOSED)
 
     def test_float_and_array_parameters_mix(self):
         plan = builtin_plan("HYB3", build_star(3, [0.5, 0.5, 0.5]))
@@ -521,3 +534,37 @@ class TestCrossover:
         a = single_link_fisher(Scheme.LZM, w, CLOSED)
         b = single_link_fisher(Scheme.JBM, w, CLOSED)
         assert abs(a - b) < 1e-7
+
+    # Every ordered pair of distinct schemes, both modes, normalize off and
+    # on: the roots of the per-point bisection, exact to the last bit.
+    ROOTS = [
+        ("LZM", "JBM", CLOSED, False, 0.5773502691789918),
+        ("LZM", "JBM", CLOSED, True, None),
+        ("LZM", "JBM", FIRST, False, 0.3333333333271221),
+        ("LZM", "JBM", FIRST, True, 0.5773502691789918),
+        ("LZM", "PEM", CLOSED, False, 0.3333333333271221),
+        ("LZM", "PEM", CLOSED, True, 0.3333333333271221),
+        ("LZM", "PEM", FIRST, False, None),
+        ("LZM", "PEM", FIRST, True, None),
+        ("JBM", "LZM", CLOSED, False, 0.5773502691789918),
+        ("JBM", "LZM", CLOSED, True, None),
+        ("JBM", "LZM", FIRST, False, 0.3333333333271221),
+        ("JBM", "LZM", FIRST, True, 0.5773502691789918),
+        ("JBM", "PEM", CLOSED, False, 0.517828186559923),
+        ("JBM", "PEM", CLOSED, True, None),
+        ("JBM", "PEM", FIRST, False, 0.517828186559923),
+        ("JBM", "PEM", FIRST, True, None),
+        ("PEM", "LZM", CLOSED, False, 0.3333333333271221),
+        ("PEM", "LZM", CLOSED, True, 0.3333333333271221),
+        ("PEM", "LZM", FIRST, False, None),
+        ("PEM", "LZM", FIRST, True, None),
+        ("PEM", "JBM", CLOSED, False, 0.517828186559923),
+        ("PEM", "JBM", CLOSED, True, None),
+        ("PEM", "JBM", FIRST, False, 0.517828186559923),
+        ("PEM", "JBM", FIRST, True, None),
+    ]
+
+    @pytest.mark.parametrize("scheme_a, scheme_b, mode, normalize, root", ROOTS)
+    def test_roots_are_pinned(self, scheme_a, scheme_b, mode, normalize, root):
+        got = crossover(Scheme[scheme_a], Scheme[scheme_b], mode, normalize)
+        assert got == root and (got is None) == (root is None)
