@@ -9,7 +9,10 @@ those bounds, all checked against an exact density-matrix oracle.
 from .estimators import (
     BenchmarkRow,
     LinkEstimates,
+    OutcomeCounts,
     benchmark_variance,
+    derive_seed,
+    sample_outcomes,
     solve_plan,
 )
 from .fisher import (
@@ -49,10 +52,7 @@ from .oracle import (
 from .schemes import (
     BELL_LABELS,
     ZZ_LABELS,
-    OutcomeCounts,
     OutcomeDistribution,
-    derive_seed,
-    sample_outcomes,
     scheme_distribution,
     task_distribution,
 )

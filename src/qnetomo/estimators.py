@@ -1,9 +1,19 @@
-"""Point estimators for link parameters and Monte-Carlo benchmarking.
+"""Monte-Carlo sampling, point estimators for link parameters, and benchmarking.
 
-Per-task estimates invert the analytic outcome distributions; plans are
-solved sequentially, isolating one new link per task by dividing out the
-links already estimated.  The benchmark compares empirical estimator
+Per-task estimates invert the scheme table's outcome law: if the m estimator
+labels' slopes sum to c, their summed frequency f gives W^d = (4f - m) / c.
+Plans are solved sequentially, isolating one new link per task by dividing
+out the links already estimated.  The benchmark compares empirical estimator
 variance against the Cramér-Rao bound of the sampling experiment.
+
+The Monte-Carlo stream contract: stream (r, t) of a run with seed s, the
+draws of task t in round r, is ``PCG64(derive_seed(s, r, t))`` with one
+``multinomial`` call per stream, so sampling is deterministic and portable.
+``sample_outcomes`` draws one such stream; ``_sample_rounds`` draws every
+stream of a block of rounds in one batch, computing the seeds with NumPy's
+documented ``SeedSequence`` hash over arrays, and produces the same counts.
+It checks the first stream of each block against NumPy's own seeding and
+raises ``RuntimeError`` if they differ.
 """
 
 from __future__ import annotations
@@ -14,8 +24,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fisher import FisherMode, crb_diagonal, plan_qfim
-from .network import MonitoringPlan, Scheme, _plan_steps
-from .schemes import SCHEMES, OutcomeCounts, _Record, _sample_rounds, task_distribution
+from .network import MonitoringPlan, _plan_steps
+from .schemes import SCHEMES, OutcomeDistribution, SchemeSpec, _Record, task_distribution
 
 # Estimated divisors at or below this magnitude make the remaining link
 # unidentifiable in practice; the estimate is withheld instead of divided.
@@ -23,6 +33,195 @@ DIVISOR_GUARD = 1e-6
 # Rounds sampled and solved per batch: bounds the working arrays, whatever
 # the round count.
 ROUND_BLOCK = 4096
+
+
+class OutcomeCounts(_Record):
+    """Outcome counts from sampling, or real-valued expected counts.
+
+    Labels are unique, and every count is finite and non-negative.
+    ``seed`` records the RNG seed that produced sampled counts and is None
+    for analytically constructed expected counts.
+    """
+
+    __match_args__ = ("labels", "counts", "total", "seed")
+
+    def __init__(
+        self, labels: tuple, counts: Mapping[str, float], total: float, seed: int | None = None
+    ) -> None:
+        if len(set(labels)) != len(labels):
+            raise ValueError("outcome labels must be unique")
+        if set(counts) != set(labels):
+            raise ValueError("counts must cover exactly the outcome labels")
+        if not all(math.isfinite(c) and c >= 0 for c in counts.values()):
+            raise ValueError("counts must be finite and non-negative")
+        if not total > 0:
+            raise ValueError("total must be positive")
+        if abs(sum(counts.values()) - total) > 1e-9:
+            raise ValueError("counts must sum to the total")
+        self.__dict__.update(labels=labels, counts=counts, total=total, seed=seed)
+
+    def frequency(self, label: str) -> float:
+        return self.counts[label] / self.total
+
+
+def derive_seed(base: int, *indices: int) -> int:
+    """Deterministic child seed for a sampling stream, stable across platforms."""
+    ss = np.random.SeedSequence([int(base), *[int(i) for i in indices]])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _pvals(dist: OutcomeDistribution) -> np.ndarray:
+    """The probabilities clipped to [0, 1] and renormalised, as drawn from."""
+    p = np.clip(np.array(dist.probabilities, dtype=float), 0.0, 1.0)
+    return p / p.sum()
+
+
+def sample_outcomes(dist: OutcomeDistribution, n: int, seed: int) -> OutcomeCounts:
+    """n categorical draws from the distribution with a fixed PCG64 stream."""
+    if n < 1:
+        raise ValueError("sample count must be at least 1")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    drawn = rng.multinomial(n, _pvals(dist))
+    counts = {label: int(c) for label, c in zip(dist.labels, drawn)}
+    return OutcomeCounts(labels=dist.labels, counts=counts, total=n, seed=seed)
+
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit multiplier, for seeding many streams at once.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+# Words wrap modulo 2**32 by design; 0-d operands would warn otherwise.
+@np.errstate(over="ignore")
+def _seed_sequence_state(entropy: list, n_words: int) -> list:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint32)`` elementwise.
+
+    ``entropy`` lists the entropy words as uint32 arrays that broadcast
+    together; the result lists the state words, one array each.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.uint32(0)) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out_const = _INIT_B
+    state = []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(out_const)
+        out_const = out_const * _MULT_B & _MASK32
+        value = value * np.uint32(out_const)
+        state.append(value ^ (value >> np.uint32(16)))
+    return state
+
+
+def _uint64_words(state: list) -> list:
+    """Little-endian pairs of uint32 state words as uint64 words."""
+    return [
+        lo.astype(np.uint64) | (hi.astype(np.uint64) << np.uint64(32))
+        for lo, hi in zip(state[::2], state[1::2])
+    ]
+
+
+def _stream_seeds(seed: int, rounds: range, n_tasks: int) -> np.ndarray:
+    """``derive_seed(seed, r, t)`` as a uint64 array shaped (rounds, tasks)."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if rounds.stop > 1 << 32:
+        raise ValueError("round indices must be below 2**32")
+    seed_words = []
+    while True:
+        seed_words.append(np.uint32(seed & _MASK32))
+        seed >>= 32
+        if not seed:
+            break
+    r = np.arange(rounds.start, rounds.stop, dtype=np.uint32)[:, None]
+    t = np.arange(n_tasks, dtype=np.uint32)[None, :]
+    (child,) = _uint64_words(_seed_sequence_state([*seed_words, r, t], 2))
+    return child
+
+
+def _pcg64_seed_words(children: np.ndarray) -> list:
+    """The four uint64 words ``PCG64(child)`` seeds from, one array each.
+
+    NumPy hashes a child below 2**32 as one word; its zero high word gives
+    the same pool, which is padded with hashed zeros.
+    """
+    lo = (children & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (children >> np.uint64(32)).astype(np.uint32)
+    return _uint64_words(_seed_sequence_state([lo, hi], 8))
+
+
+def _pcg64_state(initstate_hi: int, initstate_lo: int, initseq_hi: int, initseq_lo: int) -> tuple:
+    """(state, inc) that PCG64's set-seed step makes of its four seed words."""
+    inc = ((initseq_hi << 64 | initseq_lo) << 1 | 1) & _MASK128
+    state = ((inc + (initstate_hi << 64 | initstate_lo)) * _PCG64_MULT + inc) & _MASK128
+    return state, inc
+
+
+def _sample_rounds(
+    dists: Sequence[OutcomeDistribution], n: int, seed: int, rounds: range
+) -> np.ndarray:
+    """Counts of every (round, task) stream, shaped (rounds, tasks, outcomes).
+
+    Entry [i, t] equals ``sample_outcomes(dists[t], n, derive_seed(seed,
+    rounds[i], t))``: the streams are seeded in one array pass and drawn
+    through one reused generator whose state is set per stream.
+    """
+    if n < 1:
+        raise ValueError("sample count must be at least 1")
+    pvals = [_pvals(dist) for dist in dists]
+    words = np.stack(_pcg64_seed_words(_stream_seeds(seed, rounds, len(dists))), axis=-1)
+    if words.size:
+        # The batch recomputes NumPy's seeding; check one stream against NumPy itself.
+        reference = np.random.PCG64(derive_seed(seed, rounds.start, 0)).state["state"]
+        if _pcg64_state(*words[0, 0].tolist()) != (reference["state"], reference["inc"]):
+            raise RuntimeError(
+                f"NumPy {np.__version__} seeds PCG64 streams differently from the batched "
+                "SeedSequence hash; batched counts would not match sample_outcomes"
+            )
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    counts = np.zeros((len(rounds), len(dists), max((len(p) for p in pvals), default=0)), np.int64)
+    for i in range(len(rounds)):
+        # One round's words at a time: Python ints for every stream would
+        # cost more memory than the counts themselves.
+        for t, stream_words in enumerate(words[i].tolist()):
+            state, inc = _pcg64_state(*stream_words)
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            drawn = gen.multinomial(n, pvals[t])
+            counts[i, t, : len(drawn)] = drawn
+    return counts
 
 
 class LinkEstimates(_Record):
@@ -46,9 +245,14 @@ def _clamp(x):
     return np.where(x < 1.0, x, 1.0)
 
 
-def _frequency(scheme: Scheme, counts: OutcomeCounts) -> float:
-    observed = sum(counts.counts[label] for label in SCHEMES[scheme].estimator_labels)
-    return observed / counts.total
+def _invert(spec: SchemeSpec, f):
+    """W from the estimator labels' summed frequency f, over arrays.
+
+    For d = 2, sampling noise can push W^2 below zero; its root is then 0.
+    """
+    slope = sum(spec.slopes[spec.labels.index(label)] for label in spec.estimator_labels)
+    power = (4.0 * f - len(spec.estimator_labels)) / slope
+    return np.sqrt(np.maximum(0.0, power)) if spec.degree == 2 else power
 
 
 def _round_frequencies(plan: MonitoringPlan, steps: tuple, counts: np.ndarray, total: int) -> dict:
@@ -73,7 +277,7 @@ def _solve_steps(plan: MonitoringPlan, steps: tuple, frequencies: Mapping) -> di
     """
     values: dict = {}
     for idx, target, others in steps:
-        estimate = _clamp(SCHEMES[plan.tasks[idx].scheme].inverse(frequencies[idx]))
+        estimate = _clamp(_invert(SCHEMES[plan.tasks[idx].scheme], frequencies[idx]))
         divisor = np.ones_like(estimate)
         for lid in others:
             divisor = divisor * values[lid]
@@ -105,10 +309,11 @@ def solve_plan(plan: MonitoringPlan, counts_by_task: Sequence[OutcomeCounts]) ->
                 f" got {tuple(counts.labels)}"
             )
     steps = _plan_steps(plan)
-    frequencies = {
-        idx: np.array([_frequency(plan.tasks[idx].scheme, counts_by_task[idx])])
-        for idx, _, _ in steps
-    }
+    frequencies = {}
+    for idx, _, _ in steps:
+        counts = counts_by_task[idx]
+        observed = sum(counts.counts[l] for l in SCHEMES[plan.tasks[idx].scheme].estimator_labels)
+        frequencies[idx] = np.array([observed / counts.total])
     solved = _solve_steps(plan, steps, frequencies)
     values = {lid: float(column[0]) for lid, column in solved.items()}
     dead = frozenset(lid for lid, value in values.items() if math.isnan(value))

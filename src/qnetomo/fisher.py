@@ -155,13 +155,15 @@ def _information(
     for lid in links:
         if lid not in index:
             raise ValueError(f"path link {lid!r} missing from the parameter vector")
-    # The batch shape comes from every parameter, read by the tasks or not.
+    # Every parameter, read by the tasks or not, sets the batch shape and is range-checked.
     shapes = set()
     for lid, w in params.items():
-        shape = np.shape(w)
-        if len(shape) > 1:
+        w = np.asarray(w, dtype=float)
+        if w.ndim > 1:
             raise ValueError(f"parameter for link {lid!r} must be a float or a 1-D array")
-        shapes.add(shape)
+        if not ((w >= 0.0) & (w <= 1.0)).all():
+            raise ValueError(f"parameter for link {lid!r} outside [0, 1]")
+        shapes.add(w.shape)
     shapes.discard(())
     if len(shapes) > 1:
         raise ValueError("link parameters must be floats or equal-length 1-D arrays")
@@ -169,10 +171,6 @@ def _information(
     values = np.empty((len(links),) + batch)
     for k, lid in enumerate(links):
         values[k] = params[lid]
-    inside = (values >= 0.0) & (values <= 1.0)
-    if not inside.all():
-        bad = links[int(inside.reshape(len(links), -1).all(axis=1).argmin())]
-        raise ValueError(f"parameter for link {bad!r} outside [0, 1]")
     row = dict(zip(links, values))
     # Link-major (n, n, ...) while summing; the batch axes move to the front.
     total = np.zeros((len(order), len(order)) + batch)

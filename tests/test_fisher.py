@@ -388,6 +388,27 @@ class TestBatchedCore:
         with pytest.raises(ValueError, match="'e2'"):
             task_qfim(task, params, CLOSED)
 
+    @pytest.mark.parametrize(
+        "e1, e2, bad",
+        [
+            (1.5, np.array([-3.0, 0.5]), "e1"),
+            (0.8, np.array([-3.0, 0.5]), "e2"),
+            (math.nan, 0.5, "e1"),
+            (0.8, np.array([0.5, math.nan]), "e2"),
+        ],
+        ids=["e1-above-one", "e2-negative", "e1-nan", "e2-nan"],
+    )
+    def test_unread_link_must_lie_in_the_unit_interval(self, e1, e2, bad):
+        graph = build_star(3, [0.5, 0.5, 0.5])
+        task = MeasurementTask(scheme=Scheme.JBM, path=trace_path(graph, ("e0",)))
+        direct = MonitoringPlan(name="e0", tasks=(task,))
+        params = {"e0": 0.9, "e1": e1, "e2": e2}
+        message = rf"parameter for link '{bad}' outside \[0, 1\]"
+        with pytest.raises(ValueError, match=message):
+            plan_qfim(direct, params, CLOSED)
+        with pytest.raises(ValueError, match=message):
+            task_qfim(task, params, FIRST)
+
     def test_float_and_array_parameters_mix(self):
         plan = builtin_plan("HYB3", build_star(3, [0.5, 0.5, 0.5]))
         params = {"e0": 0.99, "e1": 0.99, "e2": np.array([0.2, 0.6])}

@@ -42,7 +42,6 @@ SPEC = dict(
     preshared_pairs=0,
     both_monitors=True,
     estimator_labels=("a",),
-    inverse=abs,
 )
 
 # (class, (parameter, default) in order, keyword arguments, a field to change
@@ -55,8 +54,7 @@ CASES = [
         ("degree", 2),
         "SchemeSpec(labels=('a', 'b'), slopes=(1.0, -1.0), degree=1, "
         "closed_form=<built-in function abs>, direct_factor=2.0, uses_per_link=1, "
-        "preshared_pairs=0, both_monitors=True, estimator_labels=('a',), "
-        "inverse=<built-in function abs>)",
+        "preshared_pairs=0, both_monitors=True, estimator_labels=('a',))",
         True,
     ),
     (

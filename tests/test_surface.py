@@ -98,6 +98,26 @@ def test_core_modules_do_not_import_the_oracle(module):
     assert not _imports(_source(module), "oracle")
 
 
+# The scheme table and the network model are plain Python; sampling and
+# everything array-valued live in the modules that import them.
+@pytest.mark.parametrize("module", ["schemes", "network"])
+def test_table_and_network_do_not_import_numpy(module):
+    assert not _imports(_source(module), "numpy")
+
+
+def test_the_sampler_lives_in_the_estimators():
+    from qnetomo import estimators, schemes
+
+    for name in ("OutcomeCounts", "derive_seed", "sample_outcomes"):
+        assert getattr(qnetomo, name) is getattr(estimators, name)
+    moved = [
+        "OutcomeCounts", "derive_seed", "sample_outcomes", "_mix", "_seed_sequence_state",
+        "_uint64_words", "_stream_seeds", "_pcg64_seed_words", "_pcg64_state", "_sample_rounds",
+        "_INIT_A", "_PCG64_MULT", "np",
+    ]
+    assert [name for name in moved if hasattr(schemes, name)] == []
+
+
 @pytest.mark.parametrize(
     "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "cli")
 )
