@@ -6,7 +6,9 @@ byte-identical output for identical config and seed.  Exit codes: 0 success,
 1 invalid config, 2 validation failure.  This module parses flags and config
 files and formats rows; the checks ``validate`` reports live in
 ``qnetomo.validation``.  ``_DEFAULTS`` lists every config key of each command
-with its default; a flag overrides the config file, which overrides defaults.
+with its default, and a command has the flag of each of its keys that
+``_FLAGS`` names.  A flag overrides the config file, which overrides
+defaults; ``_value`` checks both alike.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ MAX_CONFIG_CHARS = 1 << 20
 
 # Every key each command takes, with its default text (None: no default).
 # build_config checks keys in this order.
-_BASE = {"experiment": None, "mode": "closed-form", "seed": "12345", "output": None}
+_BASE = {"experiment": None, "mode": "closed-form", "output": None}
 _SWEEP = {
     **_BASE,
     "grid.start": str(GRID_MIN),
@@ -69,13 +71,20 @@ _DEFAULTS = {
     "benchmark": {
         **_BASE,
         "mode": "first-principles",
+        "seed": "12345",
         "samples": "100000",
         "rounds": "200",
         "plan": None,
         **dict.fromkeys(("fixed.w", "fixed.w0", "fixed.w1", "fixed.w2")),
     },
 }
-_ALLOWED_KEYS = {command: set(keys) for command, keys in _DEFAULTS.items()}
+# The flag of each config key that has one: flag, metavar and help.
+_FLAGS = {
+    "mode": ("--mode", "{closed-form,first-principles}", None),
+    "normalize": ("--normalize", "{on,off}", None),
+    "seed": ("--seed", "N", None),
+    "output": ("--out", "PATH", "CSV output path (default stdout)"),
+}
 
 
 class ConfigError(Exception):
@@ -95,7 +104,7 @@ def _fmt(x: float) -> str:
 
 def _parse_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read(MAX_CONFIG_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
@@ -118,7 +127,10 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _value(key: str, text: str):
-    """The value of config key ``key`` written as ``text``, typed and range-checked."""
+    """The value of config key ``key`` written as ``text``, typed and range-checked.
+
+    Flags and config-file lines both pass here, so one text gives one error.
+    """
     if key == "mode":
         for mode in FisherMode:
             if mode.value == text:
@@ -135,6 +147,10 @@ def _value(key: str, text: str):
             raise ConfigError(f"{key} must be an integer, got {text!r}") from None
         if key == "seed" and value < 0:
             raise ConfigError(f"seed must be non-negative, got {value}")
+        if key == "samples" and not 1 <= value <= MAX_SAMPLES:
+            raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}], got {value}")
+        if key == "rounds" and not 2 <= value <= MAX_ROUNDS:
+            raise ConfigError(f"rounds must lie in [2, {MAX_ROUNDS}], got {value}")
         return value
     if not key.startswith(("grid.", "fixed.")):
         return text
@@ -151,30 +167,24 @@ def _value(key: str, text: str):
 
 def build_config(command: str, args: argparse.Namespace) -> dict:
     """Settings by config key: defaults, then the config file, then flags."""
+    defaults = _DEFAULTS[command]
     table = _parse_config_file(args.config) if args.config else {}
     for key in table:
-        if key not in _ALLOWED_KEYS[command]:
+        if key not in defaults:
             raise ConfigError(f"config key {key!r} is not applicable to {command}")
     experiment = table.get("experiment", command)
     if experiment != command:
         raise ConfigError(
             f"config experiment={experiment!r} does not match command {command!r}"
         )
-    defaults = _DEFAULTS[command]
-    # A flag's dest is its config key (--out sets output); None or "" leaves it unset.
-    flags = {k: str(v) for k, v in vars(args).items() if k in defaults and v not in (None, "")}
+    # A flag's dest is its config key (--out sets output); None leaves it unset.
+    flags = {k: v for k, v in vars(args).items() if k in defaults and v is not None}
     merged = {**defaults, **table, **flags}
-    cfg = {key: _value(key, text) for key, text in merged.items() if text is not None}
-    if command == "benchmark":
-        _check_benchmark(cfg)
-    else:
-        _check_grid(cfg)
-    if command == "star" and ("fixed.w0" in cfg) != ("fixed.w1" in cfg):
-        raise ConfigError("heterogeneous star sweeps need exactly fixed.w0 and fixed.w1")
-    return cfg
+    return {key: _value(key, text) for key, text in merged.items() if text is not None}
 
 
-def _check_grid(cfg: dict) -> None:
+def _grid(cfg: dict) -> list:
+    """The sweep's points, once grid.start, grid.stop and grid.step fit together."""
     start, stop, step = cfg["grid.start"], cfg["grid.stop"], cfg["grid.step"]
     if step <= 0:
         raise ConfigError("grid.step must be positive")
@@ -185,31 +195,6 @@ def _check_grid(cfg: dict) -> None:
     # Checked before the grid is built; the division may overflow to inf.
     if (stop - start) / step > MAX_GRID_POINTS - 1:
         raise ConfigError(f"grid.step gives more than {MAX_GRID_POINTS} grid points")
-
-
-def _check_benchmark(cfg: dict) -> None:
-    plan = cfg.get("plan")
-    if plan is None:
-        raise ConfigError("benchmark needs a plan key")
-    if plan in Scheme.__members__:
-        needed = {"fixed.w"}
-    elif plan in BUILTIN_PLAN_KINDS:
-        needed = {"fixed.w0", "fixed.w1", "fixed.w2"}
-    else:
-        raise ConfigError(
-            f"unknown plan {plan!r}; use one of "
-            f"{', '.join([*Scheme.__members__, *BUILTIN_PLAN_KINDS])}"
-        )
-    if {key for key in cfg if key.startswith("fixed.")} != needed:
-        raise ConfigError(f"plan {plan} needs exactly {', '.join(sorted(needed))}")
-    if not 1 <= cfg["samples"] <= MAX_SAMPLES:
-        raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}], got {cfg['samples']}")
-    if not 2 <= cfg["rounds"] <= MAX_ROUNDS:
-        raise ConfigError(f"rounds must lie in [2, {MAX_ROUNDS}], got {cfg['rounds']}")
-
-
-def _grid(cfg: dict) -> list:
-    start, stop, step = cfg["grid.start"], cfg["grid.stop"], cfg["grid.step"]
     count = int(round((stop - start) / step)) + 1
     values = []
     for i in range(count):
@@ -264,6 +249,8 @@ def cmd_star(cfg: dict) -> tuple:
     plans = [builtin_plan(kind, graph) for kind in BUILTIN_PLAN_KINDS]
     grid = _grid(cfg)
     ws = np.array(grid)
+    if ("fixed.w0" in cfg) != ("fixed.w1" in cfg):
+        raise ConfigError("heterogeneous star sweeps need exactly fixed.w0 and fixed.w1")
     if "fixed.w0" in cfg:
         params = {"e0": cfg["fixed.w0"], "e1": cfg["fixed.w1"], "e2": ws}
     else:
@@ -278,8 +265,20 @@ def cmd_star(cfg: dict) -> tuple:
 
 
 def _benchmark_plan(cfg: dict) -> tuple:
-    name = cfg["plan"]
-    if name in Scheme.__members__:
+    """The plan and graph to benchmark, once the plan and its fixed.* keys agree."""
+    name = cfg.get("plan")
+    if name is None:
+        raise ConfigError("benchmark needs a plan key")
+    single = name in Scheme.__members__
+    if not single and name not in BUILTIN_PLAN_KINDS:
+        raise ConfigError(
+            f"unknown plan {name!r}; use one of "
+            f"{', '.join([*Scheme.__members__, *BUILTIN_PLAN_KINDS])}"
+        )
+    needed = {"fixed.w"} if single else {"fixed.w0", "fixed.w1", "fixed.w2"}
+    if {key for key in cfg if key.startswith("fixed.")} != needed:
+        raise ConfigError(f"plan {name} needs exactly {', '.join(sorted(needed))}")
+    if single:
         graph = _chain({"e0": cfg["fixed.w"]})
         task = MeasurementTask(scheme=Scheme[name], path=trace_path(graph, ("e0",)))
         plan = MonitoringPlan(name=name, tasks=(task,))
@@ -332,11 +331,21 @@ def cmd_validate() -> tuple:
 
 def _write_lines(lines: Sequence[str], path: str | None) -> None:
     text = "\n".join(lines) + "\n"
-    if path is None:
+    if not path:  # no --out, or an empty one
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+
+
+# Each command's runner and help text.
+_COMMANDS = {
+    "single-link": (cmd_single_link, "information and bound per scheme over a parameter grid"),
+    "ratio": (cmd_ratio, "bound ratio of the two local schemes plus crossover"),
+    "star": (cmd_star, "bounds of the four star strategies per channel use"),
+    "benchmark": (cmd_benchmark, "Monte-Carlo estimator variance against the bound"),
+    "validate": (cmd_validate, "run the exact-oracle equivalence checks"),
+}
 
 
 @functools.cache
@@ -352,23 +361,14 @@ def _build_parser() -> _Parser:
         description="Werner-link network tomography sweeps, validation, and benchmarks",
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    for name, text in (
-        ("single-link", "information and bound per scheme over a parameter grid"),
-        ("ratio", "bound ratio of the two local schemes plus crossover"),
-        ("star", "bounds of the four star strategies per channel use"),
-        ("benchmark", "Monte-Carlo estimator variance against the bound"),
-    ):
+    for name, (_, text) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument("--config", metavar="PATH", help="run manifest (key = value lines)")
-        p.add_argument("--mode", choices=[m.value for m in FisherMode])
-        if name != "benchmark":
-            p.add_argument("--normalize", choices=["on", "off"])
-        p.add_argument("--seed", type=int)
-        p.add_argument(
-            "--out", dest="output", metavar="PATH", help="CSV output path (default stdout)"
-        )
-    v = sub.add_parser("validate", help="run the exact-oracle equivalence checks")
-    v.add_argument("--out", dest="output", metavar="PATH", help="CSV report path (default stdout)")
+        keys = _DEFAULTS.get(name, {"output": None})  # validate has no config file
+        if "experiment" in keys:
+            p.add_argument("--config", metavar="PATH", help="run manifest (key = value lines)")
+        for key, (flag, metavar, hint) in _FLAGS.items():
+            if key in keys:
+                p.add_argument(flag, dest=key, metavar=metavar, help=hint)
     return parser
 
 
@@ -376,32 +376,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        runner, _ = _COMMANDS[args.command]
         if args.command == "validate":
-            lines, ok = cmd_validate()
-            # As for every other command, an empty --out means stdout only.
-            output = args.output or None
-            _write_lines(lines, output)
-            if output:
+            lines, ok = runner()
+            _write_lines(lines, args.output)
+            if args.output:  # the report file is echoed on stdout
                 _write_lines(lines, None)
             return EXIT_OK if ok else EXIT_VALIDATION_FAILED
         cfg = build_config(args.command, args)
-        runner = {
-            "single-link": cmd_single_link,
-            "ratio": cmd_ratio,
-            "star": cmd_star,
-            "benchmark": cmd_benchmark,
-        }[args.command]
         lines, notes = runner(cfg)
         _write_lines(lines, cfg.get("output"))
+        # Keep stdout clean when the CSV itself goes to stdout.
+        stream = sys.stdout if cfg.get("output") else sys.stderr
         for note in notes:
-            # Keep stdout clean when the CSV itself goes to stdout.
-            stream = sys.stdout if "output" in cfg else sys.stderr
             print(note, file=stream)
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -382,9 +382,8 @@ def benchmark_variance(
         raise ValueError(
             f"true_params must name exactly the plan's links: missing {missing}, extra {extra}"
         )
-    for lid, w in true_params.items():
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"parameter for link {lid!r} outside [0, 1]")
+    # Before any sampling: plan_qfim also range-checks every parameter.
+    info = plan_qfim(plan, true_params, mode, normalize=False)
     order = tuple(sorted(true_params))
     dists = [task_distribution(task, true_params) for task in plan.tasks]
     steps = _plan_steps(plan)
@@ -395,7 +394,6 @@ def benchmark_variance(
         frequencies = _round_frequencies(plan, steps, counts, samples_per_task)
         for lid, column in _solve_steps(plan, steps, frequencies).items():
             estimates[start : block.stop, order.index(lid)] = column
-    info = plan_qfim(plan, true_params, mode, normalize=False)
     bounds = crb_diagonal(info, scale=float(samples_per_task))
     rows = []
     for k, lid in enumerate(order):

@@ -21,10 +21,11 @@ parameter is a float or a 1-D array, all arrays in one call of equal length;
 a batch then gives a `FisherMatrix` with entries of shape (..., n, n) and
 bounds that are arrays over the batch, while floats give one (n, n) matrix and
 float bounds from the same code.  A matrix is validated once, when it is
-built: symmetry, symmetric infinities, and positive semidefiniteness of every
-member whose entries are all finite, from one batched `eigvalsh`.  Those
-eigenvalues also serve `crb_diagonal`'s singularity test, and each group of
-members with the same finite coordinates is inverted in one batched call.
+built: distinct names, no nan or -inf, symmetry, symmetric infinities, and
+positive semidefiniteness of every member whose entries are all finite, from
+one batched `eigvalsh`.  Those eigenvalues also serve `crb_diagonal`'s
+singularity test; each group of members with the same finite coordinates is
+PSD-checked if it has +inf coordinates, and inverted, in one batched call.
 `plan_qfim` also takes a sequence of plans and stacks them on a new leading
 axis of one matrix, so a sweep over several plans is validated and inverted
 as one batch.
@@ -59,13 +60,14 @@ class FisherMatrix(_Record):
     """Symmetric PSD information matrix over an ordered link-parameter vector.
 
     ``entries`` has shape (n, n), or (..., n, n) for a batch of parameter
-    points.  Entries may be +inf where a probability vanishes and the
-    information diverges; such coordinates are treated as exactly known by
-    the bound computations.  ``ledger`` records the channel-use normalization
-    when ``normalized`` is set.  ``_eigenvalues`` holds the ascending
-    eigenvalues of each member with all-finite entries, else nan, over the
-    flattened batch: shape (members, n).  It is not a field, so equality,
-    hashing and repr leave it out.
+    points, over distinct names in ``order``.  Entries may be +inf where a
+    probability vanishes and the information diverges; such coordinates are
+    treated as exactly known by the bound computations, which check that the
+    finite block left is positive semidefinite.  ``ledger`` records the
+    channel-use normalization when ``normalized`` is set.  ``_eigenvalues``
+    holds the ascending eigenvalues of each member with all-finite entries,
+    else nan, over the flattened batch: shape (members, n).  It is not a field,
+    so equality, hashing and repr leave it out.
     """
 
     __match_args__ = ("entries", "order", "mode", "normalized", "ledger")
@@ -89,7 +91,11 @@ class FisherMatrix(_Record):
         n = len(self.order)
         if e.ndim < 2 or e.shape[-2:] != (n, n):
             raise ValueError("entries must be square over the parameter order")
+        if len(set(self.order)) != n:
+            raise ValueError("parameter order repeats a name")
         finite = np.isfinite(e)
+        if not finite.all() and (e[~finite] != math.inf).any():
+            raise ValueError("entries must not be nan or -inf")
         if (finite != finite.swapaxes(-1, -2)).any():
             raise ValueError("infinite entries must be placed symmetrically")
         masked = np.where(finite, e, 0.0)
@@ -119,6 +125,16 @@ def _leave_one_out(ws: Sequence) -> list:
     return [a * b for a, b in zip(prefix, suffix[1:])]
 
 
+def _parameter(w: float | np.ndarray, name: str, with_value: bool = False) -> np.ndarray:
+    """``w`` as an array once it is a float or a 1-D array within [0, 1]."""
+    ws = np.asarray(w, dtype=float)
+    if ws.ndim > 1:
+        raise ValueError(f"{name} must be a float or a 1-D array")
+    if not ((ws >= 0.0) & (ws <= 1.0)).all():
+        raise ValueError(f"{name}={w} outside [0, 1]" if with_value else f"{name} outside [0, 1]")
+    return ws
+
+
 def _rank_one(scheme: Scheme, ws: Sequence, mode: FisherMode) -> np.ndarray:
     """J over the batch: a task's information block is J * outer(g, g).
 
@@ -143,6 +159,14 @@ def _rank_one(scheme: Scheme, ws: Sequence, mode: FisherMode) -> np.ndarray:
     return info
 
 
+def _per_use(
+    scheme: Scheme, w: float | np.ndarray, mode: FisherMode, normalize: bool
+) -> np.ndarray:
+    """Single-link J at ``w``, per channel use of one sample with ``normalize``."""
+    info = _rank_one(scheme, [w], mode)
+    return info / SCHEMES[scheme].uses_per_link if normalize else info
+
+
 def _information(
     tasks: Sequence[MeasurementTask],
     params: Mapping[str, float | np.ndarray],
@@ -156,14 +180,7 @@ def _information(
         if lid not in index:
             raise ValueError(f"path link {lid!r} missing from the parameter vector")
     # Every parameter, read by the tasks or not, sets the batch shape and is range-checked.
-    shapes = set()
-    for lid, w in params.items():
-        w = np.asarray(w, dtype=float)
-        if w.ndim > 1:
-            raise ValueError(f"parameter for link {lid!r} must be a float or a 1-D array")
-        if not ((w >= 0.0) & (w <= 1.0)).all():
-            raise ValueError(f"parameter for link {lid!r} outside [0, 1]")
-        shapes.add(w.shape)
+    shapes = {_parameter(w, f"parameter for link {lid!r}").shape for lid, w in params.items()}
     shapes.discard(())
     if len(shapes) > 1:
         raise ValueError("link parameters must be floats or equal-length 1-D arrays")
@@ -239,11 +256,12 @@ def plan_qfim(
 def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     """Per-parameter variance bounds: diagonal of the scaled matrix inverse.
 
-    Coordinates with infinite information contribute a bound of 0.  If the
-    finite part is singular (eigenvalue ratio below 1e-12), its coordinates
-    get +inf: the parameters are not jointly identifiable.  A batched matrix
-    gives an array of bounds per parameter.  ``scale`` (the samples per task)
-    must be a positive finite number.
+    Coordinates with infinite information contribute a bound of 0; the finite
+    part left must be positive semidefinite, else ValueError.  If it is
+    singular (eigenvalue ratio below 1e-12), its coordinates get +inf: the
+    parameters are not jointly identifiable.  A batched matrix gives an array
+    of bounds per parameter.  ``scale`` (the samples per task) must be a
+    positive finite number.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a positive finite number, got {scale!r}")
@@ -266,6 +284,8 @@ def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
             raise ValueError("off-diagonal infinity with finite diagonal is not supported")
         eig = matrix._eigenvalues[rows] if coords.size == n else np.linalg.eigvalsh(sub)
         lo, hi = eig[:, 0], eig[:, -1]
+        if (lo < -PSD_ATOL).any():
+            raise ValueError("matrix is not positive semidefinite within tolerance")
         with np.errstate(divide="ignore", invalid="ignore"):
             singular = (hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)
         bounds[rows[singular][:, None], coords] = math.inf
@@ -295,13 +315,8 @@ def single_link_fisher(
     With ``normalize`` the value is divided by the channel uses one sample
     costs (2 for the fused-copies scheme, otherwise 1).
     """
-    ws = np.asarray(w, dtype=float)
-    if ws.ndim > 1:
-        raise ValueError("w must be a float or a 1-D array")
-    if not ((ws >= 0.0) & (ws <= 1.0)).all():
-        raise ValueError(f"w={w} outside [0, 1]")
-    info = _rank_one(scheme, [ws], mode)
-    return _plain(info / SCHEMES[scheme].uses_per_link if normalize else info)
+    ws = _parameter(w, "w", with_value=True)
+    return _plain(_per_use(scheme, ws, mode, normalize))
 
 
 def single_link_qcrb(
@@ -324,13 +339,10 @@ def crossover(
     (identical schemes included).
     """
     # Every bisection point lies in (0, 1), so the information is taken from
-    # _rank_one directly, without single_link_fisher's input checks.
-    uses_a = SCHEMES[scheme_a].uses_per_link if normalize else 1
-    uses_b = SCHEMES[scheme_b].uses_per_link if normalize else 1
-
+    # _per_use directly, without single_link_fisher's input checks.
     def gap(w: float) -> float:
-        return float(_rank_one(scheme_a, [w], mode) / uses_a) - float(
-            _rank_one(scheme_b, [w], mode) / uses_b
+        return float(_per_use(scheme_a, w, mode, normalize)) - float(
+            _per_use(scheme_b, w, mode, normalize)
         )
 
     lo, hi = 1e-9, 1.0 - 1e-9

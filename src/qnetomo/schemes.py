@@ -198,8 +198,6 @@ class OutcomeDistribution(_Record):
 
 def scheme_distribution(scheme: Scheme, path_product: float) -> OutcomeDistribution:
     """Outcome distribution of a scheme at a given path product."""
-    if not 0.0 <= path_product <= 1.0:
-        raise ValueError(f"path product {path_product} outside [0, 1]")
     w = float(path_product)
     spec = SCHEMES[scheme]
     return OutcomeDistribution(

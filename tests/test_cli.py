@@ -26,7 +26,7 @@ from qnetomo.cli import (
     MAX_GRID_POINTS,
     MAX_ROUNDS,
     MAX_SAMPLES,
-    _ALLOWED_KEYS,
+    _DEFAULTS,
     _build_parser,
     _Parser,
     _fmt,
@@ -110,20 +110,28 @@ class TestSingleLink:
         assert all(l.split(",")[4] == "first-principles" for l in lines[1:])
 
     @pytest.mark.parametrize(
-        "key, flag, default, in_file, in_flag",
+        "command, key, flag, default, in_file, in_flag",
         [
-            ("mode", "--mode", CLOSED, ("first-principles", FIRST), ("closed-form", CLOSED)),
-            ("normalize", "--normalize", False, ("on", True), ("off", False)),
-            ("seed", "--seed", 12345, ("7", 7), ("0", 0)),
-            ("output", "--out", None, ("file.csv", "file.csv"), ("flag.csv", "flag.csv")),
+            (
+                "single-link", "mode", "--mode", CLOSED,
+                ("first-principles", FIRST), ("closed-form", CLOSED),
+            ),
+            ("single-link", "normalize", "--normalize", False, ("on", True), ("off", False)),
+            ("benchmark", "seed", "--seed", 12345, ("7", 7), ("0", 0)),
+            (
+                "single-link", "output", "--out", None,
+                ("file.csv", "file.csv"), ("flag.csv", "flag.csv"),
+            ),
         ],
         ids=["mode", "normalize", "seed", "output"],
     )
-    def test_flag_beats_file_beats_default(self, tmp_path, key, flag, default, in_file, in_flag):
+    def test_flag_beats_file_beats_default(
+        self, tmp_path, command, key, flag, default, in_file, in_flag
+    ):
         def resolve(text, *flags):
-            config = write_config(tmp_path, "experiment = single-link\n" + text)
-            args = _build_parser().parse_args(["single-link", "--config", config, *flags])
-            return build_config("single-link", args).get(key)
+            config = write_config(tmp_path, f"experiment = {command}\n" + text)
+            args = _build_parser().parse_args([command, "--config", config, *flags])
+            return build_config(command, args).get(key)
 
         assert resolve("") == default
         assert resolve(f"{key} = {in_file[0]}\n") == in_file[1]
@@ -487,8 +495,8 @@ class TestExitCodes:
             ["unknown-command"],
             ["single-link", "--bogus"],
             ["single-link", "--mode", "sideways"],
-            ["single-link", "--seed", "not-a-number"],
-            ["single-link", "--seed", "-1"],
+            ["benchmark", "--seed", "not-a-number"],
+            ["benchmark", "--seed", "-1"],
             ["benchmark", "--normalize", "on"],
         ],
     )
@@ -509,6 +517,14 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode")
         assert len(err.splitlines()) == 1
+
+    def test_config_file_with_byte_order_mark(self, capsys, tmp_path):
+        text = "experiment = ratio\ngrid.step = 0.49\n"
+        plain = write_config(tmp_path, text)
+        marked = write_config(tmp_path, "\ufeff" + text, name="bom.cfg")
+        expected = run_lines(capsys, ["ratio", "--config", plain])
+        assert expected[0] == 0 and len(expected[1]) == 4
+        assert run_lines(capsys, ["ratio", "--config", marked]) == expected
 
     def test_config_file_over_the_cap(self, capsys, tmp_path):
         path = tmp_path / "long.cfg"
@@ -532,6 +548,39 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "experiment = benchmark\nplan = PEM\nfixed.w = 0.5\ngrid.start = 0.1\n")
         code, _, err = run_lines(capsys, ["benchmark", "--config", cfg])
         assert code == 1 and "grid.start" in err
+
+    @pytest.mark.parametrize("command", ["single-link", "ratio", "star"])
+    def test_sweeps_take_no_seed(self, capsys, tmp_path, command):
+        cfg = write_config(tmp_path, "seed = 7\n")
+        assert run_lines(capsys, [command, "--config", cfg]) == (
+            1, [], f"error: config key 'seed' is not applicable to {command}\n"
+        )
+        assert run_lines(capsys, [command, "--seed", "7"]) == (
+            1, [], "error: unrecognized arguments: --seed 7\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, key, flag, text, message",
+        [
+            (
+                "single-link", "mode", "--mode", "sideways",
+                "unknown mode 'sideways'; use closed-form or first-principles",
+            ),
+            (
+                "ratio", "normalize", "--normalize", "maybe",
+                "normalize must be on or off, got 'maybe'",
+            ),
+            ("benchmark", "seed", "--seed", "x", "seed must be an integer, got 'x'"),
+            ("benchmark", "seed", "--seed", "-1", "seed must be non-negative, got -1"),
+        ],
+        ids=["mode", "normalize", "seed-not-an-integer", "seed-negative"],
+    )
+    def test_flag_and_file_give_the_same_error(
+        self, capsys, tmp_path, command, key, flag, text, message
+    ):
+        cfg = write_config(tmp_path, f"{key} = {text}\n")
+        assert run_lines(capsys, [command, "--config", cfg]) == (1, [], f"error: {message}\n")
+        assert run_lines(capsys, [command, flag, text]) == (1, [], f"error: {message}\n")
 
     def test_experiment_command_mismatch(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "experiment = ratio\n")
@@ -564,12 +613,24 @@ class TestExitCodes:
         code, _, err = run_lines(capsys, ["single-link", "--config", cfg])
         assert code == 1 and "step" in err
 
-    @pytest.mark.parametrize("line", ["grid.step = nan", "grid.step = inf", "seed = -1"])
-    def test_non_finite_number_or_negative_seed(self, capsys, tmp_path, line):
-        cfg = write_config(tmp_path, f"experiment = single-link\n{line}\n")
-        code, lines, err = run_lines(capsys, ["single-link", "--config", cfg])
-        assert code == 1 and lines == []
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param(line, message, id=line)
+            for line, message in [
+                ("grid.step = nan", "grid.step must be a finite number, got 'nan'"),
+                ("grid.step = inf", "grid.step must be a finite number, got 'inf'"),
+                ("seed = -1", "seed must be non-negative, got -1"),
+                ("grid.step = abc", "grid.step must be a number, got 'abc'"),
+                ("fixed.w0 = abc", "fixed.w0 must be a number, got 'abc'"),
+            ]
+        ],
+    )
+    def test_non_finite_number_or_negative_seed(self, capsys, tmp_path, line, message):
+        # Run under the first command that takes the key.
+        command = next(c for c, keys in _DEFAULTS.items() if line.split()[0] in keys)
+        cfg = write_config(tmp_path, f"experiment = {command}\n{line}\n")
+        assert run_lines(capsys, [command, "--config", cfg]) == (1, [], f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -648,18 +709,28 @@ README = ROOT / "README.md"
 
 
 def test_readme_key_table_names_every_config_key():
+    """Each key's rows name exactly the commands whose table has that key."""
     table = README.read_text(encoding="utf-8").split("\nKeys:\n", 1)[1].split("\n\n", 1)[0]
-    names = set()
+    groups = {"all": set(_DEFAULTS), "sweeps": {"single-link", "ratio", "star"}}
+    commands_of = {}
     for row in table.splitlines()[2:]:
-        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+        cells = row.split("|")
+        commands = groups.get(cells[2].strip()) or set(re.findall(r"`([^`]+)`", cells[2]))
+        for name in re.findall(r"`([^`]+)`", cells[1]):
             # `fixed.w0..w2` stands for fixed.w0, fixed.w1 and fixed.w2.
             span = re.fullmatch(r"(.*\.(\w+?))(\d)\.\.\2(\d)", name)
             if span:
                 low, high = int(span[3]), int(span[4])
-                names.update(f"{span[1]}{i}" for i in range(low, high + 1))
+                names = [f"{span[1]}{i}" for i in range(low, high + 1)]
             else:
-                names.add(name)
-    assert names == set().union(*_ALLOWED_KEYS.values())
+                names = [name]
+            for key in names:
+                commands_of.setdefault(key, set()).update(commands)
+    expected = {}
+    for command, keys in _DEFAULTS.items():
+        for key in keys:
+            expected.setdefault(key, set()).add(command)
+    assert commands_of == expected
 
 
 STAR_HOMOGENEOUS_SHA256 = "b10da683442cdad275db4e84317b4c717b2c0ee2facf3e17bf2f9c12cbdef717"
@@ -949,7 +1020,7 @@ _PLAN_KEYS = {
 
 def _config_text(command):
     """Keys that apply to the command, a plan when it needs one, then any lines."""
-    optional = {key: _CONFIG_VALUES[key] for key in _ALLOWED_KEYS.get(command, ()) if key != "output"}
+    optional = {key: _CONFIG_VALUES[key] for key in _DEFAULTS.get(command, ()) if key != "output"}
     optional["experiment"] = st.sampled_from([command, command, "star"])
     bodies = [
         st.fixed_dictionaries(

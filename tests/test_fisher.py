@@ -73,8 +73,10 @@ class TestSingleLinkScalars:
             assert abs(per_use * factor - raw) < 1e-12
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^w=1.2 outside \[0, 1\]$"):
             single_link_fisher(Scheme.LZM, 1.2, FIRST)
+        with pytest.raises(ValueError, match="^w must be a float or a 1-D array$"):
+            single_link_fisher(Scheme.LZM, np.full((2, 2), 0.5), FIRST)
 
     def test_qcrb_reciprocal(self):
         info = single_link_fisher(Scheme.PEM, 0.6, FIRST)
@@ -529,6 +531,22 @@ class TestFisherMatrixValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="square"):
             FisherMatrix(np.eye(3), ("a", "b"), FIRST)
+
+    def test_rejects_a_repeated_name(self):
+        with pytest.raises(ValueError, match="repeats a name"):
+            FisherMatrix(np.diag([1.0, 4.0]), ("a", "a"), FIRST)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_rejects_nan_and_negative_infinity(self, value):
+        with pytest.raises(ValueError, match="nan or -inf"):
+            FisherMatrix(np.array([[value]]), ("a",), FIRST)
+
+    def test_finite_block_beside_infinity_must_be_psd(self):
+        inf = math.inf
+        entries = np.array([[inf, 0.0, 0.0], [0.0, 1.0, 5.0], [0.0, 5.0, 1.0]])
+        matrix = FisherMatrix(entries, ("a", "b", "c"), FIRST)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            crb_diagonal(matrix)
 
     def test_entries_read_only(self):
         m = FisherMatrix(np.eye(2), ("a", "b"), FIRST)

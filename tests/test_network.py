@@ -8,6 +8,7 @@ from qnetomo import (
     MonitoringPlan,
     NetworkGraph,
     Scheme,
+    Path,
     UsageLedger,
     WernerLink,
     build_star,
@@ -96,6 +97,24 @@ class TestGraphInvariants:
                 monitors=frozenset(),
             )
 
+    @pytest.mark.parametrize(
+        "endpoints, message",
+        [
+            ({}, "endpoints must cover exactly the link ids"),
+            ({"e0": ("a", "b"), "e9": ("a", "b")}, "endpoints must cover exactly the link ids"),
+            ({"e0": ("a", "a")}, "link 'e0' is a self-loop"),
+        ],
+        ids=["missing", "extra", "self-loop"],
+    )
+    def test_endpoint_rules(self, endpoints, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkGraph(
+                nodes=frozenset({"a", "b"}),
+                links=(WernerLink("e0", 0.5),),
+                endpoints=endpoints,
+                monitors=frozenset(),
+            )
+
     def test_duplicate_link_ids(self):
         with pytest.raises(ValueError):
             NetworkGraph(
@@ -104,6 +123,15 @@ class TestGraphInvariants:
                 endpoints={"e0": ("a", "b")},
                 monitors=frozenset(),
             )
+
+
+class TestPath:
+    @pytest.mark.parametrize(
+        "link_ids, message", [((), "at least one link"), (("e0", "e0"), "repeats a link")]
+    )
+    def test_link_ids_must_be_a_nonempty_set(self, link_ids, message):
+        with pytest.raises(ValueError, match=message):
+            Path(link_ids, ("v0", "v1"))
 
 
 class TestTracePath:
@@ -143,6 +171,21 @@ class TestTracePath:
     def test_empty(self):
         with pytest.raises(ValueError):
             trace_path(star(), [])
+
+    def test_links_not_contiguous(self):
+        # e1 and e0 meet at the hub, but the path then stands at v1, off e2.
+        with pytest.raises(ValueError, match="links are not contiguous"):
+            trace_path(star(), ["e1", "e0", "e2"])
+
+    def test_revisited_node(self):
+        triangle = NetworkGraph(
+            nodes=frozenset({"a", "b", "c"}),
+            links=(WernerLink("x", 0.5), WernerLink("y", 0.5), WernerLink("z", 0.5)),
+            endpoints={"x": ("a", "b"), "y": ("b", "c"), "z": ("c", "a")},
+            monitors=frozenset(),
+        )
+        with pytest.raises(ValueError, match="path revisits a node"):
+            trace_path(triangle, ["x", "y", "z"])
 
 
 class TestBuiltinPlans:
@@ -187,6 +230,11 @@ class TestBuiltinPlans:
         with pytest.raises(ValueError):
             builtin_plan("JBM2", build_star(2, [0.5, 0.5]))
 
+    def test_links_e0_to_e2_must_form_the_star(self):
+        chain = _chain({"e0": 0.5, "e1": 0.5, "e2": 0.5})
+        with pytest.raises(ValueError, match="4-node star with links e0, e1, e2"):
+            builtin_plan("JBM2", chain)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             builtin_plan("XYZ", star())
@@ -225,6 +273,13 @@ class TestChannelUses:
         with pytest.raises(ValueError):
             UsageLedger(uses={"e0": 2}, total=3)
 
+    @pytest.mark.parametrize(
+        "uses, total, preshared", [({"e0": 3, "e1": -1}, 2, 0), ({"e0": 2}, 2, -1)]
+    )
+    def test_ledger_counts_are_nonnegative(self, uses, total, preshared):
+        with pytest.raises(ValueError, match="nonnegative"):
+            UsageLedger(uses=uses, total=total, preshared_pairs=preshared)
+
 
 class TestValidatePlan:
     def test_builtin_plans_are_solvable_in_order(self):
@@ -243,6 +298,13 @@ class TestValidatePlan:
             ),
         )
         with pytest.raises(ValueError, match="solvable"):
+            validate_plan(g, plan)
+
+    def test_stored_endpoints_must_match_the_graph(self):
+        g = star()
+        task = MeasurementTask(scheme=Scheme.JBM, path=Path(("e0",), ("v0", "v2")))
+        plan = MonitoringPlan(name="stale", tasks=(task,))
+        with pytest.raises(ValueError, match="task 0: stored endpoints do not match the graph"):
             validate_plan(g, plan)
 
     def test_coverage_must_match_targets(self):

@@ -86,6 +86,10 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError, match="semidefinite"):
             DensityMatrix(m)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.ones((2, 4), dtype=complex) / 2)
+
     @pytest.mark.parametrize("dim", [0, 3, 6])
     def test_rejects_dimension_not_a_power_of_two(self, dim):
         with pytest.raises(ValueError, match="power of two"):
