@@ -10,15 +10,19 @@ The Monte-Carlo stream contract: stream (r, t) of a run with seed s, the
 draws of task t in round r, is ``PCG64(derive_seed(s, r, t))`` with one
 ``multinomial`` call per stream, so sampling is deterministic and portable.
 ``sample_outcomes`` draws one such stream; ``_sample_rounds`` draws every
-stream of a block of rounds in one batch, computing the seeds with NumPy's
-documented ``SeedSequence`` hash over arrays, and produces the same counts.
-It checks the first stream of each block against NumPy's own seeding and
-raises ``RuntimeError`` if they differ.
+stream of a block of rounds in one batch and produces the same counts.  It
+computes each stream's four ``PCG64`` seed words with NumPy's documented
+``SeedSequence`` hash over arrays, then hands them to ``PCG64`` through
+NumPy's seed-sequence interface, so PCG64's own set-seed step makes each
+stream's state.  It checks the first stream of each block against NumPy's
+own seeding and raises ``RuntimeError`` if they differ.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -86,10 +90,9 @@ def sample_outcomes(dist: OutcomeDistribution, n: int, seed: int) -> OutcomeCoun
     return OutcomeCounts(labels=dist.labels, counts=counts, total=n, seed=seed)
 
 
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit multiplier, for seeding many streams at once.
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), for seeding
+# many streams at once.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -97,7 +100,6 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -177,11 +179,34 @@ def _pcg64_seed_words(children: np.ndarray) -> list:
     return _uint64_words(_seed_sequence_state([lo, hi], 8))
 
 
-def _pcg64_state(initstate_hi: int, initstate_lo: int, initseq_hi: int, initseq_lo: int) -> tuple:
-    """(state, inc) that PCG64's set-seed step makes of its four seed words."""
-    inc = ((initseq_hi << 64 | initseq_lo) << 1 | 1) & _MASK128
-    state = ((inc + (initstate_hi << 64 | initstate_lo)) * _PCG64_MULT + inc) & _MASK128
-    return state, inc
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed-words class, built on first use.
+
+    Importing ``numpy.random`` at module level would load it in every
+    command; only sampling needs it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """One stream's four precomputed ``SeedSequence`` words for ``PCG64``.
+
+        ``PCG64(SeedWords(words))`` runs PCG64's own set-seed step on the
+        words, so it starts where ``PCG64(child)`` does.  ``words`` is a
+        contiguous uint64 array of four: PCG64 reads its buffer as it is.
+        """
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"seed words hold 4 uint64 words, not {n_words} of {np.dtype(dtype)}"
+                )
+            return self.words
+
+    return SeedWords
 
 
 def _sample_rounds(
@@ -190,37 +215,30 @@ def _sample_rounds(
     """Counts of every (round, task) stream, shaped (rounds, tasks, outcomes).
 
     Entry [i, t] equals ``sample_outcomes(dists[t], n, derive_seed(seed,
-    rounds[i], t))``: the streams are seeded in one array pass and drawn
-    through one reused generator whose state is set per stream.
+    rounds[i], t))``: the streams' seed words are computed in one array pass,
+    and each stream's ``PCG64`` is seeded from its words by its own set-seed
+    step and drawn once.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
     pvals = [_pvals(dist) for dist in dists]
+    # Shaped (rounds, tasks, 4): each stream's words are contiguous, as SeedWords needs.
     words = np.stack(_pcg64_seed_words(_stream_seeds(seed, rounds, len(dists))), axis=-1)
+    seed_words = _seed_words_type()
     if words.size:
         # The batch recomputes NumPy's seeding; check one stream against NumPy itself.
-        reference = np.random.PCG64(derive_seed(seed, rounds.start, 0)).state["state"]
-        if _pcg64_state(*words[0, 0].tolist()) != (reference["state"], reference["inc"]):
+        reference = np.random.PCG64(derive_seed(seed, rounds.start, 0)).state
+        if np.random.PCG64(seed_words(words[0, 0])).state != reference:
             raise RuntimeError(
                 f"NumPy {np.__version__} seeds PCG64 streams differently from the batched "
                 "SeedSequence hash; batched counts would not match sample_outcomes"
             )
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
+    pcg64, generator = np.random.PCG64, np.random.Generator
     counts = np.zeros((len(rounds), len(dists), max((len(p) for p in pvals), default=0)), np.int64)
-    for i in range(len(rounds)):
-        # One round's words at a time: Python ints for every stream would
-        # cost more memory than the counts themselves.
-        for t, stream_words in enumerate(words[i].tolist()):
-            state, inc = _pcg64_state(*stream_words)
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            drawn = gen.multinomial(n, pvals[t])
-            counts[i, t, : len(drawn)] = drawn
+    for t, p in enumerate(pvals):
+        column = counts[:, t, : len(p)]
+        for i, stream_words in enumerate(words[:, t]):
+            column[i] = generator(pcg64(seed_words(stream_words))).multinomial(n, p)
     return counts
 
 
@@ -382,6 +400,11 @@ def benchmark_variance(
         raise ValueError(
             f"true_params must name exactly the plan's links: missing {missing}, extra {extra}"
         )
+    for lid, w in true_params.items():
+        # One point only: plan_qfim would take an array as a batch of points.
+        scalar = w[()] if isinstance(w, np.ndarray) and w.ndim == 0 else w
+        if not isinstance(scalar, numbers.Real):
+            raise ValueError(f"true_params[{lid!r}] must be one real number, got {type(w).__name__}")
     # Before any sampling: plan_qfim also range-checks every parameter.
     info = plan_qfim(plan, true_params, mode, normalize=False)
     order = tuple(sorted(true_params))

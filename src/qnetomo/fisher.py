@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .network import MeasurementTask, MonitoringPlan, UsageLedger, channel_uses
-from .schemes import SCHEMES, Scheme, _Record
+from .schemes import SCHEMES, Scheme, _Record, _require_links
 
 SYM_ATOL = 1e-12
 PSD_ATOL = 1e-10
@@ -176,9 +176,7 @@ def _information(
     """Summed task information over the parameter order, shape (..., n, n)."""
     index = {lid: k for k, lid in enumerate(order)}
     links = list(dict.fromkeys(lid for task in tasks for lid in task.path.link_ids))
-    for lid in links:
-        if lid not in index:
-            raise ValueError(f"path link {lid!r} missing from the parameter vector")
+    _require_links(links, index)
     # Every parameter, read by the tasks or not, sets the batch shape and is range-checked.
     shapes = {_parameter(w, f"parameter for link {lid!r}").shape for lid, w in params.items()}
     shapes.discard(())

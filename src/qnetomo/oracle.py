@@ -3,12 +3,12 @@
 Ground truth, on up to six qubits (64x64), for the analytic outcome
 distributions of the three schemes and for multiplicative Werner composition
 under entanglement swapping.  A Bell measurement is two pairwise einsum
-contractions of the state's qubit tensor with the constant Bell basis: the
-conjugate basis over the measured row axes, then the basis over the measured
-column axes.  That gives all four unnormalised outcome blocks
-<beta_k|rho|beta_k> at once; the stacked Pauli fixups on one retained qubit
-follow in two more pairwise steps, rows then columns.  No projector or
-partial trace is ever formed.
+contractions of the state, read as (4, R, 4, R) with the measured pair first
+on each side, with the constant Bell basis: the conjugate basis over the
+row pair's axis of 4, then the basis over the column pair's.  That gives all
+four unnormalised outcome blocks <beta_k|rho|beta_k> at once; the stacked
+Pauli fixups on one retained qubit follow in two more pairwise steps, rows
+then columns.  No projector or partial trace is ever formed.
 
 Everything is array-valued over a batch of parameter points, with the same
 contract as ``fisher``: a link parameter is a float or a 1-D array, all
@@ -43,9 +43,10 @@ MAX_DIM = 64
 _CORRECTIONS = np.array(
     [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]]], dtype=complex
 )
-# Bell vectors as [outcome, first qubit, second qubit]: |beta_k> = (1 x fixup_k)|phi+>.
-_BELL = _CORRECTIONS.transpose(0, 2, 1) / np.sqrt(2.0)
-_PHI_PLUS = np.outer(_BELL[0].ravel(), _BELL[0].ravel())
+# Bell vectors as [outcome, 2 * first qubit + second qubit]:
+# |beta_k> = (1 x fixup_k)|phi+>.
+_BELL = (_CORRECTIONS.transpose(0, 2, 1) / np.sqrt(2.0)).reshape(4, 4)
+_PHI_PLUS = np.outer(_BELL[0], _BELL[0])
 _EYE = np.eye(4, dtype=complex)
 
 
@@ -117,26 +118,28 @@ def _bell_blocks(rho: np.ndarray, pair: tuple, fix: int | None = None) -> np.nda
 
     ``pair`` holds the positions of the two measured qubits; ``fix`` is a
     position among the retained qubits that gets outcome k's Pauli fixup.
+    The pair's row qubits and its column qubits each move to the front of
+    their half, so rho reads as (..., 4, R, 4, R) and both Bell contractions
+    run over axes of 4.  The fixup splits only the fixed qubit's axis out of
+    each R axis.
     """
     n = rho.shape[-1].bit_length() - 1
-    # einsum labels: qubit q is row axis q and column axis n + q of the tensor.
-    k, a, b, c, d, x, y = range(2 * n, 2 * n + 7)
-    axes = list(range(2 * n))
-    axes[pair[0]], axes[pair[1]], axes[n + pair[0]], axes[n + pair[1]] = a, b, c, d
+    batch = rho.shape[:-2]
     keep = [q for q in range(n) if q not in pair]
-    out = [k, *keep, *(n + q for q in keep)]
-    t = rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
-    rows = [k] + [i for i in axes if i not in (a, b)]
-    half = np.einsum(_BELL.conj(), [k, a, b], t, [..., *axes], [..., *rows])
-    blocks = np.einsum(_BELL, [k, c, d], half, [..., *rows], [..., *out])
-    if fix is not None:
-        q = keep[fix]
-        rows = [x if i == q else i for i in out]
-        fixed = [y if i == n + q else i for i in rows]
-        half = np.einsum(_CORRECTIONS, [k, x, q], blocks, [..., *out], [..., *rows])
-        blocks = np.einsum(_CORRECTIONS.conj(), [k, y, n + q], half, [..., *rows], [..., *fixed])
     size = 2 ** len(keep)
-    return blocks.reshape(blocks.shape[: -2 * len(keep) - 1] + (4, size, size))
+    rows = [len(batch) + q for q in (*pair, *keep)]
+    t = rho.reshape(batch + (2,) * (2 * n))
+    t = t.transpose(*range(len(batch)), *rows, *(n + i for i in rows))
+    t = t.reshape(batch + (4, size, 4, size))
+    half = np.einsum("ka,...arbs->...krbs", _BELL.conj(), t)
+    blocks = np.einsum("kb,...krbs->...krs", _BELL, half)
+    if fix is not None:
+        # Each R axis as (before, fixed qubit, after).
+        split = (2**fix, 2, size >> (fix + 1))
+        blocks = blocks.reshape(blocks.shape[:-2] + split + split)
+        half = np.einsum("kxq,...kaqbcrd->...kaxbcrd", _CORRECTIONS, blocks)
+        blocks = np.einsum("kyr,...kaxbcrd->...kaxbcyd", _CORRECTIONS.conj(), half)
+    return blocks.reshape(batch + (4, size, size))
 
 
 def _swap(rho: np.ndarray, pair: tuple, fix: int) -> np.ndarray:

@@ -205,11 +205,15 @@ def scheme_distribution(scheme: Scheme, path_product: float) -> OutcomeDistribut
     )
 
 
-def task_distribution(task: MeasurementTask, params: Mapping[str, float]) -> OutcomeDistribution:
-    """Outcome distribution of a task given per-link Werner parameters."""
-    product = 1.0
-    for lid in task.path.link_ids:
+def _require_links(link_ids, params: Mapping) -> None:
+    """Raise if any of the path links has no parameter."""
+    for lid in link_ids:
         if lid not in params:
             raise ValueError(f"path link {lid!r} missing from the parameter vector")
-        product *= params[lid]
+
+
+def task_distribution(task: MeasurementTask, params: Mapping[str, float]) -> OutcomeDistribution:
+    """Outcome distribution of a task given per-link Werner parameters."""
+    _require_links(task.path.link_ids, params)
+    product = math.prod((params[lid] for lid in task.path.link_ids), start=1.0)
     return scheme_distribution(task.scheme, product)

@@ -1,6 +1,9 @@
 """Tests for sampling, distribution inversion, sequential plan solving, and benchmarking."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from qnetomo import (
 from qnetomo import estimators
 from qnetomo.estimators import (
     _pcg64_seed_words,
-    _pcg64_state,
     _round_frequencies,
     _sample_rounds,
     _solve_steps,
@@ -379,6 +381,21 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=r"missing \[\], extra \['e9'\]"):
             benchmark_variance(hyb3, {"e0": 0.9, "e1": 0.8, "e2": 0.7, "e9": 0.5}, 1000, 5, seed=3)
 
+    def test_parameters_must_be_single_numbers(self, monkeypatch):
+        plan = builtin_plan("JBM3", build_star(3, [0.9, 0.8, 0.7]))
+        params = {"e0": 0.6, "e1": 0.8, "e2": 0.7}
+        rows = benchmark_variance(plan, params, 100, 5, seed=1)
+        for same in (np.array(0.6), np.float64(0.6)):
+            assert benchmark_variance(plan, {**params, "e0": same}, 100, 5, seed=1) == rows
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before the parameters were checked")
+
+        monkeypatch.setattr(estimators, "_sample_rounds", no_sampling)
+        for bad in (np.array([0.5, 0.6]), [0.5], "0.5", np.array("0.5"), 0.5 + 0j, None):
+            with pytest.raises(ValueError, match=r"true_params\['e0'\] must be one real number"):
+                benchmark_variance(plan, {**params, "e0": bad}, 100, 5, seed=1)
+
     @pytest.mark.parametrize("plan", _all_plans(), ids=lambda plan: plan.name)
     def test_matches_the_per_round_reference(self, plan, monkeypatch):
         params = {"e0": 0.9, "e1": 0.6, "e2": 0.0}
@@ -472,9 +489,11 @@ _DISTS = st.lists(
 )
 
 
-def _pcg64_states(children):
-    words = _pcg64_seed_words(np.asarray(children, dtype=np.uint64))
-    return [_pcg64_state(*(int(w[k]) for w in words)) for k in range(len(children))]
+def _batched_states(children):
+    """Whole PCG64 states seeded from the batch's seed words of each child."""
+    words = np.stack(_pcg64_seed_words(np.asarray(children, dtype=np.uint64)), axis=-1)
+    seed_words = estimators._seed_words_type()
+    return [np.random.PCG64(seed_words(row)).state for row in words]
 
 
 class TestBatchedStreams:
@@ -503,8 +522,7 @@ class TestBatchedStreams:
         expected = [[derive_seed(seed, r, t) for t in range(len(dists))] for r in block]
         assert children.tolist() == expected
         flat = [child for row in expected for child in row]
-        reference = [np.random.PCG64(child).state["state"] for child in flat]
-        assert _pcg64_states(flat) == [(ref["state"], ref["inc"]) for ref in reference]
+        assert _batched_states(flat) == [np.random.PCG64(child).state for child in flat]
         counts = _sample_rounds(dists, n, seed, block)
         assert counts.dtype == np.int64 and counts.shape == (rounds, len(dists), 4)
         for i, r in enumerate(block):
@@ -514,8 +532,40 @@ class TestBatchedStreams:
 
     def test_pcg64_states_of_edge_children(self):
         children = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        reference = [np.random.PCG64(c).state["state"] for c in children]
-        assert _pcg64_states(children) == [(ref["state"], ref["inc"]) for ref in reference]
+        assert _batched_states(children) == [np.random.PCG64(c).state for c in children]
+
+    def test_seed_words_hand_out_only_four_uint64_words(self):
+        from numpy.random.bit_generator import ISeedSequence
+
+        seed_words = estimators._seed_words_type()
+        assert seed_words is estimators._seed_words_type()
+        assert issubclass(seed_words, ISeedSequence)
+        words = np.arange(4, dtype=np.uint64)
+        assert seed_words(words).generate_state(4, np.uint64) is words
+        assert seed_words(words).generate_state(4, "u8") is words
+        wrong = [(1, np.uint64), (2, np.uint64), (8, np.uint64), (8, np.uint32)]
+        wrong += [(4, np.uint32), (4, np.int64), (4, float)]
+        for n_words, dtype in wrong:
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                seed_words(words).generate_state(n_words, dtype)
+        # The interface's default dtype is uint32, which the words are not.
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed_words(words).generate_state(4)
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # Only sampling needs numpy.random; every other command skips its import.
+        code = "import sys, qnetomo.cli\nprint('numpy.random' in sys.modules)"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+            timeout=60,
+        )
+        assert result.stdout.split() == ["False"]
 
     def test_rejects_what_the_batch_cannot_seed(self):
         dists = [scheme_distribution(Scheme.PEM, 0.5)]

@@ -112,8 +112,8 @@ def test_the_sampler_lives_in_the_estimators():
         assert getattr(qnetomo, name) is getattr(estimators, name)
     moved = [
         "OutcomeCounts", "derive_seed", "sample_outcomes", "_mix", "_seed_sequence_state",
-        "_uint64_words", "_stream_seeds", "_pcg64_seed_words", "_pcg64_state", "_sample_rounds",
-        "_INIT_A", "_PCG64_MULT", "np",
+        "_uint64_words", "_stream_seeds", "_pcg64_seed_words", "_seed_words_type",
+        "_sample_rounds", "_INIT_A", "np",
     ]
     assert [name for name in moved if hasattr(schemes, name)] == []
 
