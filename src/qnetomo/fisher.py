@@ -20,15 +20,16 @@ Everything is array-valued over a batch of parameter points.  A link
 parameter is a float or a 1-D array, all arrays in one call of equal length;
 a batch then gives a `FisherMatrix` with entries of shape (..., n, n) and
 bounds that are arrays over the batch, while floats give one (n, n) matrix and
-float bounds from the same code.  A matrix is validated once, when it is
-built: distinct names, no nan or -inf, symmetry, symmetric infinities, and
-positive semidefiniteness of every member whose entries are all finite, from
-one batched `eigvalsh`.  Those eigenvalues also serve `crb_diagonal`'s
-singularity test; each group of members with the same finite coordinates is
-PSD-checked if it has +inf coordinates, and inverted, in one batched call.
-`plan_qfim` also takes a sequence of plans and stacks them on a new leading
-axis of one matrix, so a sweep over several plans is validated and inverted
-as one batch.
+float bounds from the same code.  A matrix is checked once, when it is
+built, and every singularity decision is made there too: distinct names, no
+nan or -inf, symmetry (equal infinities included), no infinite entry between
+two finite-diagonal coordinates, and positive semidefiniteness of each
+member's finite block.  Members with the same finite diagonal form one group
+with one batched `eigvalsh`, whose eigenvalues also flag the singular
+members; `crb_diagonal` then only inverts each group's regular members in one
+batched `inv`.  `plan_qfim` also takes a sequence of plans and stacks them on
+a new leading axis of one matrix, so a sweep over several plans is checked
+and inverted as one batch.
 """
 
 from __future__ import annotations
@@ -62,12 +63,14 @@ class FisherMatrix(_Record):
     ``entries`` has shape (n, n), or (..., n, n) for a batch of parameter
     points, over distinct names in ``order``.  Entries may be +inf where a
     probability vanishes and the information diverges; such coordinates are
-    treated as exactly known by the bound computations, which check that the
-    finite block left is positive semidefinite.  ``ledger`` records the
-    channel-use normalization when ``normalized`` is set.  ``_eigenvalues``
-    holds the ascending eigenvalues of each member with all-finite entries,
-    else nan, over the flattened batch: shape (members, n).  It is not a field,
-    so equality, hashing and repr leave it out.
+    treated as exactly known by the bound computations, and the finite block
+    left must be positive semidefinite.  ``ledger`` records the channel-use
+    normalization when ``normalized`` is set.  Over the flattened batch,
+    ``_groups`` holds ``(members, coords)`` for each set of members sharing
+    the finite coordinates ``coords`` (none for all-infinite members), and
+    ``_singular`` flags each member whose finite block has eigenvalue ratio
+    below ``SINGULAR_RTOL``: its parameters are not jointly identifiable.
+    Neither is a field, so equality, hashing and repr leave them out.
     """
 
     __match_args__ = ("entries", "order", "mode", "normalized", "ledger")
@@ -96,21 +99,36 @@ class FisherMatrix(_Record):
         finite = np.isfinite(e)
         if not finite.all() and (e[~finite] != math.inf).any():
             raise ValueError("entries must not be nan or -inf")
-        if (finite != finite.swapaxes(-1, -2)).any():
-            raise ValueError("infinite entries must be placed symmetrically")
-        masked = np.where(finite, e, 0.0)
-        if (np.abs(masked - masked.swapaxes(-1, -2)) > SYM_ATOL).any():
-            raise ValueError("matrix is not symmetric within tolerance")
+        # inf - inf is nan: equal infinities pass by equality alone.
+        with np.errstate(invalid="ignore"):
+            t = e.swapaxes(-1, -2)
+            if not ((e == t) | (np.abs(e - t) <= SYM_ATOL)).all():
+                raise ValueError("matrix is not symmetric within tolerance")
         flat = e.reshape(math.prod(e.shape[:-2]), n, n)
-        rows = finite.reshape(flat.shape).all(axis=(1, 2))
-        eig = np.full(flat.shape[:-1], np.nan)
-        if rows.any():
-            eig[rows] = np.linalg.eigvalsh(flat[rows])
-        if (eig[rows, :1] < -PSD_ATOL).any():
-            raise ValueError("matrix is not positive semidefinite within tolerance")
+        diagonal = np.isfinite(np.diagonal(flat, axis1=1, axis2=2))
+        masks: dict = {}
+        for member, mask in enumerate(diagonal.tolist()):
+            masks.setdefault(tuple(mask), []).append(member)
+        groups, singular = [], np.zeros(len(flat), dtype=bool)
+        for mask, members in masks.items():
+            coords, rows = np.flatnonzero(mask), np.array(members)
+            if not coords.size:
+                continue
+            sub = flat[rows[:, None, None], coords[:, None], coords]
+            if not np.isfinite(sub).all():
+                raise ValueError("off-diagonal infinity with finite diagonal is not supported")
+            eig = np.linalg.eigvalsh(sub)
+            lo, hi = eig[:, 0], eig[:, -1]
+            if (lo < -PSD_ATOL).any():
+                raise ValueError("matrix is not positive semidefinite within tolerance")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                singular[rows] = (hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)
+            groups.append((rows, coords))
         e.setflags(write=False)
-        eig.setflags(write=False)
-        self.__dict__.update(entries=e, order=tuple(self.order), _eigenvalues=eig)
+        singular.setflags(write=False)
+        self.__dict__.update(
+            entries=e, order=tuple(self.order), _groups=tuple(groups), _singular=singular
+        )
 
 
 def _plain(x: np.ndarray) -> float | np.ndarray:
@@ -168,27 +186,11 @@ def _per_use(
 
 
 def _information(
-    tasks: Sequence[MeasurementTask],
-    params: Mapping[str, float | np.ndarray],
-    mode: FisherMode,
-    order: tuple,
+    tasks: Sequence[MeasurementTask], row: Mapping, index: Mapping, batch: tuple, mode: FisherMode
 ) -> np.ndarray:
     """Summed task information over the parameter order, shape (..., n, n)."""
-    index = {lid: k for k, lid in enumerate(order)}
-    links = list(dict.fromkeys(lid for task in tasks for lid in task.path.link_ids))
-    _require_links(links, index)
-    # Every parameter, read by the tasks or not, sets the batch shape and is range-checked.
-    shapes = {_parameter(w, f"parameter for link {lid!r}").shape for lid, w in params.items()}
-    shapes.discard(())
-    if len(shapes) > 1:
-        raise ValueError("link parameters must be floats or equal-length 1-D arrays")
-    batch = shapes.pop() if shapes else ()
-    values = np.empty((len(links),) + batch)
-    for k, lid in enumerate(links):
-        values[k] = params[lid]
-    row = dict(zip(links, values))
     # Link-major (n, n, ...) while summing; the batch axes move to the front.
-    total = np.zeros((len(order), len(order)) + batch)
+    total = np.zeros((len(index), len(index)) + batch)
     for task in tasks:
         ws = [row[lid] for lid in task.path.link_ids]
         info = _rank_one(task.scheme, ws, mode)
@@ -205,12 +207,12 @@ def task_qfim(
 ) -> FisherMatrix:
     """Information matrix of one task over the full parameter vector.
 
-    Entries outside the task's path coordinates are zero.  Parameters may sit
-    on the closed interval [0, 1]; where a probability vanishes the affected
-    entries are +inf rather than a silent overflow.
+    The matrix of the one-task plan: entries outside the task's path
+    coordinates are zero.  Parameters may sit on the closed interval [0, 1];
+    where a probability vanishes the affected entries are +inf rather than a
+    silent overflow.
     """
-    order = tuple(sorted(params))
-    return FisherMatrix(entries=_information((task,), params, mode, order), order=order, mode=mode)
+    return plan_qfim(MonitoringPlan("task", (task,)), params, mode)
 
 
 def plan_qfim(
@@ -228,7 +230,7 @@ def plan_qfim(
 
     A sequence of plans over the same parameters gives one matrix that stacks
     the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
-    validated and later inverted as one batch.  Each member is bit for bit
+    checked and later inverted as one batch.  Each member is bit for bit
     the matrix its plan gives alone.  With ``normalize`` each plan is divided
     by its own total and ``ledger`` is the tuple of the plans' ledgers.
     """
@@ -237,7 +239,20 @@ def plan_qfim(
     if not plans:
         raise ValueError("plan_qfim needs at least one plan")
     order = tuple(sorted(params))
-    totals = [_information(p.tasks, params, mode, order) for p in plans]
+    index = {lid: k for k, lid in enumerate(order)}
+    links = list(dict.fromkeys(lid for p in plans for t in p.tasks for lid in t.path.link_ids))
+    _require_links(links, index)
+    # Every parameter, read by the tasks or not, sets the batch shape and is range-checked.
+    shapes = {_parameter(w, f"parameter for link {lid!r}").shape for lid, w in params.items()}
+    shapes.discard(())
+    if len(shapes) > 1:
+        raise ValueError("link parameters must be floats or equal-length 1-D arrays")
+    batch = shapes.pop() if shapes else ()
+    values = np.empty((len(links),) + batch)
+    for k, lid in enumerate(links):
+        values[k] = params[lid]
+    row = dict(zip(links, values))
+    totals = [_information(p.tasks, row, index, batch, mode) for p in plans]
     ledgers = None
     if normalize:
         ledgers = tuple(channel_uses(p) for p in plans)
@@ -254,12 +269,11 @@ def plan_qfim(
 def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     """Per-parameter variance bounds: diagonal of the scaled matrix inverse.
 
-    Coordinates with infinite information contribute a bound of 0; the finite
-    part left must be positive semidefinite, else ValueError.  If it is
-    singular (eigenvalue ratio below 1e-12), its coordinates get +inf: the
-    parameters are not jointly identifiable.  A batched matrix gives an array
-    of bounds per parameter.  ``scale`` (the samples per task) must be a
-    positive finite number.
+    Coordinates with infinite information contribute a bound of 0.  A member
+    whose finite block is singular (flagged when the matrix was built) gets
+    +inf on its finite coordinates: the parameters are not jointly
+    identifiable.  A batched matrix gives an array of bounds per parameter.
+    ``scale`` (the samples per task) must be a positive finite number.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a positive finite number, got {scale!r}")
@@ -267,31 +281,13 @@ def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     n = len(matrix.order)
     flat = e.reshape(math.prod(e.shape[:-2]), n, n)
     bounds = np.zeros(flat.shape[:-1])
-    finite = np.isfinite(np.diagonal(flat, axis1=1, axis2=2))
-    # Members with the same finite coordinates share one eigvalsh and one inv.
-    groups: dict = {}
-    for member, mask in enumerate(finite.tolist()):
-        groups.setdefault(tuple(mask), []).append(member)
-    for mask, members in groups.items():
-        coords = np.flatnonzero(mask)
-        if not coords.size:
-            continue
-        rows = np.array(members)
-        sub = flat[rows[:, None, None], coords[:, None], coords]
-        if not np.isfinite(sub).all():
-            raise ValueError("off-diagonal infinity with finite diagonal is not supported")
-        eig = matrix._eigenvalues[rows] if coords.size == n else np.linalg.eigvalsh(sub)
-        lo, hi = eig[:, 0], eig[:, -1]
-        if (lo < -PSD_ATOL).any():
-            raise ValueError("matrix is not positive semidefinite within tolerance")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            singular = (hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)
+    for rows, coords in matrix._groups:
+        singular = matrix._singular[rows]
         bounds[rows[singular][:, None], coords] = math.inf
-        if not singular.all():
-            inverse = np.linalg.inv(sub[~singular])
-            bounds[rows[~singular][:, None], coords] = (
-                np.diagonal(inverse, axis1=1, axis2=2) / scale
-            )
+        regular = rows[~singular]
+        if regular.size:
+            inverse = np.linalg.inv(flat[regular[:, None, None], coords[:, None], coords])
+            bounds[regular[:, None], coords] = np.diagonal(inverse, axis1=1, axis2=2) / scale
     bounds = bounds.reshape(e.shape[:-1])
     return {lid: _plain(bounds[..., k]) for k, lid in enumerate(matrix.order)}
 
@@ -333,8 +329,9 @@ def crossover(
 ) -> float | None:
     """Single-link parameter where the two schemes' information curves cross.
 
-    Bisection to 1e-10 on (0, 1); returns None when the curves do not cross
-    (identical schemes included).
+    Bisection on (0, 1) until the midpoint equals an end, so the root is
+    within one float of where the difference changes sign; returns None when
+    the curves do not cross (identical schemes included).
     """
     # Every bisection point lies in (0, 1), so the information is taken from
     # _per_use directly, without single_link_fisher's input checks.
@@ -353,8 +350,8 @@ def crossover(
         return hi
     if (glo > 0.0) == (ghi > 0.0):
         return None
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         gmid = gap(mid)
         if gmid == 0.0:
             return mid
@@ -362,4 +359,5 @@ def crossover(
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -605,13 +605,14 @@ class TestExitCodes:
         code, _, err = run_lines(capsys, ["single-link", "--config", cfg])
         assert code == 1 and "grid" in err
 
-    def test_nonpositive_step(self, capsys, tmp_path):
+    @pytest.mark.parametrize("step", ["-0.1", "0"])
+    def test_nonpositive_step(self, capsys, tmp_path, step):
         cfg = write_config(
             tmp_path,
-            "experiment = single-link\ngrid.start = 0.1\ngrid.stop = 0.5\ngrid.step = -0.1\n",
+            f"experiment = single-link\ngrid.start = 0.1\ngrid.stop = 0.5\ngrid.step = {step}\n",
         )
-        code, _, err = run_lines(capsys, ["single-link", "--config", cfg])
-        assert code == 1 and "step" in err
+        code, lines, err = run_lines(capsys, ["single-link", "--config", cfg])
+        assert (code, lines, err) == (1, [], "error: grid.step must be positive\n")
 
     @pytest.mark.parametrize(
         "line, message",
@@ -640,6 +641,8 @@ class TestExitCodes:
             "experiment = benchmark\nplan = PEM\nfixed.w = 0.5\n"
             "samples = 1000000000000000000000\n",
             f"experiment = benchmark\nplan = PEM\nfixed.w = 0.5\nrounds = {MAX_ROUNDS + 1}\n",
+            # One grid point over the cap, the twin of test_caps_are_inclusive.
+            f"experiment = single-link\ngrid.step = {0.98 / MAX_GRID_POINTS!r}\n",
         ],
     )
     def test_size_over_cap(self, capsys, tmp_path, text):

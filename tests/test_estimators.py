@@ -416,6 +416,15 @@ class TestBenchmark:
         monkeypatch.setattr(estimators, "ROUND_BLOCK", 5)
         assert repr(benchmark_variance(plan, params, n, rounds, seed)) == repr(rows)
 
+    def test_smallest_accepted_run(self):
+        # One sample per task and two rounds are the least the checks allow.
+        plan = self._single_link_plan()
+        rows = benchmark_variance(plan, {"e0": 0.6}, 1, 2, seed=0)
+        assert rows == benchmark_variance(plan, {"e0": 0.6}, 1, 2, seed=0)
+        (row,) = rows
+        assert row.link == "e0" and row.crb == 1.0 / (3.0 / (2.8 * 0.4))
+        assert row.unidentifiable_rounds == 0 and math.isfinite(row.variance)
+
     def test_parameter_validation(self):
         plan = self._single_link_plan()
         with pytest.raises(ValueError, match="at least 2 rounds"):
@@ -512,6 +521,7 @@ class TestBatchedStreams:
         n=st.integers(1, 60),
     )
     @example(seed=0, start=0, rounds=3, dists=[_dist(Scheme.PEM, 0.6)], n=5)
+    @example(seed=0, start=0, rounds=3, dists=[_dist(Scheme.JBM, 0.6)] * 2, n=1)
     @example(seed=2**32 - 1, start=0, rounds=2, dists=[_dist(Scheme.LZM, 0.3)] * 2, n=7)
     @example(seed=2**32, start=1, rounds=2, dists=[_dist(Scheme.JBM, 1.0)], n=9)
     @example(seed=2**64 + 1, start=0, rounds=4, dists=[_dist(Scheme.PEM, 0.0)] * 3, n=11)
@@ -599,7 +609,7 @@ class TestOutcomeCounts:
             (("a", "b"), {"a": float("inf"), "b": 0}, float("inf"), "finite"),
             (("a", "a"), {"a": 10}, 10, "unique"),
             (("a", "b"), {"a": 0, "b": 0}, float("nan"), "positive"),
-            (("a", "b"), {"a": 0, "b": 0}, 0, "positive"),
+            (("a", "b"), {"a": 0, "b": 0}, 0, "total must be positive"),
             (
                 ("phi+", "phi-", "psi+", "psi-"),
                 {"phi+": 1200, "phi-": -100, "psi+": -50, "psi-": -50},

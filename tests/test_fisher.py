@@ -1,6 +1,7 @@
 """Tests for information matrices, bounds, and mode agreement."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qnetomo import (
     task_qfim,
     trace_path,
 )
+from qnetomo.cli import _fmt
 from qnetomo.validation import _chain_task
 
 interior = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
@@ -434,6 +436,8 @@ class TestBatchedCore:
             ([[1.0, 0.5], [0.2, 1.0]], "symmetric"),
             ([[1.0, math.inf], [0.0, 1.0]], "symmetric"),
             ([[1.0, 2.0], [2.0, 1.0]], "positive semidefinite"),
+            ([[math.inf, 0.0], [0.0, -1.0]], "positive semidefinite"),
+            ([[1.0, math.inf], [math.inf, 1.0]], "off-diagonal infinity"),
         ],
     )
     def test_one_bad_member_rejects_the_batch(self, bad, message):
@@ -516,6 +520,29 @@ class TestBoundGrouping:
                 assert np.array_equal(bounds[lid][i, j], single[lid])
         assert all(bounds[lid][0, 2] == 0.0 for lid in order)
         assert bounds["b"][1, 0] == math.inf and bounds["a"][1, 2] == math.inf
+        # Each group is checked as the matrix is built: one bad member in
+        # place of the last rejects the batch before any bound is taken.
+        for bad, message in [
+            ([[inf, 0.0, 0.0], [0.0, 1.0, 5.0], [0.0, 5.0, 1.0]], "positive semidefinite"),
+            ([[1.0, inf, 0.0], [inf, 2.0, 0.0], [0.0, 0.0, 1.0]], "off-diagonal infinity"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                FisherMatrix(np.array(members[:-1] + [bad]).reshape(2, 4, 3, 3), order, FIRST)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-13, math.inf]), min_size=6, max_size=6)
+    )
+    def test_every_matrix_that_builds_can_be_bounded(self, upper):
+        entries = np.zeros((3, 3))
+        entries[np.triu_indices(3)] = upper
+        entries += np.triu(entries, 1).T
+        try:
+            matrix = FisherMatrix(entries, ("a", "b", "c"), FIRST)
+        except ValueError:
+            return
+        bounds = crb_diagonal(matrix)
+        assert all(bounds[lid] >= 0.0 for lid in "abc")
 
 
 class TestFisherMatrixValidation:
@@ -544,9 +571,8 @@ class TestFisherMatrixValidation:
     def test_finite_block_beside_infinity_must_be_psd(self):
         inf = math.inf
         entries = np.array([[inf, 0.0, 0.0], [0.0, 1.0, 5.0], [0.0, 5.0, 1.0]])
-        matrix = FisherMatrix(entries, ("a", "b", "c"), FIRST)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            crb_diagonal(matrix)
+            FisherMatrix(entries, ("a", "b", "c"), FIRST)
 
     def test_entries_read_only(self):
         m = FisherMatrix(np.eye(2), ("a", "b"), FIRST)
@@ -577,29 +603,29 @@ class TestCrossover:
     # Every ordered pair of distinct schemes, both modes, normalize off and
     # on: the roots of the per-point bisection, exact to the last bit.
     ROOTS = [
-        ("LZM", "JBM", CLOSED, False, 0.5773502691789918),
+        ("LZM", "JBM", CLOSED, False, 0.577350269189626),
         ("LZM", "JBM", CLOSED, True, None),
-        ("LZM", "JBM", FIRST, False, 0.3333333333271221),
-        ("LZM", "JBM", FIRST, True, 0.5773502691789918),
-        ("LZM", "PEM", CLOSED, False, 0.3333333333271221),
-        ("LZM", "PEM", CLOSED, True, 0.3333333333271221),
+        ("LZM", "JBM", FIRST, False, 0.33333333333333337),
+        ("LZM", "JBM", FIRST, True, 0.5773502691896258),
+        ("LZM", "PEM", CLOSED, False, 0.3333333333333331),
+        ("LZM", "PEM", CLOSED, True, 0.3333333333333331),
         ("LZM", "PEM", FIRST, False, None),
         ("LZM", "PEM", FIRST, True, None),
-        ("JBM", "LZM", CLOSED, False, 0.5773502691789918),
+        ("JBM", "LZM", CLOSED, False, 0.577350269189626),
         ("JBM", "LZM", CLOSED, True, None),
-        ("JBM", "LZM", FIRST, False, 0.3333333333271221),
-        ("JBM", "LZM", FIRST, True, 0.5773502691789918),
-        ("JBM", "PEM", CLOSED, False, 0.517828186559923),
+        ("JBM", "LZM", FIRST, False, 0.33333333333333337),
+        ("JBM", "LZM", FIRST, True, 0.5773502691896258),
+        ("JBM", "PEM", CLOSED, False, 0.5178281865628458),
         ("JBM", "PEM", CLOSED, True, None),
-        ("JBM", "PEM", FIRST, False, 0.517828186559923),
+        ("JBM", "PEM", FIRST, False, 0.517828186562846),
         ("JBM", "PEM", FIRST, True, None),
-        ("PEM", "LZM", CLOSED, False, 0.3333333333271221),
-        ("PEM", "LZM", CLOSED, True, 0.3333333333271221),
+        ("PEM", "LZM", CLOSED, False, 0.3333333333333331),
+        ("PEM", "LZM", CLOSED, True, 0.3333333333333331),
         ("PEM", "LZM", FIRST, False, None),
         ("PEM", "LZM", FIRST, True, None),
-        ("PEM", "JBM", CLOSED, False, 0.517828186559923),
+        ("PEM", "JBM", CLOSED, False, 0.5178281865628458),
         ("PEM", "JBM", CLOSED, True, None),
-        ("PEM", "JBM", FIRST, False, 0.517828186559923),
+        ("PEM", "JBM", FIRST, False, 0.517828186562846),
         ("PEM", "JBM", FIRST, True, None),
     ]
 
@@ -607,3 +633,21 @@ class TestCrossover:
     def test_roots_are_pinned(self, scheme_a, scheme_b, mode, normalize, root):
         got = crossover(Scheme[scheme_a], Scheme[scheme_b], mode, normalize)
         assert got == root and (got is None) == (root is None)
+
+    # Where each family of roots lies exactly: the polynomial changes sign there.
+    EXACT = {
+        "0.57735026919": lambda w: 3 * w * w - 1,  # 1/sqrt(3)
+        "0.333333333333": lambda w: 3 * w - 1,  # 1/3
+        "0.517828186563": lambda w: 9 * w**3 + w * w - w - 1,  # JBM equals PEM
+    }
+
+    @pytest.mark.parametrize(
+        "scheme_a, scheme_b, mode, normalize", [r[:4] for r in ROOTS if r[-1] is not None]
+    )
+    def test_printed_roots_are_correctly_rounded(self, scheme_a, scheme_b, mode, normalize):
+        # Each root lies in (0.1, 1), so its twelfth digit is the 1e-12 one:
+        # the exact root within half of it of the text is the text correctly rounded.
+        text = _fmt(crossover(Scheme[scheme_a], Scheme[scheme_b], mode, normalize))
+        polynomial = self.EXACT[text]
+        half = Fraction(1, 2 * 10**12)
+        assert polynomial(Fraction(text) - half) * polynomial(Fraction(text) + half) < 0

@@ -179,6 +179,8 @@ def _same(a, b) -> bool:
     """Equal values, arrays compared by dtype, shape and every element."""
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
     return a == b
 
 
@@ -235,11 +237,15 @@ def test_record_contract(cls, params, kwargs, change, text, hashable):
         assert _same_record(clone, record)
 
 
-def test_fisher_eigenvalues_stay_out_of_eq_and_repr():
+def test_fisher_singularity_state_stays_out_of_eq_and_repr():
     matrix = FisherMatrix(entries=np.eye(2), order=("a", "b"), mode=FisherMode.FIRST_PRINCIPLES)
     twin = copy.copy(matrix)
-    vars(twin)["_eigenvalues"] = np.zeros((1, 2))
+    vars(twin).update(_groups=(), _singular=np.ones(1, dtype=bool))
     assert twin == matrix
     assert repr(twin) == repr(matrix)
-    assert "_eigenvalues" not in repr(matrix)
-    np.testing.assert_array_equal(matrix._eigenvalues, [[1.0, 1.0]])
+    assert "_groups" not in repr(matrix) and "_singular" not in repr(matrix)
+    ((members, coords),) = matrix._groups
+    assert members.tolist() == [0] and coords.tolist() == [0, 1]
+    np.testing.assert_array_equal(matrix._singular, [False])
+    with pytest.raises(ValueError):
+        matrix._singular[0] = True

@@ -223,3 +223,44 @@ def test_the_blas_scan_sees_a_blas_product(source):
 
 def test_the_blas_scan_passes_einsum_and_ufuncs():
     assert _blas_uses("np.einsum('ij,jk->ik', a, b)\nc = a * b\nnp.linalg.eigvalsh(c)") == []
+
+
+# Every PSD and singularity decision of a Fisher matrix is made once, as it
+# is built; the bound computations only invert.
+def _eigvalsh_homes(source: str) -> list:
+    """The dotted scope (class and function names) of each ``eigvalsh`` use."""
+    homes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                (isinstance(child, ast.Attribute) and child.attr == "eigvalsh")
+                or (isinstance(child, ast.Name) and child.id == "eigvalsh")
+                or (isinstance(child, ast.alias) and child.name.split(".")[-1] == "eigvalsh")
+            ):
+                homes.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return homes
+
+
+def test_fisher_calls_eigvalsh_only_when_a_matrix_is_built():
+    assert _eigvalsh_homes(_source("fisher")) == ["FisherMatrix.__post_init__"]
+
+
+@pytest.mark.parametrize(
+    "source, homes",
+    [
+        ("np.linalg.eigvalsh(a)", [""]),
+        ("def crb_diagonal(m):\n    return np.linalg.eigvalsh(m)\n", ["crb_diagonal"]),
+        ("class A:\n    def f(self):\n        eigvalsh(self)\n", ["A.f"]),
+        ("def f():\n    from numpy.linalg import eigvalsh\n", ["f"]),
+        ("np.linalg.eigvals(a)\nnp.linalg.inv(a)", []),
+    ],
+)
+def test_the_eigvalsh_scan_sees_each_use_in_its_scope(source, homes):
+    assert _eigvalsh_homes(source) == homes
