@@ -208,14 +208,13 @@ def cmd_single_link(cfg: dict) -> tuple:
     """Per-scheme information and variance bound over the parameter grid."""
     grid = _grid(cfg)
     ws = np.array(grid)
-    columns = [
-        (
-            scheme,
-            single_link_fisher(scheme, ws, cfg["mode"], cfg["normalize"]).tolist(),
-            single_link_qcrb(scheme, ws, cfg["mode"], cfg["normalize"]).tolist(),
-        )
-        for scheme in Scheme
-    ]
+    columns = []
+    for scheme in Scheme:
+        info = single_link_fisher(scheme, ws, cfg["mode"], cfg["normalize"])
+        # The bound single_link_qcrb gives, from the information already in hand.
+        with np.errstate(divide="ignore"):
+            bound = 1.0 / info
+        columns.append((scheme, info.tolist(), bound.tolist()))
     settings = f"{cfg['mode'].value},{'on' if cfg['normalize'] else 'off'}"
     lines = ["scheme,w,fisher,qcrb,mode,normalized"]
     for i, w in enumerate(grid):

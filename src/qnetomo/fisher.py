@@ -26,10 +26,15 @@ nan or -inf, symmetry (equal infinities included), no infinite entry between
 two finite-diagonal coordinates, and positive semidefiniteness of each
 member's finite block.  Members with the same finite diagonal form one group
 with one batched `eigvalsh`, whose eigenvalues also flag the singular
-members; `crb_diagonal` then only inverts each group's regular members in one
-batched `inv`.  `plan_qfim` also takes a sequence of plans and stacks them on
-a new leading axis of one matrix, so a sweep over several plans is checked
-and inverted as one batch.
+members; an all-finite matrix is one group, the stack itself, and other
+masks are grouped by `np.unique` with no loop over members.  `crb_diagonal`
+then only inverts: the stack itself in one `inv` when one regular group
+spans it, else each group's regular members in one batched `inv`.
+`plan_qfim` also takes a sequence of plans and stacks them on a new leading
+axis of one matrix, so a sweep over several plans is checked and inverted as
+one batch; each distinct (scheme, path) block is built once per call and
+every plan sums its blocks in task order.  `crossover` bisects on plain
+floats through the same J rule the array path guards.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .network import MeasurementTask, MonitoringPlan, UsageLedger, channel_uses
-from .schemes import SCHEMES, Scheme, _Record, _require_links
+from .schemes import SCHEMES, Scheme, SchemeSpec, _Record, _require_links
 
 SYM_ATOL = 1e-12
 PSD_ATOL = 1e-10
@@ -97,7 +102,8 @@ class FisherMatrix(_Record):
         if len(set(self.order)) != n:
             raise ValueError("parameter order repeats a name")
         finite = np.isfinite(e)
-        if not finite.all() and (e[~finite] != math.inf).any():
+        all_finite = finite.all()
+        if not all_finite and (e[~finite] != math.inf).any():
             raise ValueError("entries must not be nan or -inf")
         # inf - inf is nan: equal infinities pass by equality alone.
         with np.errstate(invalid="ignore"):
@@ -105,16 +111,27 @@ class FisherMatrix(_Record):
             if not ((e == t) | (np.abs(e - t) <= SYM_ATOL)).all():
                 raise ValueError("matrix is not symmetric within tolerance")
         flat = e.reshape(math.prod(e.shape[:-2]), n, n)
-        diagonal = np.isfinite(np.diagonal(flat, axis1=1, axis2=2))
-        masks: dict = {}
-        for member, mask in enumerate(diagonal.tolist()):
-            masks.setdefault(tuple(mask), []).append(member)
+        if all_finite:
+            # One group: the whole stack over every coordinate.
+            candidates = [(np.arange(len(flat)), np.arange(n))]
+        else:
+            diagonal = np.diagonal(finite.reshape(flat.shape), axis1=1, axis2=2)
+            masks, first, inverse = np.unique(
+                diagonal, axis=0, return_index=True, return_inverse=True
+            )
+            inverse = inverse.reshape(-1)
+            candidates = [
+                (np.flatnonzero(inverse == k), np.flatnonzero(masks[k])) for k in np.argsort(first)
+            ]
         groups, singular = [], np.zeros(len(flat), dtype=bool)
-        for mask, members in masks.items():
-            coords, rows = np.flatnonzero(mask), np.array(members)
-            if not coords.size:
+        for rows, coords in candidates:
+            if not (rows.size and coords.size):
                 continue
-            sub = flat[rows[:, None, None], coords[:, None], coords]
+            # A group spanning the stack and every coordinate is the stack itself.
+            if rows.size == len(flat) and coords.size == n:
+                sub = flat
+            else:
+                sub = flat[rows[:, None, None], coords[:, None], coords]
             if not np.isfinite(sub).all():
                 raise ValueError("off-diagonal infinity with finite diagonal is not supported")
             eig = np.linalg.eigvalsh(sub)
@@ -153,51 +170,55 @@ def _parameter(w: float | np.ndarray, name: str, with_value: bool = False) -> np
     return ws
 
 
-def _rank_one(scheme: Scheme, ws: Sequence, mode: FisherMode) -> np.ndarray:
-    """J over the batch: a task's information block is J * outer(g, g).
+def _information(spec: SchemeSpec, product, mode: FisherMode, direct: bool):
+    """J at path product W from the scheme table, for a float or an array.
 
-    J is +inf only at W = 1, where every link is 1 and so is every g_i.  In
-    first principles an outcome with dp_k = 0 contributes nothing and one with
-    p_k = 0 contributes +inf; the sum runs in outcome order.
+    Plain arithmetic, so a float W gives a float with no NumPy call.  In
+    first principles the per-outcome terms (d p_k / dW)^2 / p_k add in
+    outcome order.  Every p_k is positive for W < 1 and every d p_k is finite,
+    so on (0, 1) the rule needs no guard; at W = 1 see ``_rank_one``.
     """
-    spec = SCHEMES[scheme]
-    product = math.prod(ws)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if mode is FisherMode.CLOSED_FORM:
-            info = np.where(product == 1.0, math.inf, spec.closed_form(product))
-            if len(ws) == 1:
-                info = info * spec.direct_factor
-        else:
-            p = np.array(spec.probabilities(product))
-            dp = np.array(spec.derivatives(product))
-            terms = np.where(dp == 0.0, 0.0, np.where(p > 0.0, dp * dp / p, math.inf))
-            info = 0.0
-            for term in terms:
-                info = info + term
+    if mode is FisherMode.CLOSED_FORM:
+        info = spec.closed_form(product)
+        return info * spec.direct_factor if direct else info
+    info = 0.0
+    for p, dp in zip(spec.probabilities(product), spec.derivatives(product)):
+        info = info + dp * dp / p
     return info
 
 
-def _per_use(
-    scheme: Scheme, w: float | np.ndarray, mode: FisherMode, normalize: bool
-) -> np.ndarray:
-    """Single-link J at ``w``, per channel use of one sample with ``normalize``."""
-    info = _rank_one(scheme, [w], mode)
-    return info / SCHEMES[scheme].uses_per_link if normalize else info
+def _rank_one(scheme: Scheme, ws: Sequence, mode: FisherMode) -> np.ndarray:
+    """J over the batch: a task's information block is J * outer(g, g).
+
+    J is +inf at W = 1, where every link is 1 and so is every g_i.  There
+    ``_information`` divides by zero, and the guard gives the +inf.
+    """
+    product = math.prod(ws)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        info = _information(SCHEMES[scheme], product, mode, len(ws) == 1)
+        return np.where(product == 1.0, math.inf, info)
 
 
-def _information(
+def _per_use(spec: SchemeSpec, info, normalize: bool):
+    """Single-link information per channel use of one sample with ``normalize``."""
+    return info / spec.uses_per_link if normalize else info
+
+
+def _blocks(
     tasks: Sequence[MeasurementTask], row: Mapping, index: Mapping, batch: tuple, mode: FisherMode
-) -> np.ndarray:
-    """Summed task information over the parameter order, shape (..., n, n)."""
-    # Link-major (n, n, ...) while summing; the batch axes move to the front.
-    total = np.zeros((len(index), len(index)) + batch)
-    for task in tasks:
-        ws = [row[lid] for lid in task.path.link_ids]
-        info = _rank_one(task.scheme, ws, mode)
-        g = np.array(_leave_one_out(ws))
-        coords = np.array([index[lid] for lid in task.path.link_ids])
-        total[coords[:, None], coords] += info * (g[:, None] * g[None, :])
-    return total.transpose(tuple(range(2, total.ndim)) + (0, 1))
+) -> dict:
+    """Each distinct task's information over the parameter order, shape (..., n, n)."""
+    n = len(index)
+    blocks = {}
+    for scheme, link_ids in dict.fromkeys((t.scheme, t.path.link_ids) for t in tasks):
+        ws = [row[lid] for lid in link_ids]
+        info = _rank_one(scheme, ws, mode)[..., None, None]
+        g = np.array(_leave_one_out(ws)).T  # batch-major, (..., k)
+        coords = np.array([index[lid] for lid in link_ids])
+        block = np.zeros(batch + (n, n))
+        block[..., coords[:, None], coords] = info * (g[..., :, None] * g[..., None, :])
+        blocks[scheme, link_ids] = block
+    return blocks
 
 
 def task_qfim(
@@ -251,16 +272,21 @@ def plan_qfim(
     values = np.empty((len(links),) + batch)
     for k, lid in enumerate(links):
         values[k] = params[lid]
-    row = dict(zip(links, values))
-    totals = [_information(p.tasks, row, index, batch, mode) for p in plans]
-    ledgers = None
-    if normalize:
-        ledgers = tuple(channel_uses(p) for p in plans)
-        totals = [total / ledger.total for total, ledger in zip(totals, ledgers)]
+    tasks = [t for p in plans for t in p.tasks]
+    blocks = _blocks(tasks, dict(zip(links, values)), index, batch, mode)
+    ledgers = tuple(channel_uses(p) for p in plans) if normalize else None
+    # Each plan's blocks add in task order; starting from 0.0 is exact for
+    # these non-negative entries.
+    entries = np.zeros((len(plans),) + batch + (len(order), len(order)))
+    for k, (total, p) in enumerate(zip(entries, plans)):
+        for t in p.tasks:
+            total += blocks[t.scheme, t.path.link_ids]
+        if normalize:
+            total /= ledgers[k].total
     if single:
-        entries, ledger = totals[0], None if ledgers is None else ledgers[0]
+        entries, ledger = entries[0], None if ledgers is None else ledgers[0]
     else:
-        entries, ledger = np.stack(totals), ledgers
+        ledger = ledgers
     return FisherMatrix(
         entries=entries, order=order, mode=mode, normalized=normalize, ledger=ledger
     )
@@ -280,15 +306,20 @@ def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     e = matrix.entries
     n = len(matrix.order)
     flat = e.reshape(math.prod(e.shape[:-2]), n, n)
-    bounds = np.zeros(flat.shape[:-1])
-    for rows, coords in matrix._groups:
-        singular = matrix._singular[rows]
-        bounds[rows[singular][:, None], coords] = math.inf
-        regular = rows[~singular]
-        if regular.size:
-            inverse = np.linalg.inv(flat[regular[:, None, None], coords[:, None], coords])
-            bounds[regular[:, None], coords] = np.diagonal(inverse, axis1=1, axis2=2) / scale
-    bounds = bounds.reshape(e.shape[:-1])
+    spans = [(rows.size, coords.size) for rows, coords in matrix._groups] == [(len(flat), n)]
+    if spans and not matrix._singular.any():
+        # One regular group spanning the stack: invert the stack itself.
+        bounds = np.diagonal(np.linalg.inv(e), axis1=-2, axis2=-1) / scale
+    else:
+        bounds = np.zeros(flat.shape[:-1])
+        for rows, coords in matrix._groups:
+            singular = matrix._singular[rows]
+            bounds[rows[singular][:, None], coords] = math.inf
+            regular = rows[~singular]
+            if regular.size:
+                inverse = np.linalg.inv(flat[regular[:, None, None], coords[:, None], coords])
+                bounds[regular[:, None], coords] = np.diagonal(inverse, axis1=1, axis2=2) / scale
+        bounds = bounds.reshape(e.shape[:-1])
     return {lid: _plain(bounds[..., k]) for k, lid in enumerate(matrix.order)}
 
 
@@ -310,7 +341,7 @@ def single_link_fisher(
     costs (2 for the fused-copies scheme, otherwise 1).
     """
     ws = _parameter(w, "w", with_value=True)
-    return _plain(_per_use(scheme, ws, mode, normalize))
+    return _plain(_per_use(SCHEMES[scheme], _rank_one(scheme, [ws], mode), normalize))
 
 
 def single_link_qcrb(
@@ -333,11 +364,13 @@ def crossover(
     within one float of where the difference changes sign; returns None when
     the curves do not cross (identical schemes included).
     """
-    # Every bisection point lies in (0, 1), so the information is taken from
-    # _per_use directly, without single_link_fisher's input checks.
+    # Every bisection point lies in (0, 1), where J needs no guard: the
+    # bisection runs on plain floats, with no NumPy call per step.
+    spec_a, spec_b = SCHEMES[scheme_a], SCHEMES[scheme_b]
+
     def gap(w: float) -> float:
-        return float(_per_use(scheme_a, w, mode, normalize)) - float(
-            _per_use(scheme_b, w, mode, normalize)
+        return _per_use(spec_a, _information(spec_a, w, mode, True), normalize) - _per_use(
+            spec_b, _information(spec_b, w, mode, True), normalize
         )
 
     lo, hi = 1e-9, 1.0 - 1e-9

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetomo import FisherMode, Scheme, single_link_fisher, single_link_qcrb
+from qnetomo import FisherMode, Scheme, fisher, single_link_fisher, single_link_qcrb
 from qnetomo.cli import (
     MAX_CONFIG_CHARS,
     MAX_GRID_POINTS,
@@ -271,6 +271,21 @@ class TestStar:
         assert main(argv) == 0
         capsys.readouterr()
         assert calls == {"eigvalsh": 1, "inv": 1}
+
+    def test_shipped_sweep_builds_each_task_block_once(self, capsys, tmp_path, monkeypatch):
+        # The four plans hold 12 tasks over 6 distinct (scheme, path) pairs.
+        calls = []
+
+        def counted(*args, _original=fisher._rank_one):
+            calls.append(args[0])
+            return _original(*args)
+
+        monkeypatch.setattr(fisher, "_rank_one", counted)
+        out = tmp_path / "star.csv"
+        argv = ["star", "--config", str(MANIFESTS / "star_homogeneous.cfg"), "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 6
 
     def test_incomplete_fixed_pair_rejected(self, capsys, tmp_path):
         cfg = write_config(

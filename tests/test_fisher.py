@@ -26,6 +26,7 @@ from qnetomo import (
     task_qfim,
     trace_path,
 )
+from qnetomo import fisher
 from qnetomo.cli import _fmt
 from qnetomo.validation import _chain_task
 
@@ -446,6 +447,57 @@ class TestBatchedCore:
             FisherMatrix(np.array(members, dtype=float), ("a", "b"), FIRST)
 
 
+# Every task the 3-leaf star can run: each scheme over each 1- and 2-link path.
+_STAR = build_star(3, [0.5, 0.5, 0.5])
+_STAR_TASKS = [
+    MeasurementTask(scheme=scheme, path=trace_path(_STAR, links))
+    for scheme in Scheme
+    for links in [("e0",), ("e1",), ("e2",), ("e0", "e1"), ("e0", "e2"), ("e1", "e2")]
+]
+# 0 and 1 put zero and infinite information, and singular members, in the stack.
+_LINK_VALUES = st.one_of(st.sampled_from([0.0, 1.0]), interior)
+
+
+class TestSharedBlocks:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        # Plans drawn from a pool of a few tasks, so they share most of them.
+        pool=st.lists(st.sampled_from(_STAR_TASKS), min_size=1, max_size=4, unique=True),
+        picks=st.lists(
+            st.lists(st.integers(0, 3), min_size=1, max_size=4), min_size=1, max_size=4
+        ),
+        rows=st.lists(st.tuples(_LINK_VALUES, _LINK_VALUES, _LINK_VALUES), min_size=1, max_size=5),
+        mode=st.sampled_from([CLOSED, FIRST]),
+        normalize=st.booleans(),
+    )
+    def test_stack_matches_per_plan_and_per_point_calls(self, pool, picks, rows, mode, normalize):
+        plans = [
+            MonitoringPlan(name=f"p{k}", tasks=tuple(pool[i % len(pool)] for i in pick))
+            for k, pick in enumerate(picks)
+        ]
+        columns = np.array(rows).T
+        params = {"e0": columns[0], "e1": columns[1], "e2": columns[2]}
+        stacked = plan_qfim(plans, params, mode, normalize)
+        bounds, total = crb_diagonal(stacked), qcrb(stacked)
+        for k, plan in enumerate(plans):
+            alone = plan_qfim(plan, params, mode, normalize)
+            assert np.array_equal(stacked.entries[k], alone.entries)
+            alone_bounds = crb_diagonal(alone)
+            for lid in ("e0", "e1", "e2"):
+                assert np.array_equal(bounds[lid][k], alone_bounds[lid])
+            assert np.array_equal(total[k], qcrb(alone))
+            for i, row in enumerate(rows):
+                values = dict(zip(("e0", "e1", "e2"), row))
+                point = plan_qfim(plan, values, mode, normalize)
+                assert np.array_equal(stacked.entries[k, i], point.entries)
+                point_bounds = crb_diagonal(point)
+                _, expected = _reference_point(plan, values, mode, normalize)
+                for j, lid in enumerate(("e0", "e1", "e2")):
+                    assert np.array_equal(bounds[lid][k, i], point_bounds[lid])
+                    assert _close(point_bounds[lid], expected[j])
+                assert np.array_equal(total[k, i], qcrb(point))
+
+
 class TestBounds:
     def _matrix(self, entries, order=("a", "b")):
         return FisherMatrix(np.array(entries, dtype=float), order, FIRST)
@@ -633,6 +685,16 @@ class TestCrossover:
     def test_roots_are_pinned(self, scheme_a, scheme_b, mode, normalize, root):
         got = crossover(Scheme[scheme_a], Scheme[scheme_b], mode, normalize)
         assert got == root and (got is None) == (root is None)
+
+    def test_roots_need_no_array_information(self, monkeypatch):
+        # The bisection runs on plain floats: the array path is never called.
+        def refuse(*args):
+            raise AssertionError("crossover reached the array path")
+
+        monkeypatch.setattr(fisher, "_rank_one", refuse)
+        for scheme_a, scheme_b, mode, normalize, root in self.ROOTS:
+            got = crossover(Scheme[scheme_a], Scheme[scheme_b], mode, normalize)
+            assert repr(got) == repr(root)
 
     # Where each family of roots lies exactly: the polynomial changes sign there.
     EXACT = {
