@@ -196,15 +196,16 @@ def _seed_words_type() -> type:
         contiguous uint64 array of four: PCG64 reads its buffer as it is.
         """
 
+        __slots__ = ("words",)
+
         def __init__(self, words: np.ndarray) -> None:
             self.words = words
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError(
-                    f"seed words hold 4 uint64 words, not {n_words} of {np.dtype(dtype)}"
-                )
-            return self.words
+            # PCG64 passes the type itself, so its call skips the np.dtype lookup.
+            if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+                return self.words
+            raise ValueError(f"seed words hold 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
 
     return SeedWords
 
@@ -216,8 +217,8 @@ def _sample_rounds(
 
     Entry [i, t] equals ``sample_outcomes(dists[t], n, derive_seed(seed,
     rounds[i], t))``: the streams' seed words are computed in one array pass,
-    and each stream's ``PCG64`` is seeded from its words by its own set-seed
-    step and drawn once.
+    each stream's ``PCG64`` is seeded from its words by its own set-seed step
+    and drawn once, and one task's draws fill its column in one store.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
@@ -236,9 +237,8 @@ def _sample_rounds(
     pcg64, generator = np.random.PCG64, np.random.Generator
     counts = np.zeros((len(rounds), len(dists), max((len(p) for p in pvals), default=0)), np.int64)
     for t, p in enumerate(pvals):
-        column = counts[:, t, : len(p)]
-        for i, stream_words in enumerate(words[:, t]):
-            column[i] = generator(pcg64(seed_words(stream_words))).multinomial(n, p)
+        draws = (generator(pcg64(seed_words(w))).multinomial(n, p) for w in words[:, t])
+        counts[:, t, : len(p)] = np.fromiter(draws, (np.int64, (len(p),)), len(rounds))
     return counts
 
 

@@ -2,13 +2,10 @@
 
 Ground truth, on up to six qubits (64x64), for the analytic outcome
 distributions of the three schemes and for multiplicative Werner composition
-under entanglement swapping.  A Bell measurement is two pairwise einsum
-contractions of the state, read as (4, R, 4, R) with the measured pair first
-on each side, with the constant Bell basis: the conjugate basis over the
-row pair's axis of 4, then the basis over the column pair's.  That gives all
-four unnormalised outcome blocks <beta_k|rho|beta_k> at once; the stacked
-Pauli fixups on one retained qubit follow in two more pairwise steps, rows
-then columns.  No projector or partial trace is ever formed.
+under entanglement swapping.  A Bell vector has two non-zero entries and a
+Pauli fixup is a signed permutation, so the four outcome blocks
+<beta_k|rho|beta_k> are one gather of their terms, fixups included, and two
+products and one add per side.  No projector or partial trace is formed.
 
 Everything is array-valued over a batch of parameter points, with the same
 contract as ``fisher``: a link parameter is a float or a 1-D array, all
@@ -20,14 +17,13 @@ states and one probability array per outcome.  The path constructions and the
 ``DensityMatrix`` is built only for a state a public function returns, and it
 validates the whole batch at once.
 
-Every contraction is a plain ``einsum`` or an elementwise product, never
-``optimize=``, ``tensordot``, ``dot``, ``matmul`` or ``@``: those hand the
-small products to the BLAS library, whose worker threads compete for the one
-core a pinned benchmark process runs on.
+Products are elementwise, never ``einsum(optimize=)``, ``tensordot``, ``dot``,
+``matmul`` or ``@``: BLAS threads would compete for a pinned benchmark's core.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +44,11 @@ _CORRECTIONS = np.array(
 _BELL = (_CORRECTIONS.transpose(0, 2, 1) / np.sqrt(2.0)).reshape(4, 4)
 _PHI_PLUS = np.outer(_BELL[0], _BELL[0])
 _EYE = np.eye(4, dtype=complex)
+# Both tables, sparse: where each row's non-zero entries sit, increasing, and their values.
+_BELL_TERMS = np.array([np.flatnonzero(row) for row in _BELL])
+_BELL_COEF = np.take_along_axis(_BELL, _BELL_TERMS, axis=1)
+_FIX_FROM = np.array([[np.flatnonzero(row)[0] for row in fixup] for fixup in _CORRECTIONS])
+_FIX_SIGN = np.take_along_axis(_CORRECTIONS, _FIX_FROM[..., None], axis=-1)[..., 0]
 
 
 class DensityMatrix(_Record):
@@ -113,33 +114,42 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (dim, dim))
 
 
+@functools.cache
+def _bell_terms(n: int, pair: tuple, fix: int | None) -> tuple:
+    """Flat state positions of every non-zero Bell term, and the terms' weights.
+
+    Positions are (row term, column term, outcome, row, column), rows and
+    columns sent through the fixup; column weights carry the fixup's signs.
+    """
+    order, size = (*pair, *(q for q in range(n) if q not in pair)), 2 ** (n - 2)
+    # The flat positions read as (pair row, retained row, pair column, retained column).
+    at = np.arange(4**n).reshape((2,) * 2 * n).transpose(*order, *(n + q for q in order))
+    at = at.reshape(4, size, 4, size)
+    src, sign = np.broadcast_to(np.arange(size), (4, size)), np.ones((4, size))
+    if fix is not None:
+        # Each retained index as (before, fixed qubit, after).
+        split = np.arange(size).reshape(2**fix, 2, -1)
+        src = split[:, _FIX_FROM].transpose(1, 0, 2, 3).reshape(4, size)
+        sign = np.broadcast_to(_FIX_SIGN[:, None, :, None], (4, *split.shape)).reshape(4, size)
+    terms = _BELL_TERMS.T[:, :, None, None]
+    index = at[terms[:, None], src[:, :, None], terms[None, :], src[:, None, :]]
+    cols = _BELL_COEF.T[:, :, None, None] * sign[:, :, None] * sign[:, None, :].conj()
+    return index, _BELL_COEF.conj().T[:, None, :, None, None], cols
+
+
 def _bell_blocks(rho: np.ndarray, pair: tuple, fix: int | None = None) -> np.ndarray:
     """Unnormalised outcome blocks <beta_k|rho|beta_k>, stacked as (..., 4, R, R).
 
     ``pair`` holds the positions of the two measured qubits; ``fix`` is a
     position among the retained qubits that gets outcome k's Pauli fixup.
-    The pair's row qubits and its column qubits each move to the front of
-    their half, so rho reads as (..., 4, R, 4, R) and both Bell contractions
-    run over axes of 4.  The fixup splits only the fixed qubit's axis out of
-    each R axis.
+    One gather, then two products and one add per side, in the dense order.
     """
-    n = rho.shape[-1].bit_length() - 1
-    batch = rho.shape[:-2]
-    keep = [q for q in range(n) if q not in pair]
-    size = 2 ** len(keep)
-    rows = [len(batch) + q for q in (*pair, *keep)]
-    t = rho.reshape(batch + (2,) * (2 * n))
-    t = t.transpose(*range(len(batch)), *rows, *(n + i for i in rows))
-    t = t.reshape(batch + (4, size, 4, size))
-    half = np.einsum("ka,...arbs->...krbs", _BELL.conj(), t)
-    blocks = np.einsum("kb,...krbs->...krs", _BELL, half)
-    if fix is not None:
-        # Each R axis as (before, fixed qubit, after).
-        split = (2**fix, 2, size >> (fix + 1))
-        blocks = blocks.reshape(blocks.shape[:-2] + split + split)
-        half = np.einsum("kxq,...kaqbcrd->...kaxbcrd", _CORRECTIONS, blocks)
-        blocks = np.einsum("kyr,...kaxbcrd->...kaxbcyd", _CORRECTIONS.conj(), half)
-    return blocks.reshape(batch + (4, size, size))
+    index, row, col = _bell_terms(rho.shape[-1].bit_length() - 1, tuple(pair), fix)
+    terms = np.take(rho.reshape(rho.shape[:-2] + (-1,)), index, axis=-1)
+    terms *= row
+    half = terms[..., 0, :, :, :, :] + terms[..., 1, :, :, :, :]
+    half *= col
+    return half[..., 0, :, :, :] + half[..., 1, :, :, :]
 
 
 def _swap(rho: np.ndarray, pair: tuple, fix: int) -> np.ndarray:

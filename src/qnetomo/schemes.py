@@ -76,7 +76,7 @@ class _Record:
 class SchemeSpec(_Record):
     """Every fact about one measurement scheme.
 
-    Outcome k has probability ``(1 + slopes[k] * W**degree) / 4``.
+    Outcome k has probability ``(1 + slopes[k] * W**degree) / 4``, degree 1 or 2.
     ``closed_form`` is the published information about W for W < 1; a task
     on a single link multiplies it by ``direct_factor``.  Estimates of W
     solve the law for the summed frequency of ``estimator_labels``.
@@ -120,11 +120,14 @@ class SchemeSpec(_Record):
 
     def probabilities(self, w: float) -> tuple:
         # Left to right, as in (1 + 3*W*W)/4: grouping W*W first moves last bits.
-        return tuple((1.0 + math.prod((c,) + (w,) * self.degree)) / 4.0 for c in self.slopes)
+        if self.degree == 1:
+            return tuple([(1.0 + c * w) / 4.0 for c in self.slopes])
+        return tuple([(1.0 + c * w * w) / 4.0 for c in self.slopes])
 
     def derivatives(self, w: float) -> tuple:
         """d p_k / dW in outcome order."""
-        return tuple(c * self.degree / 4.0 * w ** (self.degree - 1) for c in self.slopes)
+        power = w ** (self.degree - 1)
+        return tuple([c * self.degree / 4.0 * power for c in self.slopes])
 
 
 SCHEMES: Mapping[Scheme, SchemeSpec] = MappingProxyType(

@@ -14,6 +14,7 @@ from qnetomo import (
     MeasurementTask,
     MonitoringPlan,
     OutcomeCounts,
+    OutcomeDistribution,
     Path,
     Scheme,
     benchmark_variance,
@@ -27,6 +28,7 @@ from qnetomo import (
 )
 from qnetomo import estimators
 from qnetomo.estimators import (
+    _clamp,
     _pcg64_seed_words,
     _round_frequencies,
     _sample_rounds,
@@ -34,7 +36,7 @@ from qnetomo.estimators import (
     _stream_seeds,
 )
 from qnetomo.network import _plan_steps
-from qnetomo.schemes import SCHEMES
+from qnetomo.schemes import PROB_ATOL, SCHEMES
 
 from helpers import expected_counts
 
@@ -470,6 +472,34 @@ class TestSampling:
     def test_degenerate_distribution(self):
         counts = sample_outcomes(scheme_distribution(Scheme.JBM, 1.0), 500, seed=3)
         assert counts.counts["phi+"] == 500
+
+    def test_a_probability_just_below_zero_is_drawn_as_zero(self):
+        # OutcomeDistribution admits probabilities down to -PROB_ATOL; the
+        # sampler clips them to 0, where NumPy itself would refuse the law.
+        probs = (0.5 + 5e-13, 0.5, -5e-13, 0.0)
+        assert -PROB_ATOL <= min(probs) < 0.0
+        dist = OutcomeDistribution(Scheme.PEM, BELL, probs, 0.5)
+        with pytest.raises(ValueError, match="pvals < 0"):
+            np.random.default_rng(0).multinomial(10, probs)
+        single = sample_outcomes(dist, 1000, seed=11)
+        assert single.counts["psi+"] == 0 and single.total == 1000
+        batch = _sample_rounds([dist], 1000, 11, range(5))
+        assert batch[:, 0, 2].tolist() == [0] * 5
+        assert batch.sum(axis=-1).tolist() == [[1000]] * 5
+
+    def test_an_empty_block_of_rounds_draws_nothing(self):
+        dists = [scheme_distribution(Scheme.PEM, 0.5), scheme_distribution(Scheme.LZM, 0.5)]
+        counts = _sample_rounds(dists, 5, 1, range(3, 3))
+        assert counts.dtype == np.int64 and counts.shape == (0, 2, 4)
+
+
+class TestClamp:
+    def test_matches_the_builtins_elementwise(self):
+        # nan maps to 0.0 on both sides: every comparison with nan is false.
+        xs = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.0 + 2.0**-52, math.inf, math.nan]
+        want = [min(1.0, max(0.0, x)).hex() for x in xs]
+        assert [x.hex() for x in _clamp(np.array(xs)).tolist()] == want
+        assert [float(_clamp(x)).hex() for x in xs] == want
 
 
 class TestDerivedSeeds:

@@ -1,5 +1,7 @@
 """Density-matrix oracle tests: states, measurements, composition."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,19 @@ from qnetomo import (
     pem_oracle_probabilities,
     werner_density,
 )
-from qnetomo.oracle import _bell_blocks, _bell_probabilities, _cyclic, _swap, _werner
+from qnetomo.oracle import (
+    _BELL,
+    _BELL_COEF,
+    _BELL_TERMS,
+    _CORRECTIONS,
+    _FIX_FROM,
+    _FIX_SIGN,
+    _bell_blocks,
+    _bell_probabilities,
+    _cyclic,
+    _swap,
+    _werner,
+)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -262,6 +276,74 @@ class TestBellBlocksAgainstProjectors:
         for block, (_, prob, reduced) in zip(got, _reference_bsm(rho, n, pair, fix)):
             assert abs(np.trace(block).real - prob) < 1e-12
             assert max_abs(block, reduced) < 1e-12
+
+
+def _dense_bell_blocks(rho, pair, fix=None):
+    """The dense ``einsum`` form of ``_bell_blocks``, kept as its bitwise reference.
+
+    The state reads as (..., 4, R, 4, R) with the measured pair first on each
+    side; the Bell basis is contracted over both axes of 4, then the stacked
+    fixups over the fixed qubit's row and column axes, every coefficient
+    included, zeros too.
+    """
+    n = rho.shape[-1].bit_length() - 1
+    batch = rho.shape[:-2]
+    keep = [q for q in range(n) if q not in pair]
+    size = 2 ** len(keep)
+    rows = [len(batch) + q for q in (*pair, *keep)]
+    t = rho.reshape(batch + (2,) * (2 * n))
+    t = t.transpose(*range(len(batch)), *rows, *(n + i for i in rows))
+    t = t.reshape(batch + (4, size, 4, size))
+    half = np.einsum("ka,...arbs->...krbs", _BELL.conj(), t)
+    blocks = np.einsum("kb,...krbs->...krs", _BELL, half)
+    if fix is not None:
+        split = (2**fix, 2, size >> (fix + 1))
+        blocks = blocks.reshape(blocks.shape[:-2] + split + split)
+        half = np.einsum("kxq,...kaqbcrd->...kaxbcrd", _CORRECTIONS, blocks)
+        blocks = np.einsum("kyr,...kaxbcrd->...kaxbcyd", _CORRECTIONS.conj(), half)
+    return blocks.reshape(batch + (4, size, size))
+
+
+class TestSparseBellTerms:
+    """The sparse Bell terms give the dense contraction's blocks bit for bit.
+
+    Only the sign of an exact zero may differ; ``np.array_equal`` treats the
+    two zeros as equal, and every consumer erases the sign with ``abs``,
+    ``maximum`` or ``clip``.
+    """
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_pair_and_fix_matches_the_dense_einsum(self, n, batch):
+        rng = np.random.default_rng(1000 * n + len(batch))
+        g = rng.normal(size=batch + (2**n, 2**n)) + 1j * rng.normal(size=batch + (2**n, 2**n))
+        rho = g @ g.conj().swapaxes(-2, -1)
+        rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+        cases = 0
+        for pair in itertools.permutations(range(n), 2):
+            for fix in (None, *range(n - 2)):
+                got = _bell_blocks(rho, pair, fix)
+                assert got.shape == batch + (4, 2 ** (n - 2), 2 ** (n - 2))
+                assert np.array_equal(got, _dense_bell_blocks(rho, pair, fix)), (pair, fix)
+                cases += 1
+        assert cases == n * (n - 1) * (n - 1)
+
+    def test_bell_rows_are_two_terms_of_modulus_one_over_root_two(self):
+        assert _BELL_TERMS.shape == (4, 2) and _BELL_COEF.shape == (4, 2)
+        assert [np.count_nonzero(row) for row in _BELL] == [2, 2, 2, 2]
+        assert (np.diff(_BELL_TERMS, axis=1) > 0).all()
+        np.testing.assert_allclose(np.abs(_BELL_COEF), 1 / np.sqrt(2), rtol=0, atol=1e-16)
+        dense = np.zeros((4, 4), dtype=complex)
+        np.put_along_axis(dense, _BELL_TERMS, _BELL_COEF, axis=1)
+        assert np.array_equal(dense, _BELL)
+
+    def test_every_fixup_row_is_one_signed_unit(self):
+        assert [np.count_nonzero(row) for fixup in _CORRECTIONS for row in fixup] == [1] * 8
+        assert sorted(map(tuple, np.sort(_FIX_FROM, axis=1))) == [(0, 1)] * 4
+        assert set(_FIX_SIGN.ravel().tolist()) <= {1, -1}
+        dense = np.zeros((4, 2, 2), dtype=complex)
+        np.put_along_axis(dense, _FIX_FROM[..., None], _FIX_SIGN[..., None], axis=-1)
+        assert np.array_equal(dense, _CORRECTIONS)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Tests for the scheme table's analytic outcome distributions."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnetomo import (
@@ -16,6 +18,7 @@ from qnetomo import (
     scheme_distribution,
     task_distribution,
 )
+from qnetomo.schemes import SCHEMES
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -126,3 +129,49 @@ class TestDistributionValidation:
     def test_rejects_misaligned_labels(self):
         with pytest.raises(ValueError, match="align"):
             OutcomeDistribution(Scheme.LZM, ("a",), (0.5, 0.5), 0.5)
+
+
+def _prod_probabilities(spec, w):
+    """The ``math.prod`` form of the outcome law, kept as its bitwise reference."""
+    return tuple((1.0 + math.prod((c,) + (w,) * spec.degree)) / 4.0 for c in spec.slopes)
+
+
+def _pow_derivatives(spec, w):
+    """The per-outcome ``**`` form of the slopes, kept as their bitwise reference."""
+    return tuple(c * spec.degree / 4.0 * w ** (spec.degree - 1) for c in spec.slopes)
+
+
+# The ends, the smallest subnormal, and points where W*W and W*(W*W) round apart.
+_EDGE_WS = [0.0, 1.0, 5e-324, 2.0**-537, 1e-300, 0.1, 1 / 3, 0.5, 0.7, 0.9999999999999999]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestTableArithmetic:
+    """The table's law is evaluated left to right, exactly as ``math.prod`` does."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @given(w=unit)
+    @example(w=0.0)
+    @example(w=1.0)
+    @example(w=5e-324)
+    @settings(max_examples=200, deadline=None)
+    def test_floats_match_the_prod_form_bit_for_bit(self, scheme, w):
+        spec = SCHEMES[scheme]
+        assert _bits(spec.probabilities(w)) == _bits(_prod_probabilities(spec, w))
+        assert _bits(spec.derivatives(w)) == _bits(_pow_derivatives(spec, w))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_arrays_match_the_prod_form_bit_for_bit(self, scheme):
+        spec = SCHEMES[scheme]
+        w = np.concatenate([_EDGE_WS, np.random.default_rng(7).uniform(size=1000)])
+        for got, want in [
+            (spec.probabilities(w), _prod_probabilities(spec, w)),
+            (spec.derivatives(w), _pow_derivatives(spec, w)),
+        ]:
+            assert len(got) == len(spec.slopes)
+            for g, r in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(g, r) and np.array_equal(np.signbit(g), np.signbit(r))

@@ -176,11 +176,13 @@ def test_the_import_scan_passes_other_imports():
     assert not _imports("from .schemes import BELL_LABELS\nimport numpy as np\n", "oracle")
 
 
-# The oracle's products stay in plain einsum calls and elementwise ufuncs.
-# einsum(optimize=True) sends them through tensordot into OpenBLAS.  Measured
-# under perfbench, which pins its process to one core, the BLAS worker threads
-# then compete for that core: warm `validate` read 0.034-0.042 s instead of
-# 0.0135 s for the pairwise einsums, and 0.0115 s with OPENBLAS_NUM_THREADS=1.
+# The oracle's products stay elementwise: a gather of the non-zero Bell terms
+# and ufunc products and sums over it.  einsum(optimize=True), tensordot, dot,
+# matmul and @ send small products into OpenBLAS.  Measured under perfbench,
+# which pins its process to one core, the BLAS worker threads then compete for
+# that core: warm `validate` read 0.034-0.042 s instead of 0.0135 s for the
+# pairwise einsums the sparse terms replaced, and 0.0115 s with
+# OPENBLAS_NUM_THREADS=1.
 _BLAS_NAMES = {"tensordot", "dot", "matmul"}
 
 
