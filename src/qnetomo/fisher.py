@@ -24,12 +24,10 @@ float bounds from the same code.  A matrix is checked once, when it is
 built, and every singularity decision is made there too: distinct names, no
 nan or -inf, symmetry (equal infinities included), no infinite entry between
 two finite-diagonal coordinates, and positive semidefiniteness of each
-member's finite block.  Members with the same finite diagonal form one group
-with one batched `eigvalsh`, whose eigenvalues also flag the singular
-members; an all-finite matrix is one group, the stack itself, and other
-masks are grouped by `np.unique` with no loop over members.  `crb_diagonal`
-then only inverts: the stack itself in one `inv` when one regular group
-spans it, else each group's regular members in one batched `inv`.
+member's finite block.  A coordinate with +inf information is known exactly;
+each member's known coordinates are moved last and uncoupled, so one
+`eigvalsh` over the whole stack checks every finite block and flags the
+singular members, and `crb_diagonal` inverts the whole stack in one `inv`.
 `plan_qfim` also takes a sequence of plans and stacks them on a new leading
 axis of one matrix, so a sweep over several plans is checked and inverted as
 one batch; each distinct (scheme, path) block is built once per call and
@@ -51,6 +49,8 @@ from .network import MeasurementTask, MonitoringPlan, UsageLedger, channel_uses
 from .schemes import SCHEMES, Scheme, SchemeSpec, _Record, _require_links
 
 SYM_ATOL = 1e-12
+# Most negative eigenvalue a PSD matrix may show, scaled by its largest
+# eigenvalue once that exceeds 1: rounding grows with the entries.
 PSD_ATOL = 1e-10
 # Eigenvalue ratio below which a matrix is reported as singular (condition
 # number above 1e12).
@@ -70,12 +70,10 @@ class FisherMatrix(_Record):
     probability vanishes and the information diverges; such coordinates are
     treated as exactly known by the bound computations, and the finite block
     left must be positive semidefinite.  ``ledger`` records the channel-use
-    normalization when ``normalized`` is set.  Over the flattened batch,
-    ``_groups`` holds ``(members, coords)`` for each set of members sharing
-    the finite coordinates ``coords`` (none for all-infinite members), and
-    ``_singular`` flags each member whose finite block has eigenvalue ratio
-    below ``SINGULAR_RTOL``: its parameters are not jointly identifiable.
-    Neither is a field, so equality, hashing and repr leave them out.
+    normalization when ``normalized`` is set.  ``_singular``, in the batch
+    shape, flags each member whose finite block has eigenvalue ratio below
+    ``SINGULAR_RTOL``: its parameters are not jointly identifiable.  It is
+    not a field, so equality, hashing and repr leave it out.
     """
 
     __match_args__ = ("entries", "order", "mode", "normalized", "ledger")
@@ -110,42 +108,45 @@ class FisherMatrix(_Record):
             t = e.swapaxes(-1, -2)
             if not ((e == t) | (np.abs(e - t) <= SYM_ATOL)).all():
                 raise ValueError("matrix is not symmetric within tolerance")
-        flat = e.reshape(math.prod(e.shape[:-2]), n, n)
-        if all_finite:
-            # One group: the whole stack over every coordinate.
-            candidates = [(np.arange(len(flat)), np.arange(n))]
-        else:
-            diagonal = np.diagonal(finite.reshape(flat.shape), axis1=1, axis2=2)
-            masks, first, inverse = np.unique(
-                diagonal, axis=0, return_index=True, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            candidates = [
-                (np.flatnonzero(inverse == k), np.flatnonzero(masks[k])) for k in np.argsort(first)
-            ]
-        groups, singular = [], np.zeros(len(flat), dtype=bool)
-        for rows, coords in candidates:
-            if not (rows.size and coords.size):
-                continue
-            # A group spanning the stack and every coordinate is the stack itself.
-            if rows.size == len(flat) and coords.size == n:
-                sub = flat
-            else:
-                sub = flat[rows[:, None, None], coords[:, None], coords]
-            if not np.isfinite(sub).all():
-                raise ValueError("off-diagonal infinity with finite diagonal is not supported")
-            eig = np.linalg.eigvalsh(sub)
-            lo, hi = eig[:, 0], eig[:, -1]
-            if (lo < -PSD_ATOL).any():
-                raise ValueError("matrix is not positive semidefinite within tolerance")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                singular[rows] = (hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)
-            groups.append((rows, coords))
+        block = e if all_finite else _finite_first(e)[0]
+        if not (all_finite or np.isfinite(block).all()):
+            raise ValueError("off-diagonal infinity with finite diagonal is not supported")
+        eig = np.linalg.eigvalsh(block)
+        # Slices, not indices: a matrix over no parameters has no eigenvalue.
+        lo, hi = eig[..., :1], eig[..., -1:]
+        if (lo < -PSD_ATOL * np.maximum(1.0, hi)).any():
+            raise ValueError("matrix is not positive semidefinite within tolerance")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            singular = np.asarray(((hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)).any(-1))
         e.setflags(write=False)
         singular.setflags(write=False)
-        self.__dict__.update(
-            entries=e, order=tuple(self.order), _groups=tuple(groups), _singular=singular
-        )
+        self.__dict__.update(entries=e, order=tuple(self.order), _singular=singular)
+
+
+def _finite_first(e: np.ndarray) -> tuple:
+    """Each member with its known coordinates (+inf diagonal) moved last, uncoupled.
+
+    Returns ``(block, order, known)``: ``order`` is each member's stable
+    permutation of the coordinates, finite ones first, and ``known`` flags the
+    moved ones in that order.  Each known coordinate becomes a lone diagonal
+    entry equal to the member's largest finite diagonal entry, or 1 when there
+    is none.  That value lies between the finite block's smallest and largest
+    eigenvalues, so the PSD and singularity tests see the finite block alone.
+    With nothing known the stack itself comes back, with no permutation.
+    """
+    n = e.shape[-1]
+    known = np.diagonal(e, axis1=-2, axis2=-1) == math.inf
+    if not known.any():
+        return e, None, known
+    order = np.argsort(known, axis=-1, kind="stable")
+    # One gather from the flat stack: member offset, then row and column.
+    members = np.arange(known.size // n).reshape(known.shape[:-1] + (1, 1)) * (n * n)
+    block = e.reshape(-1)[members + order[..., :, None] * n + order[..., None, :]]
+    diagonal = np.diagonal(block, axis1=-2, axis2=-1)
+    known = diagonal == math.inf
+    fill = np.max(diagonal, -1, where=~known, initial=-math.inf)[..., None, None]
+    lone = np.eye(n) * np.where(fill == -math.inf, 1.0, fill)
+    return np.where(known[..., :, None] | known[..., None, :], lone, block), order, known
 
 
 def _plain(x: np.ndarray) -> float | np.ndarray:
@@ -303,23 +304,16 @@ def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a positive finite number, got {scale!r}")
-    e = matrix.entries
-    n = len(matrix.order)
-    flat = e.reshape(math.prod(e.shape[:-2]), n, n)
-    spans = [(rows.size, coords.size) for rows, coords in matrix._groups] == [(len(flat), n)]
-    if spans and not matrix._singular.any():
-        # One regular group spanning the stack: invert the stack itself.
-        bounds = np.diagonal(np.linalg.inv(e), axis1=-2, axis2=-1) / scale
-    else:
-        bounds = np.zeros(flat.shape[:-1])
-        for rows, coords in matrix._groups:
-            singular = matrix._singular[rows]
-            bounds[rows[singular][:, None], coords] = math.inf
-            regular = rows[~singular]
-            if regular.size:
-                inverse = np.linalg.inv(flat[regular[:, None, None], coords[:, None], coords])
-                bounds[regular[:, None], coords] = np.diagonal(inverse, axis1=1, axis2=2) / scale
-        bounds = bounds.reshape(e.shape[:-1])
+    block, order, known = _finite_first(matrix.entries)
+    singular = matrix._singular
+    if singular.any():
+        # A singular member inverts the identity in its place; its bounds are +inf.
+        block = np.where(singular[..., None, None], np.eye(len(matrix.order)), block)
+    bounds = np.diagonal(np.linalg.inv(block), axis1=-2, axis2=-1) / scale
+    if order is not None or singular.any():
+        bounds = np.where(known, 0.0, np.where(singular[..., None], math.inf, bounds))
+    if order is not None:
+        bounds = np.take_along_axis(bounds, np.argsort(order, axis=-1), axis=-1)
     return {lid: _plain(bounds[..., k]) for k, lid in enumerate(matrix.order)}
 
 

@@ -406,6 +406,26 @@ class TestBenchmark:
         assert code == 0 and err == "" and echoed.count(INFINITE_E0_NOTE) == 1
         assert out.read_text().splitlines() == lines
 
+    def test_near_perfect_links_beside_a_dead_one_give_infinite_bounds(self, capsys, tmp_path):
+        # The plan matrix's largest eigenvalue is about 1.5e12 and its
+        # smallest rounds to about -1.7e-4: PSD within the relative tolerance.
+        cfg = write_config(
+            tmp_path,
+            """\
+            experiment = benchmark
+            plan = JBM2
+            fixed.w0 = 0.999999999999
+            fixed.w1 = 0.999999999999
+            fixed.w2 = 0.00000001
+            samples = 100
+            rounds = 5
+            """,
+        )
+        argv = ["benchmark", "--config", cfg, "--mode", "closed-form"]
+        code, lines, err = run_lines(capsys, argv)
+        assert code == 0 and "Traceback" not in err
+        assert [l.split(",")[4] for l in lines[1:]] == ["inf", "inf", "inf"]
+
     @pytest.mark.parametrize("plan", ["PEM", "LZM"])
     def test_zero_bound_and_zero_variance_is_noted(self, capsys, tmp_path, plan):
         cfg = write_config(
@@ -485,6 +505,30 @@ class TestValidate:
         capsys.readouterr()
         digest = "c2b33d031238f257bc6a156380db14df348bd7c9e1f80052fac339c5460a6f89"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_distribution_checks_call_each_oracle_once_on_21_points(self, capsys, monkeypatch):
+        from qnetomo import validation
+
+        calls = []
+        for name in (
+            "lzm_oracle_probabilities",
+            "jbm_oracle_probabilities",
+            "pem_oracle_probabilities",
+        ):
+
+            def counted(params, _name=name, _original=getattr(validation, name)):
+                calls.append((_name, [np.asarray(w).tolist() for w in params]))
+                return _original(params)
+
+            monkeypatch.setattr(validation, name, counted)
+        assert main(["validate"]) == 0
+        capsys.readouterr()
+        points = [[k / 20 for k in range(21)]]
+        assert calls == [
+            ("lzm_oracle_probabilities", points),
+            ("jbm_oracle_probabilities", points),
+            ("pem_oracle_probabilities", points),
+        ]
 
     def test_report_file_and_stdout_echo(self, capsys, tmp_path):
         out = tmp_path / "report.csv"

@@ -548,6 +548,147 @@ class TestBounds:
         assert bounds["p0"] == math.inf and bounds["p1"] == math.inf
 
 
+OFF_DIAGONAL = "off-diagonal infinity with finite diagonal is not supported"
+NOT_PSD = "matrix is not positive semidefinite within tolerance"
+
+
+def _per_mask_reference(stack, scale):
+    """Bounds and singular flags by the per-mask algorithm, kept as a reference.
+
+    Members are grouped by finite-diagonal mask, in order of first appearance;
+    each group's finite sub-blocks are gathered, checked with one ``eigvalsh``
+    and its regular members inverted with one ``inv``.  The PSD test is the
+    matrix's own, relative to the largest eigenvalue once that exceeds 1.
+    """
+    n = stack.shape[-1]
+    flat = stack.reshape(-1, n, n)
+    bounds, singular = np.zeros(flat.shape[:-1]), np.zeros(len(flat), dtype=bool)
+    masks = np.isfinite(np.diagonal(flat, axis1=1, axis2=2))
+    for mask in dict.fromkeys(map(tuple, masks.tolist())):
+        rows, coords = np.flatnonzero((masks == mask).all(axis=1)), np.flatnonzero(mask)
+        if not coords.size:
+            continue
+        sub = flat[rows[:, None, None], coords[:, None], coords]
+        if not np.isfinite(sub).all():
+            raise ValueError(OFF_DIAGONAL)
+        eig = np.linalg.eigvalsh(sub)
+        lo, hi = eig[:, 0], eig[:, -1]
+        if (lo < -fisher.PSD_ATOL * np.maximum(1.0, hi)).any():
+            raise ValueError(NOT_PSD)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            flags = (hi <= 0.0) | (lo <= 0.0) | (lo / hi < fisher.SINGULAR_RTOL)
+        singular[rows] = flags
+        bounds[rows[flags][:, None], coords] = math.inf
+        regular = rows[~flags]
+        if regular.size:
+            inverse = np.linalg.inv(flat[regular[:, None, None], coords[:, None], coords])
+            bounds[regular[:, None], coords] = np.diagonal(inverse, axis1=1, axis2=2) / scale
+    return bounds.reshape(stack.shape[:-1]), singular.reshape(stack.shape[:-2])
+
+
+def _coupled_infinity(stack):
+    """True if some member has an infinite entry between two finite-diagonal coordinates."""
+    finite = np.isfinite(np.diagonal(stack, axis1=-2, axis2=-1))
+    return bool((np.isinf(stack) & finite[..., :, None] & finite[..., None, :]).any())
+
+
+_VALUE = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-8, 0.25, 0.5, 1.0 - 1e-12]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def _stacks(draw):
+    """Stacks of 1-4 members over 1-4 coordinates with entries at 0, 1 and between.
+
+    A member is a sum of rank-one terms J g g^T, as a plan's information is,
+    or any symmetric matrix on the values (often not PSD, sometimes with an
+    infinity off the diagonal); then some coordinates become known, with an
+    infinite diagonal and some infinite entries in their row and column.
+    """
+    n = draw(st.integers(1, 4))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            member = np.zeros((n, n))
+            for _ in range(draw(st.integers(0, n + 1))):
+                g = np.array(draw(st.lists(_VALUE, min_size=n, max_size=n)))
+                member += draw(_VALUE) * (g[:, None] * g[None, :])
+        else:
+            size = n * (n + 1) // 2
+            raw = st.one_of(_VALUE, st.just(math.inf))
+            member = np.zeros((n, n))
+            member[np.triu_indices(n)] = draw(st.lists(raw, min_size=size, max_size=size))
+            member += np.triu(member, 1).T
+        for k in range(n):
+            if draw(st.integers(0, 3)) == 0:
+                member[k, k] = math.inf
+                for j in range(n):
+                    if j != k and draw(st.booleans()):
+                        member[k, j] = member[j, k] = math.inf
+        stack.append(member)
+    return np.array(stack)
+
+
+class TestOnePathAgainstPerMaskReference:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_stacks())
+    def test_bounds_flags_and_messages_match(self, stack):
+        order = tuple("abcd"[: stack.shape[-1]])
+        try:
+            expected, flags = _per_mask_reference(stack, 3.0)
+        except ValueError as err:
+            # The reference reports the first faulty group; the one path
+            # looks for infinities between finite coordinates in every
+            # member before any eigenvalue is taken.
+            message = OFF_DIAGONAL if _coupled_infinity(stack) else str(err)
+            with pytest.raises(ValueError) as info:
+                FisherMatrix(stack, order, FIRST)
+            assert str(info.value) == message
+            return
+        matrix = FisherMatrix(stack, order, FIRST)
+        bounds = crb_diagonal(matrix, scale=3.0)
+        actual = np.stack([bounds[lid] for lid in order], axis=-1)
+        np.testing.assert_array_equal(matrix._singular, flags)
+        if len(order) <= 3:
+            assert actual.tobytes() == expected.tobytes()
+            return
+        # At n = 4 LAPACK's LU recurses differently once a coordinate moves,
+        # so its sums round in another order.  The gap is a few ulp at
+        # condition number 1 and grows with the condition number.
+        assert np.array_equal(np.isinf(actual), np.isinf(expected))
+        assert np.array_equal(actual == 0.0, expected == 0.0)
+        for member, got, want in zip(stack, actual, expected):
+            finite = np.isfinite(np.diagonal(member))
+            if finite.any() and np.isfinite(want).all():
+                eig = np.linalg.eigvalsh(member[np.ix_(finite, finite)])
+                rtol = 4.0 * np.finfo(float).eps * eig[-1] / eig[0]
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+    def test_mixed_masks_make_one_eigvalsh_and_one_inv(self, monkeypatch):
+        # Links at 1 in different members: the per-mask algorithm needs four
+        # groups here, so four eigvalsh and four inv calls.
+        calls = dict.fromkeys(("eigvalsh", "inv"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        graph = build_star(3, [0.5, 0.5, 0.5])
+        plans = [builtin_plan(kind, graph) for kind in ("JBM2", "JBM3", "HYB2", "HYB3")]
+        params = {
+            "e0": np.array([1.0, 0.5, 0.5, 1.0, 0.3]),
+            "e1": np.array([0.5, 1.0, 0.5, 1.0, 0.3]),
+            "e2": np.array([0.5, 0.5, 1.0, 1.0, 0.3]),
+        }
+        total = qcrb(plan_qfim(plans, params, CLOSED))
+        assert calls == {"eigvalsh": 1, "inv": 1}
+        assert total.shape == (4, 5) and (total[:, 3] == 0.0).all()
+
+
 class TestBoundGrouping:
     def test_interleaved_masks_match_single_member_calls(self):
         inf = math.inf
@@ -625,6 +766,17 @@ class TestFisherMatrixValidation:
         entries = np.array([[inf, 0.0, 0.0], [0.0, 1.0, 5.0], [0.0, 5.0, 1.0]])
         with pytest.raises(ValueError, match="positive semidefinite"):
             FisherMatrix(entries, ("a", "b", "c"), FIRST)
+
+    def test_psd_tolerance_scales_with_the_largest_eigenvalue(self):
+        # Past 1, the PSD tolerance is relative to the largest eigenvalue: a
+        # sum of J g g^T terms at 1.5e12 may round to an eigenvalue of -1e-4.
+        order = ("a", "b")
+        matrix = FisherMatrix(np.diag([1.5e12, -1e-4]), order, FIRST)
+        assert bool(matrix._singular)
+        for entries in ([[1.5e12, 0.0], [0.0, -200.0]], [[1.0, 0.0], [0.0, -2e-10]]):
+            with pytest.raises(ValueError, match=NOT_PSD):
+                FisherMatrix(np.array(entries), order, FIRST)
+        FisherMatrix(np.diag([1.0, -0.5e-10]), order, FIRST)
 
     def test_entries_read_only(self):
         m = FisherMatrix(np.eye(2), ("a", "b"), FIRST)

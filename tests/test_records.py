@@ -240,12 +240,11 @@ def test_record_contract(cls, params, kwargs, change, text, hashable):
 def test_fisher_singularity_state_stays_out_of_eq_and_repr():
     matrix = FisherMatrix(entries=np.eye(2), order=("a", "b"), mode=FisherMode.FIRST_PRINCIPLES)
     twin = copy.copy(matrix)
-    vars(twin).update(_groups=(), _singular=np.ones(1, dtype=bool))
+    vars(twin).update(_singular=np.ones((), dtype=bool))
     assert twin == matrix
     assert repr(twin) == repr(matrix)
-    assert "_groups" not in repr(matrix) and "_singular" not in repr(matrix)
-    ((members, coords),) = matrix._groups
-    assert members.tolist() == [0] and coords.tolist() == [0, 1]
-    np.testing.assert_array_equal(matrix._singular, [False])
+    assert "_singular" not in repr(matrix)
+    # One flag per member, in the batch shape: a single matrix has one.
+    assert matrix._singular.shape == () and not matrix._singular
     with pytest.raises(ValueError):
-        matrix._singular[0] = True
+        matrix._singular[...] = True

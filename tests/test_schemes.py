@@ -130,6 +130,13 @@ class TestDistributionValidation:
         with pytest.raises(ValueError, match="align"):
             OutcomeDistribution(Scheme.LZM, ("a",), (0.5, 0.5), 0.5)
 
+    def test_path_product_bound_is_inclusive_at_one(self):
+        assert OutcomeDistribution(Scheme.LZM, ("a",), (1.0,), 1.0).path_product == 1.0
+        above = math.nextafter(1.0, 2.0)
+        with pytest.raises(ValueError) as info:
+            OutcomeDistribution(Scheme.LZM, ("a",), (1.0,), above)
+        assert str(info.value) == "path product 1.0000000000000002 outside [0, 1]"
+
 
 def _prod_probabilities(spec, w):
     """The ``math.prod`` form of the outcome law, kept as its bitwise reference."""

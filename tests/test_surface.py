@@ -228,30 +228,43 @@ def test_the_blas_scan_passes_einsum_and_ufuncs():
 
 
 # Every PSD and singularity decision of a Fisher matrix is made once, as it
-# is built; the bound computations only invert.
-def _eigvalsh_homes(source: str) -> list:
-    """The dotted scope (class and function names) of each ``eigvalsh`` use."""
+# is built, with one eigvalsh over the whole stack; the bound computations
+# make one inv over the whole stack.  Neither runs per member or per group.
+_LOOPS = (
+    ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
+)
+
+
+def _homes(source: str, name: str) -> list:
+    """The dotted scope (class and function names) of each use of ``name``.
+
+    A use anywhere inside a loop or a comprehension gets `` (loop)`` appended.
+    """
     homes = []
 
-    def visit(node, scope):
+    def visit(node, scope, looped):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
+                visit(child, scope + (child.name,), looped)
                 continue
             if (
-                (isinstance(child, ast.Attribute) and child.attr == "eigvalsh")
-                or (isinstance(child, ast.Name) and child.id == "eigvalsh")
-                or (isinstance(child, ast.alias) and child.name.split(".")[-1] == "eigvalsh")
+                (isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.Name) and child.id == name)
+                or (isinstance(child, ast.alias) and child.name.split(".")[-1] == name)
             ):
-                homes.append(".".join(scope))
-            visit(child, scope)
+                homes.append(".".join(scope) + (" (loop)" if looped else ""))
+            visit(child, scope, looped or isinstance(child, _LOOPS))
 
-    visit(ast.parse(source), ())
+    visit(ast.parse(source), (), False)
     return homes
 
 
 def test_fisher_calls_eigvalsh_only_when_a_matrix_is_built():
-    assert _eigvalsh_homes(_source("fisher")) == ["FisherMatrix.__post_init__"]
+    assert _homes(_source("fisher"), "eigvalsh") == ["FisherMatrix.__post_init__"]
+
+
+def test_fisher_inverts_only_in_crb_diagonal():
+    assert _homes(_source("fisher"), "inv") == ["crb_diagonal"]
 
 
 @pytest.mark.parametrize(
@@ -265,4 +278,19 @@ def test_fisher_calls_eigvalsh_only_when_a_matrix_is_built():
     ],
 )
 def test_the_eigvalsh_scan_sees_each_use_in_its_scope(source, homes):
-    assert _eigvalsh_homes(source) == homes
+    assert _homes(source, "eigvalsh") == homes
+
+
+@pytest.mark.parametrize(
+    "source, homes",
+    [
+        ("def f(ms):\n    for m in ms:\n        np.linalg.inv(m)\n", ["f (loop)"]),
+        ("while ms:\n    inv(ms.pop())\n", [" (loop)"]),
+        ("def f(ms):\n    return [np.linalg.inv(m) for m in ms]\n", ["f (loop)"]),
+        ("for m in ms:\n    def g():\n        return np.linalg.inv(m)\n", ["g (loop)"]),
+        ("def f(m):\n    return np.linalg.inv(m)\n", ["f"]),
+        ("def f(m):\n    invert = np.linalg.pinv(m)\n", []),
+    ],
+)
+def test_the_scan_marks_a_use_inside_a_loop(source, homes):
+    assert _homes(source, "inv") == homes
