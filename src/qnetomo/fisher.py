@@ -25,14 +25,15 @@ built, and every singularity decision is made there too: distinct names, no
 nan or -inf, symmetry (equal infinities included), no infinite entry between
 two finite-diagonal coordinates, and positive semidefiniteness of each
 member's finite block.  A coordinate with +inf information is known exactly;
-each member's known coordinates are moved last and uncoupled, so one
-`eigvalsh` over the whole stack checks every finite block and flags the
-singular members, and `crb_diagonal` inverts the whole stack in one `inv`.
-`plan_qfim` also takes a sequence of plans and stacks them on a new leading
-axis of one matrix, so a sweep over several plans is checked and inverted as
-one batch; each distinct (scheme, path) block is built once per call and
-every plan sums its blocks in task order.  `crossover` bisects on plain
-floats through the same J rule the array path guards.
+each member's known coordinates are moved last and uncoupled once, when the
+matrix is built, so one `eigvalsh` over the stack checks every finite block
+and flags the singular members, and `crb_diagonal` inverts the kept stack in
+one `inv`.  `plan_qfim` also takes a sequence of plans and stacks them on a
+new leading axis of one matrix, checked and inverted as one batch; each
+distinct (scheme, path) block is built once per call and every plan sums its
+blocks in task order.  `plan_qfim` wraps `_plan_entries`, which makes every
+check but the matrix's; `validate` compares that builder's entries alone.
+`crossover` bisects on plain floats through the J rule the array path guards.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class FisherMatrix(_Record):
     left must be positive semidefinite.  ``ledger`` records the channel-use
     normalization when ``normalized`` is set.  ``_singular``, in the batch
     shape, flags each member whose finite block has eigenvalue ratio below
-    ``SINGULAR_RTOL``: its parameters are not jointly identifiable.  It is
-    not a field, so equality, hashing and repr leave it out.
+    ``SINGULAR_RTOL``: its parameters are not jointly identifiable.
+    ``_reordered`` keeps the build's ``_finite_first`` result for the bounds.
+    Neither is a field, so equality, hashing and repr leave them out.
     """
 
     __match_args__ = ("entries", "order", "mode", "normalized", "ledger")
@@ -108,7 +110,8 @@ class FisherMatrix(_Record):
             t = e.swapaxes(-1, -2)
             if not ((e == t) | (np.abs(e - t) <= SYM_ATOL)).all():
                 raise ValueError("matrix is not symmetric within tolerance")
-        block = e if all_finite else _finite_first(e)[0]
+        reordered = (e, None, False) if all_finite else _finite_first(e)
+        block = reordered[0]
         if not (all_finite or np.isfinite(block).all()):
             raise ValueError("off-diagonal infinity with finite diagonal is not supported")
         eig = np.linalg.eigvalsh(block)
@@ -118,9 +121,11 @@ class FisherMatrix(_Record):
             raise ValueError("matrix is not positive semidefinite within tolerance")
         with np.errstate(divide="ignore", invalid="ignore"):
             singular = np.asarray(((hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)).any(-1))
-        e.setflags(write=False)
-        singular.setflags(write=False)
-        self.__dict__.update(entries=e, order=tuple(self.order), _singular=singular)
+        for array in (e, block, singular):
+            array.setflags(write=False)
+        self.__dict__.update(
+            entries=e, order=tuple(self.order), _singular=singular, _reordered=reordered
+        )
 
 
 def _finite_first(e: np.ndarray) -> tuple:
@@ -237,27 +242,12 @@ def task_qfim(
     return plan_qfim(MonitoringPlan("task", (task,)), params, mode)
 
 
-def plan_qfim(
-    plan: MonitoringPlan | Sequence[MonitoringPlan],
-    params: Mapping[str, float | np.ndarray],
-    mode: FisherMode,
-    normalize: bool = False,
-) -> FisherMatrix:
-    """Sum of per-task information, optionally per total channel use.
+def _plan_entries(plans: tuple, params: Mapping, mode: FisherMode, normalize: bool) -> tuple:
+    """``(entries, order, ledgers)`` of ``plan_qfim``, every check but the matrix's made.
 
-    Tasks are independent experiments, so their information matrices add.
-    Normalization divides by the plan's total channel uses for one round.
-    Link parameters are floats or equal-length 1-D arrays; the batch spans
-    every parameter, including links no task reads.
-
-    A sequence of plans over the same parameters gives one matrix that stacks
-    the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
-    checked and later inverted as one batch.  Each member is bit for bit
-    the matrix its plan gives alone.  With ``normalize`` each plan is divided
-    by its own total and ``ledger`` is the tuple of the plans' ledgers.
+    ``entries`` stacks the plans, shape (plans, ..., n, n); ``ledgers`` is None
+    without ``normalize``.
     """
-    single = isinstance(plan, MonitoringPlan)
-    plans = (plan,) if single else tuple(plan)
     if not plans:
         raise ValueError("plan_qfim needs at least one plan")
     order = tuple(sorted(params))
@@ -284,13 +274,34 @@ def plan_qfim(
             total += blocks[t.scheme, t.path.link_ids]
         if normalize:
             total /= ledgers[k].total
+    return entries, order, ledgers
+
+
+def plan_qfim(
+    plan: MonitoringPlan | Sequence[MonitoringPlan],
+    params: Mapping[str, float | np.ndarray],
+    mode: FisherMode,
+    normalize: bool = False,
+) -> FisherMatrix:
+    """Sum of per-task information, optionally per total channel use.
+
+    Tasks are independent experiments, so their information matrices add.
+    Normalization divides by the plan's total channel uses for one round.
+    Link parameters are floats or equal-length 1-D arrays; the batch spans
+    every parameter, including links no task reads.
+
+    A sequence of plans over the same parameters gives one matrix that stacks
+    the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
+    checked and later inverted as one batch.  Each member is bit for bit
+    the matrix its plan gives alone.  With ``normalize`` each plan is divided
+    by its own total and ``ledger`` is the tuple of the plans' ledgers.
+    """
+    single = isinstance(plan, MonitoringPlan)
+    plans = (plan,) if single else tuple(plan)
+    entries, order, ledger = _plan_entries(plans, params, mode, normalize)
     if single:
-        entries, ledger = entries[0], None if ledgers is None else ledgers[0]
-    else:
-        ledger = ledgers
-    return FisherMatrix(
-        entries=entries, order=order, mode=mode, normalized=normalize, ledger=ledger
-    )
+        entries, ledger = entries[0], None if ledger is None else ledger[0]
+    return FisherMatrix(entries, order, mode, normalized=normalize, ledger=ledger)
 
 
 def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
@@ -304,7 +315,7 @@ def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a positive finite number, got {scale!r}")
-    block, order, known = _finite_first(matrix.entries)
+    block, order, known = matrix._reordered
     singular = matrix._singular
     if singular.any():
         # A singular member inverts the identity in its place; its bounds are +inf.

@@ -6,6 +6,8 @@ under entanglement swapping.  A Bell vector has two non-zero entries and a
 Pauli fixup is a signed permutation, so the four outcome blocks
 <beta_k|rho|beta_k> are one gather of their terms, fixups included, and two
 products and one add per side.  No projector or partial trace is formed.
+Werner states, Bell vectors and fixups are real, so all of this runs in real
+arithmetic; only a returned ``DensityMatrix`` stores complex128.
 
 Everything is array-valued over a batch of parameter points, with the same
 contract as ``fisher``: a link parameter is a float or a 1-D array, all
@@ -37,13 +39,13 @@ MAX_DIM = 64
 # Outcome-dependent Pauli fixup (I, Z, X, XZ) in BELL_LABELS order, applied to one
 # retained qubit so every measurement branch collapses to the same swapped state.
 _CORRECTIONS = np.array(
-    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]]], dtype=complex
+    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]]], dtype=float
 )
 # Bell vectors as [outcome, 2 * first qubit + second qubit]:
 # |beta_k> = (1 x fixup_k)|phi+>.
 _BELL = (_CORRECTIONS.transpose(0, 2, 1) / np.sqrt(2.0)).reshape(4, 4)
 _PHI_PLUS = np.outer(_BELL[0], _BELL[0])
-_EYE = np.eye(4, dtype=complex)
+_EYE = np.eye(4)
 # Both tables, sparse: where each row's non-zero entries sit, increasing, and their values.
 _BELL_TERMS = np.array([np.flatnonzero(row) for row in _BELL])
 _BELL_COEF = np.take_along_axis(_BELL, _BELL_TERMS, axis=1)
@@ -133,8 +135,8 @@ def _bell_terms(n: int, pair: tuple, fix: int | None) -> tuple:
         sign = np.broadcast_to(_FIX_SIGN[:, None, :, None], (4, *split.shape)).reshape(4, size)
     terms = _BELL_TERMS.T[:, :, None, None]
     index = at[terms[:, None], src[:, :, None], terms[None, :], src[:, None, :]]
-    cols = _BELL_COEF.T[:, :, None, None] * sign[:, :, None] * sign[:, None, :].conj()
-    return index, _BELL_COEF.conj().T[:, None, :, None, None], cols
+    cols = _BELL_COEF.T[:, :, None, None] * sign[:, :, None] * sign[:, None, :]
+    return index, _BELL_COEF.T[:, None, :, None, None], cols
 
 
 def _bell_blocks(rho: np.ndarray, pair: tuple, fix: int | None = None) -> np.ndarray:
@@ -155,7 +157,7 @@ def _bell_blocks(rho: np.ndarray, pair: tuple, fix: int | None = None) -> np.nda
 def _swap(rho: np.ndarray, pair: tuple, fix: int) -> np.ndarray:
     """Corrected Bell measurement with every branch merged back into one state."""
     merged = _bell_blocks(rho, pair, fix).sum(axis=-3)
-    return merged / np.trace(merged, axis1=-2, axis2=-1).real[..., None, None]
+    return merged / np.trace(merged, axis1=-2, axis2=-1)[..., None, None]
 
 
 def _by_label(labels: tuple, probs: np.ndarray) -> dict:
@@ -164,12 +166,12 @@ def _by_label(labels: tuple, probs: np.ndarray) -> dict:
 
 
 def _bell_probabilities(rho: np.ndarray) -> dict:
-    probs = np.maximum(_bell_blocks(rho, (0, 1))[..., 0, 0].real, 0.0)
+    probs = np.maximum(_bell_blocks(rho, (0, 1))[..., 0, 0], 0.0)
     return _by_label(BELL_LABELS, probs)
 
 
 def _zz_probabilities(rho: np.ndarray) -> dict:
-    return _by_label(ZZ_LABELS, np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None))
+    return _by_label(ZZ_LABELS, np.clip(np.diagonal(rho, axis1=-2, axis2=-1), 0.0, None))
 
 
 def _linear(params: Sequence[float | np.ndarray]) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 Each check compares the analytic scheme table with the exact density-matrix
 oracle, or one Fisher mode with the other, and states its own tolerance.
+The mode-consistency rows compare entries, built by ``fisher._plan_entries``
+with no matrix check, one stack of one-task plans per path length and mode.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fisher import FisherMode, single_link_fisher, task_qfim
-from .network import MeasurementTask, Scheme, _chain, trace_path
+from .fisher import FisherMode, _plan_entries, single_link_fisher
+from .network import MeasurementTask, MonitoringPlan, Scheme, _chain, trace_path
 from .oracle import (
     jbm_oracle_probabilities,
     linear_generation,
@@ -29,22 +31,31 @@ def _chain_task(scheme: Scheme, ws: Sequence[float]) -> tuple:
     return MeasurementTask(scheme=scheme, path=trace_path(graph, tuple(params))), params
 
 
-def _mode_gap(scheme: Scheme, param_sets: Sequence[Sequence[float]]) -> float:
-    """Largest relative entry gap between the modes, one batch per path length.
+def _mode_gaps(rows: Sequence[tuple]) -> list:
+    """Largest relative entry gap between the modes for each (scheme, grid) row.
 
-    An infinite entry in one mode only gives a nan gap, which fails the check.
+    Rows sharing a path length and its points share one stack, a member per
+    row.  An infinite entry in one mode only gives a nan gap, which fails the
+    check.
     """
-    gaps = [0.0]
-    for length in {len(ws) for ws in param_sets}:
-        task, params = _chain_task(scheme, [0.5] * length)
-        columns = np.array([ws for ws in param_sets if len(ws) == length]).T
-        params = dict(zip(params, columns))
-        closed = task_qfim(task, params, FisherMode.CLOSED_FORM).entries
-        first = task_qfim(task, params, FisherMode.FIRST_PRINCIPLES).entries
+    groups: dict = {}
+    for r, (_, grid) in enumerate(rows):
+        for length in dict.fromkeys(len(ws) for ws in grid):
+            points = tuple(tuple(ws) for ws in grid if len(ws) == length)
+            groups.setdefault((length, points), []).append(r)
+    gaps = [[0.0] for _ in rows]
+    for (length, points), members in groups.items():
+        task, params = _chain_task(Scheme.LZM, [0.5] * length)
+        plans = [MonitoringPlan("task", (MeasurementTask(rows[r][0], task.path),)) for r in members]
+        params = dict(zip(params, np.array(points).T))
+        closed = _plan_entries(plans, params, FisherMode.CLOSED_FORM, False)[0]
+        first = _plan_entries(plans, params, FisherMode.FIRST_PRINCIPLES, False)[0]
         with np.errstate(invalid="ignore"):
             gap = np.abs(closed - first) / np.maximum(np.abs(closed), np.abs(first))
-        gaps.append(np.where(closed == first, 0.0, gap).max())
-    return float(np.max(gaps))
+        gap = np.where(closed == first, 0.0, gap).reshape(len(plans), -1).max(-1)
+        for r, g in zip(members, gap.tolist()):
+            gaps[r].append(g)
+    return [float(np.max(g)) for g in gaps]
 
 
 def _distribution_gap(scheme: Scheme, oracle) -> float:
@@ -92,13 +103,13 @@ def validation_checks() -> list:
         [a, b, c] for a in (0.2, 0.5, 0.8) for b in (0.2, 0.5, 0.8) for c in (0.2, 0.5, 0.8)
     ]
     paths = pairs + triples
-    for scheme, kind, grid in (
-        (Scheme.LZM, "path", paths),
-        (Scheme.JBM, "direct", singles),
-        (Scheme.JBM, "path", paths),
-        (Scheme.PEM, "direct", singles),
-        (Scheme.PEM, "path", paths),
-    ):
-        name = f"mode-consistency-{scheme.value.lower()}-{kind}"
-        record(name, _mode_gap(scheme, grid), 1e-9)
+    rows = {
+        "lzm-path": (Scheme.LZM, paths),
+        "jbm-direct": (Scheme.JBM, singles),
+        "jbm-path": (Scheme.JBM, paths),
+        "pem-direct": (Scheme.PEM, singles),
+        "pem-path": (Scheme.PEM, paths),
+    }
+    for name, gap in zip(rows, _mode_gaps(list(rows.values()))):
+        record(f"mode-consistency-{name}", gap, 1e-9)
     return results

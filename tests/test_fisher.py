@@ -689,6 +689,35 @@ class TestOnePathAgainstPerMaskReference:
         assert total.shape == (4, 5) and (total[:, 3] == 0.0).all()
 
 
+    def test_each_matrix_with_a_known_coordinate_is_reordered_once(self, monkeypatch):
+        # The build moves the known coordinates; crb_diagonal and qcrb read
+        # what it kept and reorder nothing again.
+        calls = []
+
+        def counted(e, _original=fisher._finite_first):
+            calls.append(e.shape)
+            return _original(e)
+
+        monkeypatch.setattr(fisher, "_finite_first", counted)
+        inf = math.inf
+        single = FisherMatrix(np.array([[inf, 0.0], [0.0, 2.0]]), ("a", "b"), FIRST)
+        assert crb_diagonal(single, scale=2.0) == {"a": 0.0, "b": 0.25}
+        assert qcrb(single) == 0.5
+        assert calls == [(2, 2)]
+        graph = build_star(3, [0.5, 0.5, 0.5])
+        plans = [builtin_plan(kind, graph) for kind in ("JBM2", "HYB3")]
+        params = {"e0": np.array([1.0, 0.5]), "e1": 0.5, "e2": 0.5}
+        stack = plan_qfim(plans, params, CLOSED)
+        bounds, total = crb_diagonal(stack), qcrb(stack)
+        assert calls == [(2, 2), (2, 2, 3, 3)]
+        assert (bounds["e0"][:, 0] == 0.0).all() and np.isfinite(total).all()
+        # An all-finite matrix is never reordered.
+        plain = FisherMatrix(np.diag([1.0, 2.0]), ("a", "b"), FIRST)
+        crb_diagonal(plain)
+        qcrb(plain)
+        assert len(calls) == 2
+
+
 class TestBoundGrouping:
     def test_interleaved_masks_match_single_member_calls(self):
         inf = math.inf

@@ -323,6 +323,8 @@ class TestSparseBellTerms:
         for pair in itertools.permutations(range(n), 2):
             for fix in (None, *range(n - 2)):
                 got = _bell_blocks(rho, pair, fix)
+                # Real weights on a complex state keep its imaginary parts.
+                assert got.dtype == np.complex128
                 assert got.shape == batch + (4, 2 ** (n - 2), 2 ** (n - 2))
                 assert np.array_equal(got, _dense_bell_blocks(rho, pair, fix)), (pair, fix)
                 cases += 1

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qnetomo
@@ -225,6 +226,74 @@ def test_the_blas_scan_sees_a_blas_product(source):
 
 def test_the_blas_scan_passes_einsum_and_ufuncs():
     assert _blas_uses("np.einsum('ij,jk->ik', a, b)\nc = a * b\nnp.linalg.eigvalsh(c)") == []
+
+
+# Werner states, Bell vectors and the Pauli fixups I, Z, X and XZ are real, so
+# the oracle's tables and path constructions run in real arithmetic.  Only
+# DensityMatrix, the public boundary, stores complex128.
+_COMPLEX_NAMES = {"complex", "complex64", "complex128", "complexfloating", "cdouble", "csingle"}
+
+
+def _complex_uses(source: str) -> list:
+    """Every complex dtype name and imaginary literal outside ``DensityMatrix``."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "DensityMatrix":
+                continue
+            if isinstance(child, ast.Name) and child.id in _COMPLEX_NAMES:
+                found.append(child.id)
+            elif isinstance(child, ast.Attribute) and child.attr in _COMPLEX_NAMES:
+                found.append(child.attr)
+            elif isinstance(child, ast.alias) and child.name.split(".")[-1] in _COMPLEX_NAMES:
+                found.append(child.name)
+            elif isinstance(child, ast.Constant) and (
+                isinstance(child.value, complex) or child.value in _COMPLEX_NAMES
+            ):
+                found.append(repr(child.value))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_oracle_computes_in_real_arithmetic():
+    assert _complex_uses(_source("oracle")) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "np.eye(4, dtype=complex)",
+        "a.astype(np.complex128)",
+        "np.zeros(2, 'complex128')",
+        "x = 1j",
+        "x = a + 0.5j * b",
+        "from numpy import complex128",
+        "def f(m):\n    return np.array(m, dtype=complex)\n",
+        "class Other:\n    def f(self):\n        return complex(self.x)\n",
+    ],
+)
+def test_the_complex_scan_sees_complex_arithmetic(source):
+    assert _complex_uses(source)
+
+
+def test_the_complex_scan_passes_density_matrix_and_real_code():
+    source = (
+        "class DensityMatrix:\n"
+        "    def f(self):\n"
+        "        return np.array(self.matrix, dtype=complex).conj()\n"
+        "m = np.eye(4) / 4.0\nm.real\nnp.trace(m).imag\n"
+    )
+    assert _complex_uses(source) == []
+
+
+@pytest.mark.parametrize("w", [0.5, np.array([0.0, 0.5, 1.0])])
+def test_public_oracle_states_stay_complex(w):
+    assert qnetomo.werner_density(w).matrix.dtype == np.complex128
+    for links in ([w], [w, w], [w, w, w]):
+        assert qnetomo.linear_generation(links).matrix.dtype == np.complex128
 
 
 # Every PSD and singularity decision of a Fisher matrix is made once, as it
