@@ -198,9 +198,7 @@ def validate_plan(graph: NetworkGraph, plan: MonitoringPlan) -> None:
         if set(traced.endpoints) != set(task.path.endpoints):
             raise ValueError(f"task {idx}: stored endpoints do not match the graph")
         if not _task_monitor_ok(task, graph):
-            raise ValueError(
-                f"task {idx} ({task.scheme.value}): monitor requirement not met"
-            )
+            raise ValueError(f"task {idx} ({task.scheme.value}): monitor requirement not met")
     _plan_steps(plan)
     if plan.covered_links() != frozenset(l.id for l in graph.links):
         raise ValueError("plan does not cover exactly the graph's links")
@@ -219,9 +217,7 @@ def build_star(
     if n_leaves < 2:
         raise ValueError("a star needs at least 2 leaves")
     if len(link_params) != n_leaves:
-        raise ValueError(
-            f"expected {n_leaves} link parameters, got {len(link_params)}"
-        )
+        raise ValueError(f"expected {n_leaves} link parameters, got {len(link_params)}")
     leaves = [f"v{i + 1}" for i in range(n_leaves)]
     nodes = frozenset(["v0", *leaves])
     links = tuple(WernerLink(f"e{i}", w) for i, w in enumerate(link_params))
@@ -239,13 +235,10 @@ def _chain(params: Mapping[str, float]) -> NetworkGraph:
 
 
 def _require_three_leaf_star(graph: NetworkGraph) -> None:
-    expected_nodes = {"v0", "v1", "v2", "v3"}
-    expected = {f"e{i}": ("v0", f"v{i + 1}") for i in range(3)}
-    if set(graph.nodes) != expected_nodes or set(graph.endpoints) != set(expected):
+    ends = {lid: set(pair) for lid, pair in graph.endpoints.items()}
+    star = {f"e{i}": {"v0", f"v{i + 1}"} for i in range(3)}
+    if set(graph.nodes) != {"v0", "v1", "v2", "v3"} or ends != star:
         raise ValueError("built-in plans require the 4-node star with links e0, e1, e2")
-    for lid, pair in expected.items():
-        if set(graph.endpoints[lid]) != set(pair):
-            raise ValueError("built-in plans require the 4-node star with links e0, e1, e2")
 
 
 def builtin_plan(kind: str, graph: NetworkGraph) -> MonitoringPlan:

@@ -1,23 +1,20 @@
 """Exact density-matrix oracle for small Werner-pair networks.
 
-Ground truth, on up to six qubits (64x64), for the analytic outcome
-distributions of the three schemes and for multiplicative Werner composition
-under entanglement swapping.  A Bell vector has two non-zero entries and a
-Pauli fixup is a signed permutation, so the four outcome blocks
-<beta_k|rho|beta_k> are one gather of their terms, fixups included, and two
-products and one add per side.  No projector or partial trace is formed.
-Werner states, Bell vectors and fixups are real, so all of this runs in real
-arithmetic; only a returned ``DensityMatrix`` stores complex128.
+Ground truth for the analytic outcome distributions of the three schemes
+and for multiplicative Werner composition under entanglement swapping.  A
+Bell vector has two non-zero entries and a Pauli fixup is a signed
+permutation, so the four outcome blocks <beta_k|rho|beta_k> are one gather
+of their terms, fixups included, and two products and one add per side.  No
+projector or partial trace is formed.  Werner states, Bell vectors and
+fixups are real, so all of this runs in real arithmetic and the states
+returned here are float64; a ``DensityMatrix`` keeps complex input complex.
 
 Everything is array-valued over a batch of parameter points, with the same
 contract as ``fisher``: a link parameter is a float or a 1-D array, all
 arrays in one call of equal length.  States carry the batch axes first, shape
-(..., d, d), and a float is the batch-of-one case of the same code: floats in
-give one (d, d) state and float probabilities, arrays in give a stack of
-states and one probability array per outcome.  The path constructions and the
-``*_oracle_probabilities`` functions run on plain arrays; a validated
-``DensityMatrix`` is built only for a state a public function returns, and it
-validates the whole batch at once.
+(..., d, d); floats in give one (d, d) state and float probabilities.  The
+path constructions and the ``*_oracle_probabilities`` functions run on plain
+arrays; a ``DensityMatrix`` validates a whole stack at once.
 
 Products are elementwise, never ``einsum(optimize=)``, ``tensordot``, ``dot``,
 ``matmul`` or ``@``: BLAS threads would compete for a pinned benchmark's core.
@@ -34,6 +31,8 @@ from .schemes import BELL_LABELS, ZZ_LABELS, _Record
 
 ATOL_EQ = 1e-12
 ATOL_PSD = 1e-10
+# Caps every DensityMatrix, so every public state, at six qubits.  Constructions here
+# hold four at most (a swap folds two pairs into one); 1-3 links mean at most two swaps.
 MAX_DIM = 64
 
 # Outcome-dependent Pauli fixup (I, Z, X, XZ) in BELL_LABELS order, applied to one
@@ -59,7 +58,7 @@ class DensityMatrix(_Record):
     ``matrix`` has shape (d, d), or (..., d, d) for a batch.  Invariants
     enforced at construction for every member: dimension a power of two up
     to 64, Hermitian and unit trace within 1e-12, smallest eigenvalue at
-    least -1e-10 (one batched ``eigvalsh``).
+    least -1e-10 (one batched ``eigvalsh``, real for real input).
     """
 
     __match_args__ = ("matrix",)
@@ -70,7 +69,9 @@ class DensityMatrix(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+        # A float64 copy of real input, a complex128 copy of complex input.
+        m = np.asarray(self.matrix)
+        m = m.astype(np.result_type(m, np.float64))
         if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError("matrix must be square")
         dim = m.shape[-1]
@@ -170,10 +171,6 @@ def _bell_probabilities(rho: np.ndarray) -> dict:
     return _by_label(BELL_LABELS, probs)
 
 
-def _zz_probabilities(rho: np.ndarray) -> dict:
-    return _by_label(ZZ_LABELS, np.clip(np.diagonal(rho, axis1=-2, axis2=-1), 0.0, None))
-
-
 def _linear(params: Sequence[float | np.ndarray]) -> np.ndarray:
     if not 1 <= len(params) <= 3:
         raise ValueError("path length must be between 1 and 3 links")
@@ -229,4 +226,5 @@ def pem_oracle_probabilities(params: Sequence[float | np.ndarray]) -> dict:
 
 def lzm_oracle_probabilities(params: Sequence[float | np.ndarray]) -> dict:
     """Correlated Z-basis statistics from the exact path construction."""
-    return _zz_probabilities(_linear(params))
+    diagonal = np.diagonal(_linear(params), axis1=-2, axis2=-1)
+    return _by_label(ZZ_LABELS, np.clip(diagonal, 0.0, None))

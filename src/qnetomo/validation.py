@@ -1,9 +1,10 @@
 """The checks behind ``qnetomo validate``.
 
 Each check compares the analytic scheme table with the exact density-matrix
-oracle, or one Fisher mode with the other, and states its own tolerance.
-The mode-consistency rows compare entries, built by ``fisher._plan_entries``
-with no matrix check, one stack of one-task plans per path length and mode.
+oracle, or one Fisher mode with the other, states its own tolerance and runs
+once over its batch.  The mode-consistency rows compare the entries that
+``fisher._plan_entries`` builds, with no matrix check, one stack of one-task
+plans per path length and mode.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import numpy as np
 from .fisher import FisherMode, _plan_entries, single_link_fisher
 from .network import MeasurementTask, MonitoringPlan, Scheme, _chain, trace_path
 from .oracle import (
+    DensityMatrix,
+    _linear,
+    _werner,
     jbm_oracle_probabilities,
-    linear_generation,
     lzm_oracle_probabilities,
     pem_oracle_probabilities,
-    werner_density,
 )
-from .schemes import scheme_distribution
+from .schemes import PROB_ATOL, SCHEMES
 
 
 def _chain_task(scheme: Scheme, ws: Sequence[float]) -> tuple:
@@ -61,9 +63,17 @@ def _mode_gaps(rows: Sequence[tuple]) -> list:
 def _distribution_gap(scheme: Scheme, oracle) -> float:
     """Largest table-vs-oracle gap over w = 0, 0.05, ..., 1, one oracle call."""
     ws = np.arange(21) / 20.0
+    spec = SCHEMES[scheme]
+    table = dict(zip(spec.labels, spec.probabilities(ws), strict=True))
+    # OutcomeDistribution's checks and tolerances, at every point at once.
+    if not ((ws >= 0.0) & (ws <= 1.0)).all():
+        raise ValueError("path product outside [0, 1]")
+    if (np.array(list(table.values())) < -PROB_ATOL).any():
+        raise ValueError("negative outcome probability")
+    if (np.abs(sum(table.values()) - 1.0) > PROB_ATOL).any():
+        raise ValueError("probabilities must sum to 1")
     exact = oracle([ws])
-    table = [scheme_distribution(scheme, w).as_dict() for w in ws.tolist()]
-    return float(max(np.abs([t[l] for t in table] - exact[l]).max() for l in exact))
+    return float(max(np.abs(table[l] - exact[l]).max() for l in exact))
 
 
 def validation_checks() -> list:
@@ -86,10 +96,9 @@ def validation_checks() -> list:
         name = f"{scheme.value.lower()}-distribution-vs-oracle"
         record(name, _distribution_gap(scheme, oracle), 1e-12)
 
-    # All 100 pairs (i / 9, j / 9) at once, one validated state stack per side.
+    # All 100 pairs (i / 9, j / 9) at once, both sides in one validated stack.
     w1, w2 = np.repeat(np.arange(10) / 9.0, 10), np.tile(np.arange(10) / 9.0, 10)
-    chained = linear_generation([w1, w2]).matrix
-    direct = werner_density(w1 * w2).matrix
+    chained, direct = DensityMatrix(np.stack([_linear([w1, w2]), _werner(w1 * w2)])).matrix
     record("swap-multiplicativity", float(np.max(np.abs(chained - direct))), 1e-12)
 
     ws = 0.05 * np.arange(1, 20)

@@ -25,6 +25,7 @@ from qnetomo.oracle import (
     _bell_blocks,
     _bell_probabilities,
     _cyclic,
+    _linear,
     _swap,
     _werner,
 )
@@ -468,3 +469,95 @@ class TestBatchValidation:
             werner_density(np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match="1-D"):
             linear_generation([np.full((2, 2), 0.5)])
+
+
+def _real_stack():
+    """Two stacks of three real Werner states, shaped (2, 3, 4, 4) as validate stacks them."""
+    return np.stack([_werner(np.array([0.2, 0.5, 0.9])), _werner(np.array([0.0, 0.6, 1.0]))])
+
+
+def _with_eigenvalues(m, eigenvalues):
+    # Rotated into the Bell basis, so the state is not diagonal; _BELL is orthogonal.
+    m[...] = _BELL.T @ np.diag(eigenvalues) @ _BELL
+
+
+def _off_symmetry(m):
+    m[0, 1] += 2e-12
+
+
+def _off_trace(m):
+    m[2, 2] += 2e-12
+
+
+def _negative_eigenvalue(m):
+    _with_eigenvalues(m, [0.5 + 1e-10, 0.5 + 1e-10, 0.0, -2e-10])
+
+
+def _nan_entry(m):
+    m[1, 2] = np.nan
+
+
+class TestRealStackValidation:
+    """A float64 stack gets every check, with the tolerances of a complex one."""
+
+    def test_a_valid_real_stack_stays_real(self):
+        states = _real_stack()
+        state = DensityMatrix(states)
+        assert state.matrix.dtype == np.float64
+        assert state.matrix.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("member", [(0, 1), (1, 0), (1, 2)])
+    @pytest.mark.parametrize(
+        "fault, match",
+        [
+            (_off_symmetry, "Hermitian"),
+            (_off_trace, "trace"),
+            (_negative_eigenvalue, "semidefinite"),
+            (_nan_entry, "Hermitian"),
+        ],
+    )
+    def test_one_member_just_outside_a_tolerance_rejects_the_stack(self, member, fault, match):
+        states = _real_stack()
+        fault(states[member])
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix(states)
+
+    def test_a_member_just_inside_every_tolerance_is_accepted(self):
+        states = _real_stack()
+        _with_eigenvalues(states[1, 2], [0.5 + 2.5e-11, 0.5 + 2.5e-11, 0.0, -5e-11])
+        states[1, 1, 0, 1] += 5e-13
+        states[1, 1, 3, 3] += 5e-13
+        assert DensityMatrix(states).matrix.dtype == np.float64
+
+    def test_complex_hermitian_input_is_accepted_and_stays_complex(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1], m[1, 0] = 0.1j, -0.1j
+        state = DensityMatrix(np.stack([m, m.conj()]))
+        assert state.matrix.dtype == np.complex128
+        assert state.matrix.tobytes() == np.stack([m, m.conj()]).tobytes()
+
+    def test_complex_input_is_still_conjugated(self):
+        # Symmetric but not Hermitian: only the conjugate transpose tells.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = 0.1j
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("w", [0.0, 0.3, 1.0, np.linspace(0.0, 1.0, 11)])
+    def test_werner_density_equals_the_complex_computation_bit_for_bit(self, w):
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+        wc = np.asarray(w, dtype=float)[..., None, None]
+        want = wc * np.outer(bell, bell).astype(complex) + (1.0 - wc) * np.eye(4, dtype=complex) / 4.0
+        got = werner_density(w).matrix
+        assert got.dtype == np.float64
+        assert got.astype(complex).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "params",
+        [[0.7], [0.7, 0.4], [0.9, 0.5, 0.3], [np.linspace(0.0, 1.0, 11), np.linspace(1.0, 0.0, 11)]],
+    )
+    def test_linear_generation_equals_the_stored_complex_state_bit_for_bit(self, params):
+        # Before states stayed real, a DensityMatrix stored the construction as complex128.
+        got = linear_generation(params).matrix
+        assert got.dtype == np.float64
+        assert got.astype(complex).tobytes() == np.array(_linear(params), dtype=complex).tobytes()

@@ -166,7 +166,7 @@ CASES = [
         [("matrix", REQUIRED)],
         dict(matrix=np.eye(2) / 2),
         ("matrix", np.diag([1.0, 0.0])),
-        "DensityMatrix(matrix=array([[0.5+0.j, 0. +0.j],\n       [0. +0.j, 0.5+0.j]]))",
+        "DensityMatrix(matrix=array([[0.5, 0. ],\n       [0. , 0.5]]))",
         False,
     ),
 ]

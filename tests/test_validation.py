@@ -1,17 +1,18 @@
-"""The checks behind ``qnetomo validate``: grouped mode gaps and the failure path."""
+"""The checks behind ``qnetomo validate``: grouped mode gaps, batched tables, the failure path."""
 
 import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetomo import DensityMatrix, FisherMatrix, FisherMode, Scheme, task_qfim
-from qnetomo import fisher, validation
+from qnetomo import DensityMatrix, FisherMatrix, FisherMode, OutcomeDistribution, Scheme, task_qfim
+from qnetomo import fisher, schemes, validation
 from qnetomo.cli import main
-from qnetomo.schemes import SCHEMES, SchemeSpec
-from qnetomo.validation import _chain_task, _mode_gaps, validation_checks
+from qnetomo.schemes import SCHEMES, SchemeSpec, scheme_distribution
+from qnetomo.validation import _chain_task, _distribution_gap, _mode_gaps, validation_checks
 
 ROWS = [
     "lzm-distribution-vs-oracle",
@@ -71,7 +72,7 @@ class TestGroupedModeGaps:
         assert jbm == _per_task_mode_gap(Scheme.JBM, rows[0][1]) and math.isnan(pem)
 
     def test_validate_makes_six_entry_builds_and_no_fisher_matrix(self, monkeypatch):
-        builds, matrices, states = [], [], []
+        builds, matrices, states, distributions = [], [], [], []
 
         def entries(plans, params, mode, normalize, _original=validation._plan_entries):
             builds.append((len(plans), mode))
@@ -89,6 +90,12 @@ class TestGroupedModeGaps:
         monkeypatch.setattr(validation, "_plan_entries", entries)
         monkeypatch.setattr(FisherMatrix, "__post_init__", counted(FisherMatrix, matrices))
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted(DensityMatrix, states))
+
+        def distribution(obj, *args, _original=OutcomeDistribution.__init__, **kwargs):
+            distributions.append(args or kwargs)
+            _original(obj, *args, **kwargs)
+
+        monkeypatch.setattr(OutcomeDistribution, "__init__", distribution)
         results = validation_checks()
         assert all(ok for *_, ok in results)
         # One stack per path length and mode: 1 link (JBM, PEM), 2 and 3 links
@@ -96,11 +103,60 @@ class TestGroupedModeGaps:
         closed, first = FisherMode.CLOSED_FORM, FisherMode.FIRST_PRINCIPLES
         assert Counter(builds) == {(2, closed): 1, (2, first): 1, (3, closed): 2, (3, first): 2}
         assert matrices == []
-        # The two validated oracle stacks of swap-multiplicativity, complex as before.
-        assert [(s.matrix.shape, s.matrix.dtype) for s in states] == [
-            ((100, 4, 4), np.complex128),
-            ((100, 4, 4), np.complex128),
-        ]
+        # Both sides of swap-multiplicativity in one real validated stack; the
+        # scheme tables are checked as batches, with no per-point record.
+        assert [(s.matrix.shape, s.matrix.dtype) for s in states] == [((2, 100, 4, 4), np.float64)]
+        assert distributions == []
+
+
+WS = np.arange(21) / 20.0
+
+
+def _broken(slopes):
+    return {**SCHEMES, Scheme.LZM: SchemeSpec(**{**vars(SCHEMES[Scheme.LZM]), "slopes": slopes})}
+
+
+class TestBatchedTables:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_equal_to_the_per_point_distributions_bit_for_bit(self, scheme):
+        batch = SCHEMES[scheme].probabilities(WS)
+        for k, w in enumerate(WS.tolist()):
+            point = scheme_distribution(scheme, w).probabilities
+            assert np.array([p[k] for p in batch]).tobytes() == np.array(point).tobytes()
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_an_oracle_equal_to_the_per_point_table_gives_a_zero_gap(self, scheme):
+        def per_point(params):
+            (ws,) = params
+            dists = [scheme_distribution(scheme, w).as_dict() for w in ws.tolist()]
+            return {label: np.array([d[label] for d in dists]) for label in dists[0]}
+
+        assert _distribution_gap(scheme, per_point) == 0.0
+
+    @pytest.mark.parametrize(
+        "slopes, match",
+        [
+            # (1 - 1.1 w) / 4 is negative for w > 1/1.1; the sum stays 1.
+            ((1.1, -1.1, -1.0, 1.0), "negative outcome probability"),
+            # The probabilities sum to 1 + 1e-9 w.
+            ((1.0 + 4e-9, -1.0, -1.0, 1.0), "sum to 1"),
+        ],
+    )
+    def test_a_broken_table_raises_as_a_distribution_does(self, monkeypatch, slopes, match):
+        monkeypatch.setattr(validation, "SCHEMES", _broken(slopes))
+        with pytest.raises(ValueError, match=match):
+            validation_checks()
+        monkeypatch.setattr(schemes, "SCHEMES", _broken(slopes))
+        with pytest.raises(ValueError, match=match):
+            scheme_distribution(Scheme.LZM, 1.0)
+
+    def test_a_table_within_tolerance_passes_as_a_distribution_does(self, monkeypatch):
+        # The probabilities sum to 1 + 1e-13 w, inside PROB_ATOL.
+        monkeypatch.setattr(validation, "SCHEMES", _broken((1.0 + 4e-13, -1.0, -1.0, 1.0)))
+        results = {name: ok for name, _, _, ok in validation_checks()}
+        assert results["lzm-distribution-vs-oracle"]
+        monkeypatch.setattr(schemes, "SCHEMES", _broken((1.0 + 4e-13, -1.0, -1.0, 1.0)))
+        scheme_distribution(Scheme.LZM, 1.0)
 
 
 def _statuses(path):
@@ -139,3 +195,28 @@ class TestFailurePath:
         statuses = _statuses(out)
         assert statuses.pop("pem-distribution-vs-oracle") == "FAIL"
         assert set(statuses.values()) == {"PASS"}
+
+    @pytest.mark.parametrize("side", ["_linear", "_werner"])
+    def test_a_perturbed_swap_side_fails_only_the_swap_row(self, monkeypatch, capsys, tmp_path, side):
+        # Mixed with 1e-9 of I/4: still a valid state, 1e-9 off the Werner product.
+        def mixed(params, _original=getattr(validation, side)):
+            return (1.0 - 1e-9) * _original(params) + 1e-9 * np.eye(4) / 4.0
+
+        monkeypatch.setattr(validation, side, mixed)
+        out = tmp_path / "report.csv"
+        assert main(["validate", "--out", str(out)]) == 2
+        capsys.readouterr()
+        statuses = _statuses(out)
+        assert statuses.pop("swap-multiplicativity") == "FAIL"
+        assert set(statuses.values()) == {"PASS"}
+
+    @pytest.mark.parametrize("side", ["_linear", "_werner"])
+    def test_a_scaled_swap_side_is_rejected_as_a_state(self, monkeypatch, side):
+        # Scaled by 1 + 1e-9, the trace misses 1 by 1e-9: the stack's validation
+        # rejects it before the row compares the two sides.
+        def scaled(params, _original=getattr(validation, side)):
+            return _original(params) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(validation, side, scaled)
+        with pytest.raises(ValueError, match="trace"):
+            validation_checks()
