@@ -407,7 +407,7 @@ def benchmark_variance(
             raise ValueError(f"true_params[{lid!r}] must be one real number, got {type(w).__name__}")
     # Before any sampling: plan_qfim also range-checks every parameter.
     info = plan_qfim(plan, true_params, mode, normalize=False)
-    order = tuple(sorted(true_params))
+    order = info.order
     dists = [task_distribution(task, true_params) for task in plan.tasks]
     steps = _plan_steps(plan)
     estimates = np.full((rounds, len(order)), np.nan)

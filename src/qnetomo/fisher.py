@@ -18,21 +18,15 @@ reports it.
 
 Everything is array-valued over a batch of parameter points.  A link
 parameter is a float or a 1-D array, all arrays in one call of equal length;
-a batch then gives a `FisherMatrix` with entries of shape (..., n, n) and
-bounds that are arrays over the batch, while floats give one (n, n) matrix and
-float bounds from the same code.  A matrix is checked once, when it is
-built, and every singularity decision is made there too: distinct names, no
-nan or -inf, symmetry (equal infinities included), no infinite entry between
-two finite-diagonal coordinates, and positive semidefiniteness of each
-member's finite block.  A coordinate with +inf information is known exactly;
-each member's known coordinates are moved last and uncoupled once, when the
-matrix is built, so one `eigvalsh` over the stack checks every finite block
-and flags the singular members, and `crb_diagonal` inverts the kept stack in
-one `inv`.  `plan_qfim` also takes a sequence of plans and stacks them on a
-new leading axis of one matrix, checked and inverted as one batch; each
-distinct (scheme, path) block is built once per call and every plan sums its
-blocks in task order.  `plan_qfim` wraps `_plan_entries`, which makes every
-check but the matrix's; `validate` compares that builder's entries alone.
+a batch gives a `FisherMatrix` with entries of shape (..., n, n) and array
+bounds, floats give one (n, n) matrix and float bounds, from the same code.
+A matrix makes every check and singularity decision when it is built, with
+one `eigvalsh` over its stack, and one `inv` of that stack then gives every
+member's bounds: `crb_diagonal` only divides them by the sample count.
+`plan_qfim` also stacks a sequence of plans on a new leading axis of one
+matrix; each distinct (scheme, path) block is built once per call and every
+plan sums its blocks in task order.  `plan_qfim` wraps `_plan_entries`, which
+makes every check but the matrix's; `validate` compares its entries alone.
 `crossover` bisects on plain floats through the J rule the array path guards.
 """
 
@@ -74,8 +68,10 @@ class FisherMatrix(_Record):
     normalization when ``normalized`` is set.  ``_singular``, in the batch
     shape, flags each member whose finite block has eigenvalue ratio below
     ``SINGULAR_RTOL``: its parameters are not jointly identifiable.
-    ``_reordered`` keeps the build's ``_finite_first`` result for the bounds.
-    Neither is a field, so equality, hashing and repr leave them out.
+    ``_bounds``, shape (..., n) in parameter order, is the diagonal of each
+    member's inverse, with 0 on known coordinates and +inf on a singular
+    member's finite ones.  Both are read-only and neither is a field, so
+    equality, hashing and repr leave them out.
     """
 
     __match_args__ = ("entries", "order", "mode", "normalized", "ledger")
@@ -110,8 +106,7 @@ class FisherMatrix(_Record):
             t = e.swapaxes(-1, -2)
             if not ((e == t) | (np.abs(e - t) <= SYM_ATOL)).all():
                 raise ValueError("matrix is not symmetric within tolerance")
-        reordered = (e, None, False) if all_finite else _finite_first(e)
-        block = reordered[0]
+        block, perm, known = (e, None, False) if all_finite else _finite_first(e)
         if not (all_finite or np.isfinite(block).all()):
             raise ValueError("off-diagonal infinity with finite diagonal is not supported")
         eig = np.linalg.eigvalsh(block)
@@ -121,11 +116,17 @@ class FisherMatrix(_Record):
             raise ValueError("matrix is not positive semidefinite within tolerance")
         with np.errstate(divide="ignore", invalid="ignore"):
             singular = np.asarray(((hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)).any(-1))
-        for array in (e, block, singular):
+        if singular.any():
+            # A singular member inverts the identity in its place; its bounds are +inf.
+            block = np.where(singular[..., None, None], np.eye(n), block)
+        bounds = np.diagonal(np.linalg.inv(block), axis1=-2, axis2=-1)
+        if perm is not None or singular.any():
+            bounds = np.where(known, 0.0, np.where(singular[..., None], math.inf, bounds))
+        if perm is not None:
+            bounds = np.take_along_axis(bounds, np.argsort(perm, axis=-1), axis=-1)
+        for array in (e, singular, bounds):
             array.setflags(write=False)
-        self.__dict__.update(
-            entries=e, order=tuple(self.order), _singular=singular, _reordered=reordered
-        )
+        self.__dict__.update(entries=e, order=tuple(self.order), _singular=singular, _bounds=bounds)
 
 
 def _finite_first(e: np.ndarray) -> tuple:
@@ -137,12 +138,9 @@ def _finite_first(e: np.ndarray) -> tuple:
     entry equal to the member's largest finite diagonal entry, or 1 when there
     is none.  That value lies between the finite block's smallest and largest
     eigenvalues, so the PSD and singularity tests see the finite block alone.
-    With nothing known the stack itself comes back, with no permutation.
     """
     n = e.shape[-1]
     known = np.diagonal(e, axis1=-2, axis2=-1) == math.inf
-    if not known.any():
-        return e, None, known
     order = np.argsort(known, axis=-1, kind="stable")
     # One gather from the flat stack: member offset, then row and column.
     members = np.arange(known.size // n).reshape(known.shape[:-1] + (1, 1)) * (n * n)
@@ -292,7 +290,7 @@ def plan_qfim(
 
     A sequence of plans over the same parameters gives one matrix that stacks
     the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
-    checked and later inverted as one batch.  Each member is bit for bit
+    checked and inverted as one batch.  Each member is bit for bit
     the matrix its plan gives alone.  With ``normalize`` each plan is divided
     by its own total and ``ledger`` is the tuple of the plans' ledgers.
     """
@@ -311,21 +309,13 @@ def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     whose finite block is singular (flagged when the matrix was built) gets
     +inf on its finite coordinates: the parameters are not jointly
     identifiable.  A batched matrix gives an array of bounds per parameter.
-    ``scale`` (the samples per task) must be a positive finite number.
+    ``scale`` (the samples per task) must be a positive finite number; the
+    bounds, inverted when the matrix was built, are only divided by it.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a positive finite number, got {scale!r}")
-    block, order, known = matrix._reordered
-    singular = matrix._singular
-    if singular.any():
-        # A singular member inverts the identity in its place; its bounds are +inf.
-        block = np.where(singular[..., None, None], np.eye(len(matrix.order)), block)
-    bounds = np.diagonal(np.linalg.inv(block), axis1=-2, axis2=-1) / scale
-    if order is not None or singular.any():
-        bounds = np.where(known, 0.0, np.where(singular[..., None], math.inf, bounds))
-    if order is not None:
-        bounds = np.take_along_axis(bounds, np.argsort(order, axis=-1), axis=-1)
-    return {lid: _plain(bounds[..., k]) for k, lid in enumerate(matrix.order)}
+    with np.errstate(over="ignore"):
+        return {lid: _plain(matrix._bounds[..., k] / scale) for k, lid in enumerate(matrix.order)}
 
 
 def qcrb(matrix: FisherMatrix) -> float | np.ndarray:

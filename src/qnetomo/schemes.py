@@ -171,6 +171,23 @@ SCHEMES: Mapping[Scheme, SchemeSpec] = MappingProxyType(
 PROB_ATOL = 1e-12
 
 
+def _everywhere(test) -> bool:
+    """A comparison of floats, or of arrays at every point of the batch."""
+    return test if isinstance(test, bool) else bool(test.all())
+
+
+def _require_law(probabilities) -> None:
+    """Raise unless no probability is below -PROB_ATOL and they sum to 1 within it.
+
+    Floats, or equal-shape arrays over a batch; each test fails on a nan.
+    """
+    for p in probabilities:
+        if not _everywhere(p >= -PROB_ATOL):
+            raise ValueError(f"{'negative' if _everywhere(p == p) else 'nan'} outcome probability")
+    if not _everywhere(abs(sum(probabilities) - 1.0) <= PROB_ATOL):
+        raise ValueError("probabilities must sum to 1")
+
+
 class OutcomeDistribution(_Record):
     """Labeled probability vector over a scheme's measurement outcomes.
 
@@ -187,10 +204,7 @@ class OutcomeDistribution(_Record):
             raise ValueError("labels and probabilities must align")
         if not 0.0 <= path_product <= 1.0:
             raise ValueError(f"path product {path_product} outside [0, 1]")
-        if any(p < -PROB_ATOL for p in probabilities):
-            raise ValueError("negative outcome probability")
-        if abs(sum(probabilities) - 1.0) > PROB_ATOL:
-            raise ValueError("probabilities must sum to 1")
+        _require_law(probabilities)
         self.__dict__.update(
             scheme=scheme, labels=labels, probabilities=probabilities, path_product=path_product
         )

@@ -23,7 +23,7 @@ from .oracle import (
     lzm_oracle_probabilities,
     pem_oracle_probabilities,
 )
-from .schemes import PROB_ATOL, SCHEMES
+from .schemes import SCHEMES, _require_law
 
 
 def _chain_task(scheme: Scheme, ws: Sequence[float]) -> tuple:
@@ -64,14 +64,9 @@ def _distribution_gap(scheme: Scheme, oracle) -> float:
     """Largest table-vs-oracle gap over w = 0, 0.05, ..., 1, one oracle call."""
     ws = np.arange(21) / 20.0
     spec = SCHEMES[scheme]
-    table = dict(zip(spec.labels, spec.probabilities(ws), strict=True))
-    # OutcomeDistribution's checks and tolerances, at every point at once.
-    if not ((ws >= 0.0) & (ws <= 1.0)).all():
-        raise ValueError("path product outside [0, 1]")
-    if (np.array(list(table.values())) < -PROB_ATOL).any():
-        raise ValueError("negative outcome probability")
-    if (np.abs(sum(table.values()) - 1.0) > PROB_ATOL).any():
-        raise ValueError("probabilities must sum to 1")
+    probabilities = spec.probabilities(ws)
+    _require_law(probabilities)  # OutcomeDistribution's rule, at every point at once
+    table = dict(zip(spec.labels, probabilities, strict=True))
     exact = oracle([ws])
     return float(max(np.abs(table[l] - exact[l]).max() for l in exact))
 

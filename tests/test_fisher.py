@@ -527,6 +527,13 @@ class TestBounds:
         with pytest.raises(ValueError, match="scale"):
             crb_diagonal(matrix, scale=scale)
 
+    @pytest.mark.parametrize("entry, scale", [(2.2250738585072014e-308, 0.25), (1e-10, 1e-300)])
+    def test_a_bound_past_the_float_range_is_inf(self, entry, scale):
+        # 1 / entry is finite; divided by the scale it overflows, with no warning.
+        matrix = self._matrix([[entry]], order=("a",))
+        assert crb_diagonal(matrix) == {"a": 1.0 / entry}
+        assert crb_diagonal(matrix, scale=scale) == {"a": math.inf}
+
     def test_singular_matrix_gives_inf(self):
         bounds = crb_diagonal(self._matrix([[1.0, 1.0], [1.0, 1.0]]))
         assert bounds["a"] == math.inf and bounds["b"] == math.inf
@@ -582,7 +589,8 @@ def _per_mask_reference(stack, scale):
         regular = rows[~flags]
         if regular.size:
             inverse = np.linalg.inv(flat[regular[:, None, None], coords[:, None], coords])
-            bounds[regular[:, None], coords] = np.diagonal(inverse, axis1=1, axis2=2) / scale
+            with np.errstate(over="ignore"):
+                bounds[regular[:, None], coords] = np.diagonal(inverse, axis1=1, axis2=2) / scale
     return bounds.reshape(stack.shape[:-1]), singular.reshape(stack.shape[:-2])
 
 
@@ -633,11 +641,11 @@ def _stacks(draw):
 
 class TestOnePathAgainstPerMaskReference:
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(_stacks())
-    def test_bounds_flags_and_messages_match(self, stack):
+    @given(_stacks(), st.sampled_from([0.25, 1.0, 3.0, 20000.0]))
+    def test_bounds_flags_and_messages_match(self, stack, scale):
         order = tuple("abcd"[: stack.shape[-1]])
         try:
-            expected, flags = _per_mask_reference(stack, 3.0)
+            expected, flags = _per_mask_reference(stack, scale)
         except ValueError as err:
             # The reference reports the first faulty group; the one path
             # looks for infinities between finite coordinates in every
@@ -648,7 +656,7 @@ class TestOnePathAgainstPerMaskReference:
             assert str(info.value) == message
             return
         matrix = FisherMatrix(stack, order, FIRST)
-        bounds = crb_diagonal(matrix, scale=3.0)
+        bounds = crb_diagonal(matrix, scale=scale)
         actual = np.stack([bounds[lid] for lid in order], axis=-1)
         np.testing.assert_array_equal(matrix._singular, flags)
         if len(order) <= 3:

@@ -240,28 +240,27 @@ def test_record_contract(cls, params, kwargs, change, text, hashable):
 def test_fisher_singularity_state_stays_out_of_eq_and_repr():
     matrix = FisherMatrix(entries=np.eye(2), order=("a", "b"), mode=FisherMode.FIRST_PRINCIPLES)
     twin = copy.copy(matrix)
-    vars(twin).update(_singular=np.ones((), dtype=bool), _reordered=(np.zeros((2, 2)), None, True))
+    vars(twin).update(_singular=np.ones((), dtype=bool), _bounds=np.full(2, np.inf))
     assert twin == matrix
     assert repr(twin) == repr(matrix)
-    for state in ("_singular", "_reordered"):
+    # Equality, hashing and repr all go over the fields alone.
+    for state in ("_singular", "_bounds"):
         assert state not in repr(matrix) and state not in FisherMatrix.__match_args__
     # One flag per member, in the batch shape: a single matrix has one.
     assert matrix._singular.shape == () and not matrix._singular
     with pytest.raises(ValueError):
         matrix._singular[...] = True
-    # An all-finite matrix keeps its own entries as the reordered stack.
-    block, order, known = matrix._reordered
-    assert block is matrix.entries and order is None and known is False
+    # One unscaled bound per coordinate, in parameter order.
+    assert matrix._bounds.tolist() == [1.0, 1.0]
 
 
-def test_fisher_reordered_state_is_read_only_and_survives_copies():
+def test_fisher_bounds_state_is_read_only_and_survives_copies():
     entries = np.array([[np.inf, 0.0], [0.0, 2.0]])
     matrix = FisherMatrix(entries=entries, order=("a", "b"), mode=FisherMode.CLOSED_FORM)
-    block, order, known = matrix._reordered
-    # The known coordinate moves last and gets the largest finite diagonal entry.
-    assert block.tolist() == [[2.0, 0.0], [0.0, 2.0]]
-    assert order.tolist() == [1, 0] and known.tolist() == [False, True]
+    # The known coordinate is bounded by 0, the other by its inverse information.
+    assert matrix._bounds.tolist() == [0.0, 0.5]
     with pytest.raises(ValueError):
-        block[0, 0] = 5.0
+        matrix._bounds[1] = 5.0
     for clone in (copy.copy(matrix), copy.deepcopy(matrix), pickle.loads(pickle.dumps(matrix))):
         assert _same_record(clone, matrix)
+        assert clone._bounds.tolist() == [0.0, 0.5]

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnetomo import (
+    ZZ_LABELS,
     MeasurementTask,
     OutcomeDistribution,
     Path,
@@ -125,6 +126,21 @@ class TestDistributionValidation:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):
             OutcomeDistribution(Scheme.LZM, ("a", "b"), (0.6, 0.6), 0.5)
+
+    @pytest.mark.parametrize(
+        "probabilities, match",
+        [
+            ((math.nan,) * 4, "nan outcome probability"),
+            ((math.nan, 0.5, 0.25, 0.25), "nan outcome probability"),
+            ((0.5, 0.5, 0.0, math.nan), "nan outcome probability"),
+            ((math.inf, 0.0, 0.0, 0.0), "sum to 1"),
+            ((-math.inf, 1.0, 0.0, 0.0), "negative outcome probability"),
+            ((math.inf, -math.inf, 0.5, 0.5), "negative outcome probability"),
+        ],
+    )
+    def test_rejects_nan_and_infinite_probabilities(self, probabilities, match):
+        with pytest.raises(ValueError, match=match):
+            OutcomeDistribution(Scheme.LZM, ZZ_LABELS, probabilities, 0.5)
 
     def test_rejects_misaligned_labels(self):
         with pytest.raises(ValueError, match="align"):

@@ -1,6 +1,7 @@
 """The package's public names and the direction of its internal imports."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -300,8 +301,8 @@ def test_public_oracle_states_are_real_and_complex_input_stays_complex(w):
 
 
 # Every PSD and singularity decision of a Fisher matrix is made once, as it
-# is built, with one eigvalsh over the whole stack; the bound computations
-# make one inv over the whole stack.  Neither runs per member or per group.
+# is built, with one eigvalsh over the whole stack, and one inv over the same
+# stack gives its bounds.  Neither runs per member or per group.
 _LOOPS = (
     ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
 )
@@ -335,8 +336,35 @@ def test_fisher_calls_eigvalsh_only_when_a_matrix_is_built():
     assert _homes(_source("fisher"), "eigvalsh") == ["FisherMatrix.__post_init__"]
 
 
-def test_fisher_inverts_only_in_crb_diagonal():
-    assert _homes(_source("fisher"), "inv") == ["crb_diagonal"]
+def test_fisher_decomposes_a_matrix_only_when_it_is_built():
+    # Both linear-algebra calls, the PSD check's and the bounds'.
+    assert _homes(_source("fisher"), "linalg") == ["FisherMatrix.__post_init__"] * 2
+
+
+class _NoLinearAlgebra:
+    def __getattr__(self, name):
+        raise AssertionError(f"linear algebra ({name}) after the matrix was built")
+
+
+def test_bounds_only_scale_and_sum(monkeypatch):
+    graph = qnetomo.build_star(3, [0.5, 0.5, 0.5])
+    plans = [qnetomo.builtin_plan(kind, graph) for kind in ("JBM2", "JBM3", "HYB2", "HYB3")]
+    # A link at 0 makes singular members, a link at 1 known coordinates.
+    params = {"e0": np.array([0.0, 0.5, 1.0]), "e1": 0.5, "e2": np.array([0.3, 1.0, 0.9])}
+    closed = qnetomo.FisherMode.CLOSED_FORM
+    matrices = [
+        qnetomo.plan_qfim(plans, params, closed),
+        qnetomo.FisherMatrix(np.array([[math.inf, 0.0], [0.0, 2.0]]), ("a", "b"), closed),
+        qnetomo.FisherMatrix(np.ones((2, 2)), ("a", "b"), closed),
+    ]
+    monkeypatch.setattr(np, "linalg", _NoLinearAlgebra())
+    for matrix in matrices:
+        unit = qnetomo.crb_diagonal(matrix)
+        for scale in (0.25, 3.0, 20000.0):
+            scaled = qnetomo.crb_diagonal(matrix, scale)
+            for lid in matrix.order:
+                assert np.asarray(scaled[lid]).tobytes() == np.asarray(unit[lid] / scale).tobytes()
+        assert np.asarray(qnetomo.qcrb(matrix)).tobytes() == np.asarray(sum(unit.values())).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -366,3 +394,49 @@ def test_the_eigvalsh_scan_sees_each_use_in_its_scope(source, homes):
 )
 def test_the_scan_marks_a_use_inside_a_loop(source, homes):
     assert _homes(source, "inv") == homes
+
+
+# The outcome-law rule has one home, schemes._require_law: every other module
+# that checks a law calls it, and none compares a value against PROB_ATOL.
+def _law_tolerance_compares(source: str) -> list:
+    """The line of every comparison that reads ``PROB_ATOL``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(
+            (isinstance(n, ast.Name) and n.id == "PROB_ATOL")
+            or (isinstance(n, ast.Attribute) and n.attr == "PROB_ATOL")
+            for n in ast.walk(node)
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "schemes")
+)
+def test_only_the_scheme_table_compares_against_the_law_tolerance(module):
+    assert _law_tolerance_compares(_source(module)) == []
+
+
+def test_the_law_tolerance_scan_sees_the_rule_in_the_scheme_table():
+    assert _law_tolerance_compares(_source("schemes"))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "if p < -PROB_ATOL:\n    pass\n",
+        "ok = abs(sum(ps) - 1.0) <= schemes.PROB_ATOL",
+        "bad = (np.abs(total - 1.0) > PROB_ATOL).any()",
+        "def f(p):\n    return -PROB_ATOL <= p <= 1.0\n",
+        "class Law:\n    def ok(self, p):\n        return all(q >= -PROB_ATOL for q in p)\n",
+    ],
+)
+def test_the_law_tolerance_scan_sees_a_comparison(source):
+    assert _law_tolerance_compares(source)
+
+
+def test_the_law_tolerance_scan_passes_other_uses():
+    source = "from .schemes import PROB_ATOL\natol = 2 * PROB_ATOL\nok = p < ATOL\n"
+    assert _law_tolerance_compares(source) == []

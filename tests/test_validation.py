@@ -140,6 +140,8 @@ class TestBatchedTables:
             ((1.1, -1.1, -1.0, 1.0), "negative outcome probability"),
             # The probabilities sum to 1 + 1e-9 w.
             ((1.0 + 4e-9, -1.0, -1.0, 1.0), "sum to 1"),
+            # (1 + nan w) / 4 is nan at every point, w = 0 included.
+            ((math.nan, -1.0, -1.0, 1.0), "nan outcome probability"),
         ],
     )
     def test_a_broken_table_raises_as_a_distribution_does(self, monkeypatch, slopes, match):
