@@ -17,7 +17,7 @@ exposed so the discrepancy stays inspectable; the `validate` CLI command
 reports it.
 
 Everything is array-valued over a batch of parameter points.  A link
-parameter is a float or a 1-D array, all arrays in one call of equal length;
+parameter is a float or a 1-D list or array of floats, batches of equal length;
 a batch gives a `FisherMatrix` with entries of shape (..., n, n) and array
 bounds, floats give one (n, n) matrix and float bounds, from the same code.
 A matrix makes every check and singularity decision when it is built, with
@@ -165,7 +165,7 @@ def _leave_one_out(ws: Sequence) -> list:
 
 
 def _parameter(w: float | np.ndarray, name: str, with_value: bool = False) -> np.ndarray:
-    """``w`` as an array once it is a float or a 1-D array within [0, 1]."""
+    """``w`` as an array once it is a float or a 1-D list or array within [0, 1]."""
     ws = np.asarray(w, dtype=float)
     if ws.ndim > 1:
         raise ValueError(f"{name} must be a float or a 1-D array")
@@ -253,14 +253,14 @@ def _plan_entries(plans: tuple, params: Mapping, mode: FisherMode, normalize: bo
     links = list(dict.fromkeys(lid for p in plans for t in p.tasks for lid in t.path.link_ids))
     _require_links(links, index)
     # Every parameter, read by the tasks or not, sets the batch shape and is range-checked.
-    shapes = {_parameter(w, f"parameter for link {lid!r}").shape for lid, w in params.items()}
-    shapes.discard(())
+    arrays = {lid: _parameter(w, f"parameter for link {lid!r}") for lid, w in params.items()}
+    shapes = {ws.shape for ws in arrays.values()} - {()}
     if len(shapes) > 1:
         raise ValueError("link parameters must be floats or equal-length 1-D arrays")
     batch = shapes.pop() if shapes else ()
     values = np.empty((len(links),) + batch)
     for k, lid in enumerate(links):
-        values[k] = params[lid]
+        values[k] = arrays[lid]
     tasks = [t for p in plans for t in p.tasks]
     blocks = _blocks(tasks, dict(zip(links, values)), index, batch, mode)
     ledgers = tuple(channel_uses(p) for p in plans) if normalize else None
@@ -285,8 +285,8 @@ def plan_qfim(
 
     Tasks are independent experiments, so their information matrices add.
     Normalization divides by the plan's total channel uses for one round.
-    Link parameters are floats or equal-length 1-D arrays; the batch spans
-    every parameter, including links no task reads.
+    Link parameters are floats or equal-length 1-D lists or arrays; the
+    batch spans every parameter, including links no task reads.
 
     A sequence of plans over the same parameters gives one matrix that stacks
     the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
@@ -321,10 +321,11 @@ def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
 def qcrb(matrix: FisherMatrix) -> float | np.ndarray:
     """Trace of the matrix inverse: summed per-parameter variance bounds.
 
-    Returns +inf for a singular matrix, signalling unidentifiable parameters;
-    a batched matrix gives an array.
+    Returns +inf for a singular matrix (unidentifiable parameters) or a sum
+    past the float range; a batched matrix gives an array.
     """
-    return sum(crb_diagonal(matrix).values())
+    with np.errstate(over="ignore"):
+        return sum(crb_diagonal(matrix).values())
 
 
 def single_link_fisher(
@@ -370,12 +371,7 @@ def crossover(
 
     lo, hi = 1e-9, 1.0 - 1e-9
     glo, ghi = gap(lo), gap(hi)
-    if glo == 0.0 and ghi == 0.0:
-        return None
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
+    # Only identical schemes give a 0 gap at an end, at both: that returns None.
     if (glo > 0.0) == (ghi > 0.0):
         return None
     mid = 0.5 * (lo + hi)

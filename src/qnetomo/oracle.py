@@ -10,8 +10,8 @@ fixups are real, so all of this runs in real arithmetic and the states
 returned here are float64; a ``DensityMatrix`` keeps complex input complex.
 
 Everything is array-valued over a batch of parameter points, with the same
-contract as ``fisher``: a link parameter is a float or a 1-D array, all
-arrays in one call of equal length.  States carry the batch axes first, shape
+contract as ``fisher``: a link parameter is a float or a 1-D list or array
+of floats, batches of equal length.  States carry the batch axes first, shape
 (..., d, d); floats in give one (d, d) state and float probabilities.  The
 path constructions and the ``*_oracle_probabilities`` functions run on plain
 arrays; a ``DensityMatrix`` validates a whole stack at once.

@@ -40,9 +40,11 @@ class _Record:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in ``__match_args__`` and its ``__init__``
-    stores them in the instance ``__dict__``, so copy and pickle need nothing
-    more.  Equality, hashing and repr go over the fields in that order, as a
+    takes them in that order and stores them in the instance ``__dict__``.
+    Equality, hashing and repr go over the fields in that order, as a
     frozen dataclass's do, and no attribute can be assigned or deleted.
+    ``copy.copy`` shares the field values; deepcopy and pickle rebuild the
+    record through its constructor, checks and read-only arrays included.
     These are plain classes because a dataclass builds its methods with
     ``exec`` at import, which every fresh command would pay for.
     """
@@ -71,6 +73,14 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values
 
 
 class SchemeSpec(_Record):

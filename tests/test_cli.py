@@ -20,13 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetomo import FisherMode, Scheme, fisher, single_link_fisher, single_link_qcrb
+from qnetomo import (
+    FisherMode,
+    Scheme,
+    fisher,
+    single_link_fisher,
+    single_link_qcrb,
+    validate_plan,
+)
 from qnetomo.cli import (
     MAX_CONFIG_CHARS,
     MAX_GRID_POINTS,
     MAX_ROUNDS,
     MAX_SAMPLES,
     _DEFAULTS,
+    _benchmark_plan,
     _build_parser,
     _Parser,
     _fmt,
@@ -321,6 +329,14 @@ class TestBenchmark:
         assert lines[0] == "plan,link,true_w,empirical_variance,crb,ratio"
         fields = lines[1].split(",")
         assert fields[0] == "PEM" and fields[1] == "e0" and fields[2] == "0.6"
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_single_link_plans_are_valid(self, scheme):
+        # Both chain nodes are monitors and the one task covers the one link.
+        for w in (0.0, 0.5, 1.0):
+            plan, graph = _benchmark_plan({"plan": scheme.name, "fixed.w": w})
+            validate_plan(graph, plan)
+            assert plan.name == scheme.name and plan.covered_links() == {"e0"}
 
     def test_seed_flag_changes_the_sample(self, capsys, tmp_path):
         cfg = write_config(tmp_path, self.BENCH)

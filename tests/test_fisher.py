@@ -422,6 +422,28 @@ class TestBatchedCore:
             single = qcrb(plan_qfim(plan, {"e0": 0.99, "e1": 0.99, "e2": w}, CLOSED))
             assert isinstance(single, float) and total[i] == single
 
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_a_list_of_floats_is_the_equal_array(self, mode, normalize):
+        grid = [0.0, 0.01, 0.37, 0.5, 0.99, 1.0]
+        ws = np.array(grid)
+        for scheme in Scheme:
+            for function in (single_link_fisher, single_link_qcrb):
+                by_list = function(scheme, grid, mode, normalize)
+                by_array = function(scheme, ws, mode, normalize)
+                assert by_list.dtype == by_array.dtype and by_list.tobytes() == by_array.tobytes()
+        graph = build_star(3, [0.5, 0.5, 0.5])
+        plans = [builtin_plan(kind, graph) for kind in ("JBM2", "JBM3", "HYB2", "HYB3")]
+        # Homogeneous, and floats beside a list as the heterogeneous star sweep passes them.
+        for by_list, by_array in [
+            ({"e0": grid, "e1": grid, "e2": grid}, {"e0": ws, "e1": ws, "e2": ws}),
+            ({"e0": 0.99, "e1": 1.0, "e2": grid}, {"e0": 0.99, "e1": 1.0, "e2": ws}),
+        ]:
+            a = plan_qfim(plans, by_list, mode, normalize)
+            b = plan_qfim(plans, by_array, mode, normalize)
+            assert a.entries.tobytes() == b.entries.tobytes()
+            assert qcrb(a).tobytes() == qcrb(b).tobytes()
+
     @pytest.mark.parametrize(
         "e1", [np.array([0.5, 0.6]), np.array([[0.5, 0.6, 0.7]]), np.array([0.5, 1.2, 0.7])]
     )
@@ -533,6 +555,12 @@ class TestBounds:
         matrix = self._matrix([[entry]], order=("a",))
         assert crb_diagonal(matrix) == {"a": 1.0 / entry}
         assert crb_diagonal(matrix, scale=scale) == {"a": math.inf}
+
+    def test_bounds_that_sum_past_the_float_range_give_inf(self):
+        # Each bound is finite; their sum overflows, batched or not, with no warning.
+        entries = [[0.9e-308, 0.0], [0.0, 0.9e-308]]
+        assert qcrb(self._matrix(entries)) == math.inf
+        assert qcrb(self._matrix([entries])).tolist() == [math.inf]
 
     def test_singular_matrix_gives_inf(self):
         bounds = crb_diagonal(self._matrix([[1.0, 1.0], [1.0, 1.0]]))
@@ -832,8 +860,11 @@ class TestCrossover:
         assert w is not None
         assert abs(w - 1.0 / 3.0) < 1e-9
 
-    def test_identical_schemes_have_no_crossover(self):
-        assert crossover(Scheme.PEM, Scheme.PEM, FIRST) is None
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_identical_schemes_have_no_crossover(self, scheme, mode, normalize):
+        assert crossover(scheme, scheme, mode, normalize) is None
 
     def test_crossing_point_balances_information(self):
         w = crossover(Scheme.LZM, Scheme.JBM, CLOSED)

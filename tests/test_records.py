@@ -264,3 +264,17 @@ def test_fisher_bounds_state_is_read_only_and_survives_copies():
     for clone in (copy.copy(matrix), copy.deepcopy(matrix), pickle.loads(pickle.dumps(matrix))):
         assert _same_record(clone, matrix)
         assert clone._bounds.tolist() == [0.0, 0.5]
+        for state in ("entries", "_singular", "_bounds"):
+            assert not getattr(clone, state).flags.writeable
+    # A shallow copy shares the read-only originals.
+    shallow = copy.copy(matrix)
+    for state in ("entries", "_singular", "_bounds"):
+        assert getattr(shallow, state) is getattr(matrix, state)
+
+
+def test_density_matrix_stays_read_only_in_copies():
+    state = DensityMatrix(matrix=np.eye(4) / 4.0)
+    assert copy.copy(state).matrix is state.matrix
+    for clone in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert _same_record(clone, state)
+        assert not clone.matrix.flags.writeable

@@ -100,11 +100,22 @@ def test_core_modules_do_not_import_the_oracle(module):
     assert not _imports(_source(module), "oracle")
 
 
-# The scheme table and the network model are plain Python; sampling and
-# everything array-valued live in the modules that import them.
-@pytest.mark.parametrize("module", ["schemes", "network"])
-def test_table_and_network_do_not_import_numpy(module):
+# The scheme table, the network model and the command line are plain Python;
+# sampling and everything array-valued live in the modules that import them.
+@pytest.mark.parametrize("module", ["schemes", "network", "cli"])
+def test_table_network_and_cli_do_not_import_numpy(module):
     assert not _imports(_source(module), "numpy")
+
+
+def test_the_cli_imports_the_sampler_and_the_checks_only_in_their_commands():
+    source = _source("cli")
+    top = "\n".join(
+        ast.unparse(node)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+    for layer in ("estimators", "validation"):
+        assert _imports(source, layer) and not _imports(top, layer)
 
 
 def test_the_sampler_lives_in_the_estimators():
