@@ -41,9 +41,8 @@ from qnetomo import (
     werner_density,
 )
 from qnetomo.cli import main
-from qnetomo.validation import _chain_task
 
-from helpers import expected_counts
+from helpers import _chain_task, expected_counts
 
 CLOSED = FisherMode.CLOSED_FORM
 FIRST = FisherMode.FIRST_PRINCIPLES

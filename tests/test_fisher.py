@@ -28,7 +28,8 @@ from qnetomo import (
 )
 from qnetomo import fisher
 from qnetomo.cli import _fmt
-from qnetomo.validation import _chain_task
+
+from helpers import _chain_task
 
 interior = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
 

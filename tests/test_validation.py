@@ -1,4 +1,4 @@
-"""The checks behind ``qnetomo validate``: grouped mode gaps, batched tables, the failure path."""
+"""The checks behind ``qnetomo validate``: all-scheme mode gaps, batched tables, the failure path."""
 
 import math
 from collections import Counter
@@ -12,7 +12,9 @@ from qnetomo import DensityMatrix, FisherMatrix, FisherMode, OutcomeDistribution
 from qnetomo import fisher, schemes, validation
 from qnetomo.cli import main
 from qnetomo.schemes import SCHEMES, SchemeSpec, scheme_distribution
-from qnetomo.validation import _chain_task, _distribution_gap, _mode_gaps, validation_checks
+from qnetomo.validation import _distribution_gap, _mode_gaps, validation_checks
+
+from helpers import _chain_task
 
 ROWS = [
     "lzm-distribution-vs-oracle",
@@ -28,48 +30,50 @@ ROWS = [
 ]
 
 
-def _per_task_mode_gap(scheme, param_sets):
-    """The mode gap of one row from validated one-task matrices, one per path length."""
-    gaps = [0.0]
-    for length in {len(ws) for ws in param_sets}:
-        task, params = _chain_task(scheme, [0.5] * length)
-        columns = np.array([ws for ws in param_sets if len(ws) == length]).T
-        params = dict(zip(params, columns))
-        closed = task_qfim(task, params, FisherMode.CLOSED_FORM).entries
-        first = task_qfim(task, params, FisherMode.FIRST_PRINCIPLES).entries
-        with np.errstate(invalid="ignore"):
-            gap = np.abs(closed - first) / np.maximum(np.abs(closed), np.abs(first))
-        gaps.append(np.where(closed == first, 0.0, gap).max())
-    return float(np.max(gaps))
+def _per_task_mode_gap(scheme, grid):
+    """The mode gap of one scheme from validated one-task matrices over one path length."""
+    task, params = _chain_task(scheme, grid[0])
+    params = dict(zip(params, np.array(grid).T))
+    closed = task_qfim(task, params, FisherMode.CLOSED_FORM).entries
+    first = task_qfim(task, params, FisherMode.FIRST_PRINCIPLES).entries
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(closed - first) / np.maximum(np.abs(closed), np.abs(first))
+    return float(np.where(closed == first, 0.0, gap).max())
+
+
+def _assert_per_task_gaps(gaps, grid):
+    assert list(gaps) == list(Scheme)
+    for scheme, got in gaps.items():
+        want = _per_task_mode_gap(scheme, grid)
+        assert (math.isnan(got) and math.isnan(want)) or got == want
 
 
 _VALUE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
-_GRID = st.lists(st.lists(_VALUE, min_size=1, max_size=3), min_size=1, max_size=6)
-_ROW = st.tuples(st.sampled_from(list(Scheme)), _GRID)
-_EMPTY_ROW = st.tuples(st.sampled_from(list(Scheme)), st.just([]))
+# Points of one path length, 1 to 3 links.
+_GRID = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_VALUE, min_size=n, max_size=n), min_size=1, max_size=6)
+)
+
+
+def _closed_form_replaced(monkeypatch, scheme, closed_form):
+    spec = SCHEMES[scheme]
+    broken = SchemeSpec(**{**vars(spec), "closed_form": closed_form})
+    monkeypatch.setattr(fisher, "SCHEMES", {**SCHEMES, scheme: broken})
 
 
 class TestGroupedModeGaps:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.lists(st.one_of(_ROW, _EMPTY_ROW), min_size=1, max_size=6))
-    def test_equal_to_the_per_task_gaps(self, rows):
-        # Rows may share a scheme, a grid or some points: each keeps its own gap.
-        if len(rows) > 1:
-            rows = rows + [(rows[-1][0], rows[0][1])]
-        got = _mode_gaps(rows)
-        want = [_per_task_mode_gap(scheme, grid) for scheme, grid in rows]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (math.isnan(g) and math.isnan(w)) or g == w
+    @given(_GRID)
+    def test_equal_to_the_per_task_gaps(self, grid):
+        _assert_per_task_gaps(_mode_gaps(grid), grid)
 
     def test_a_nan_gap_stays_with_its_row(self, monkeypatch):
         # Closed form infinite where first principles is finite: a nan gap.
-        spec = SCHEMES[Scheme.PEM]
-        broken = SchemeSpec(**{**vars(spec), "closed_form": lambda w: w * math.inf})
-        monkeypatch.setattr(fisher, "SCHEMES", {**SCHEMES, Scheme.PEM: broken})
-        rows = [(Scheme.JBM, [[0.5], [0.4, 0.3]]), (Scheme.PEM, [[0.5], [0.4, 0.3]])]
-        jbm, pem = _mode_gaps(rows)
-        assert jbm == _per_task_mode_gap(Scheme.JBM, rows[0][1]) and math.isnan(pem)
+        _closed_form_replaced(monkeypatch, Scheme.PEM, lambda w: w * math.inf)
+        for grid in ([[0.5], [0.4]], [[0.4, 0.3], [0.5, 0.2]]):
+            gaps = _mode_gaps(grid)
+            assert math.isnan(gaps[Scheme.PEM])
+            _assert_per_task_gaps(gaps, grid)
 
     def test_validate_makes_six_entry_builds_and_no_fisher_matrix(self, monkeypatch):
         builds, matrices, states, distributions = [], [], [], []
@@ -98,10 +102,9 @@ class TestGroupedModeGaps:
         monkeypatch.setattr(OutcomeDistribution, "__init__", distribution)
         results = validation_checks()
         assert all(ok for *_, ok in results)
-        # One stack per path length and mode: 1 link (JBM, PEM), 2 and 3 links
-        # (LZM, JBM, PEM).
+        # One stack of the three schemes per path length (1, 2, 3 links) and mode.
         closed, first = FisherMode.CLOSED_FORM, FisherMode.FIRST_PRINCIPLES
-        assert Counter(builds) == {(2, closed): 1, (2, first): 1, (3, closed): 2, (3, first): 2}
+        assert Counter(builds) == {(3, closed): 3, (3, first): 3}
         assert matrices == []
         # Both sides of swap-multiplicativity in one real validated stack; the
         # scheme tables are checked as batches, with no per-point record.
@@ -181,6 +184,25 @@ class TestFailurePath:
         capsys.readouterr()
         failed = {"mode-consistency-jbm-direct", "mode-consistency-jbm-path"}
         assert _statuses(out) == {name: "FAIL" if name in failed else "PASS" for name in ROWS}
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("band", [(0.0095, 0.0105), (0.0, 0.009)], ids=["2-link", "3-link"])
+    def test_a_nan_gap_in_one_path_stack_fails_its_path_row(self, monkeypatch, scheme, band):
+        # Only 0.1 * 0.1 among the 2-link products falls in the first band, and
+        # only 0.2 ** 3 among the 3-link products below 0.009; no 1-link point
+        # is under 0.05.  There the closed form is infinite: a nan gap in one
+        # stack, which the path row must keep.
+        low, high = band
+        spec = SCHEMES[scheme]
+        _closed_form_replaced(
+            monkeypatch,
+            scheme,
+            lambda w: np.where((low <= w) & (w < high), math.inf, spec.closed_form(w)),
+        )
+        results = {name: (err, ok) for name, err, _, ok in validation_checks()}
+        err, ok = results.pop(f"mode-consistency-{scheme.value.lower()}-path")
+        assert math.isnan(err) and not ok
+        assert all(ok for _, ok in results.values())
 
     def test_a_shifted_oracle_output_fails_only_its_distribution_row(
         self, monkeypatch, capsys, tmp_path
