@@ -25,8 +25,9 @@ one `eigvalsh` over its stack, and one `inv` of that stack then gives every
 member's bounds: `crb_diagonal` only divides them by the sample count.
 `plan_qfim` also stacks a sequence of plans on a new leading axis of one
 matrix; each distinct (scheme, path) block is built once per call and every
-plan sums its blocks in task order.  `plan_qfim` wraps `_plan_entries`, which
-makes every check but the matrix's; `validate` compares its entries alone.
+plan sums its blocks in task order.  `validate`'s mode-consistency rows
+compare J per scheme between the two modes, through `_rank_one`, with no
+matrix and no entries.
 `crossover` bisects on plain floats through the J rule the array path guards.
 """
 
@@ -240,12 +241,27 @@ def task_qfim(
     return plan_qfim(MonitoringPlan("task", (task,)), params, mode)
 
 
-def _plan_entries(plans: tuple, params: Mapping, mode: FisherMode, normalize: bool) -> tuple:
-    """``(entries, order, ledgers)`` of ``plan_qfim``, every check but the matrix's made.
+def plan_qfim(
+    plan: MonitoringPlan | Sequence[MonitoringPlan],
+    params: Mapping[str, float | np.ndarray],
+    mode: FisherMode,
+    normalize: bool = False,
+) -> FisherMatrix:
+    """Sum of per-task information, optionally per total channel use.
 
-    ``entries`` stacks the plans, shape (plans, ..., n, n); ``ledgers`` is None
-    without ``normalize``.
+    Tasks are independent experiments, so their information matrices add.
+    Normalization divides by the plan's total channel uses for one round.
+    Link parameters are floats or equal-length 1-D lists or arrays; the
+    batch spans every parameter, including links no task reads.
+
+    A sequence of plans over the same parameters gives one matrix that stacks
+    the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
+    checked and inverted as one batch.  Each member is bit for bit
+    the matrix its plan gives alone.  With ``normalize`` each plan is divided
+    by its own total and ``ledger`` is the tuple of the plans' ledgers.
     """
+    single = isinstance(plan, MonitoringPlan)
+    plans = (plan,) if single else tuple(plan)
     if not plans:
         raise ValueError("plan_qfim needs at least one plan")
     order = tuple(sorted(params))
@@ -272,34 +288,9 @@ def _plan_entries(plans: tuple, params: Mapping, mode: FisherMode, normalize: bo
             total += blocks[t.scheme, t.path.link_ids]
         if normalize:
             total /= ledgers[k].total
-    return entries, order, ledgers
-
-
-def plan_qfim(
-    plan: MonitoringPlan | Sequence[MonitoringPlan],
-    params: Mapping[str, float | np.ndarray],
-    mode: FisherMode,
-    normalize: bool = False,
-) -> FisherMatrix:
-    """Sum of per-task information, optionally per total channel use.
-
-    Tasks are independent experiments, so their information matrices add.
-    Normalization divides by the plan's total channel uses for one round.
-    Link parameters are floats or equal-length 1-D lists or arrays; the
-    batch spans every parameter, including links no task reads.
-
-    A sequence of plans over the same parameters gives one matrix that stacks
-    the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
-    checked and inverted as one batch.  Each member is bit for bit
-    the matrix its plan gives alone.  With ``normalize`` each plan is divided
-    by its own total and ``ledger`` is the tuple of the plans' ledgers.
-    """
-    single = isinstance(plan, MonitoringPlan)
-    plans = (plan,) if single else tuple(plan)
-    entries, order, ledger = _plan_entries(plans, params, mode, normalize)
     if single:
-        entries, ledger = entries[0], None if ledger is None else ledger[0]
-    return FisherMatrix(entries, order, mode, normalized=normalize, ledger=ledger)
+        entries, ledgers = entries[0], None if ledgers is None else ledgers[0]
+    return FisherMatrix(entries, order, mode, normalized=normalize, ledger=ledgers)
 
 
 def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:

@@ -2,10 +2,11 @@
 
 Each check compares the analytic scheme table with the exact density-matrix
 oracle, or one Fisher mode with the other, states its own tolerance and runs
-once over its batch.  The mode-consistency rows compare the entries that
-``fisher._plan_entries`` builds, with no matrix check: one stack per path
-length (1, 2, 3 links) and mode, a one-task plan of each scheme.  The 1-link
-LZM member has no row; its factor of two is ``lzm-direct-mode-ratio-of-two``.
+once over its batch.  A task's information is J * outer(g, g) with the same
+g in both modes, so the mode-consistency rows compare the scalar J of each
+scheme and mode at the path products of each path length's points (1, 2, 3
+links), with no matrix or entry stack.  The 1-link LZM value has no row; its
+factor of two is ``lzm-direct-mode-ratio-of-two``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fisher import FisherMode, _plan_entries, single_link_fisher
-from .network import MeasurementTask, MonitoringPlan, Path, Scheme
+from .fisher import FisherMode, _rank_one, single_link_fisher
 from .oracle import (
     DensityMatrix,
     _linear,
@@ -24,25 +24,20 @@ from .oracle import (
     lzm_oracle_probabilities,
     pem_oracle_probabilities,
 )
-from .schemes import SCHEMES, _require_law
+from .schemes import SCHEMES, Scheme, _require_law
 
 
 def _mode_gaps(grid: Sequence[Sequence[float]]) -> dict:
-    """Largest relative entry gap between the modes per scheme, over one path length's points.
+    """Largest relative gap of J between the modes per scheme, over one path length's points.
 
-    One stack of one-task plans, a member per scheme, is built once per mode.
-    An infinite entry in one mode only gives a nan gap, which fails the check.
+    J is evaluated once per scheme and mode over all the points.  An
+    infinite J in one mode only gives a nan gap, which fails the check.
     """
-    links = tuple(f"p{i}" for i in range(len(grid[0])))
-    path = Path(links, ("v0", f"v{len(links)}"))
-    plans = [MonitoringPlan("task", (MeasurementTask(s, path),)) for s in Scheme]
-    params = dict(zip(links, np.array(grid).T))
-    closed = _plan_entries(plans, params, FisherMode.CLOSED_FORM, False)[0]
-    first = _plan_entries(plans, params, FisherMode.FIRST_PRINCIPLES, False)[0]
+    ws = list(np.array(grid).T)
+    closed, first = (np.array([_rank_one(s, ws, mode) for s in Scheme]) for mode in FisherMode)
     with np.errstate(invalid="ignore"):
         gap = np.abs(closed - first) / np.maximum(np.abs(closed), np.abs(first))
-    gap = np.where(closed == first, 0.0, gap).reshape(len(plans), -1).max(-1)
-    return dict(zip(Scheme, gap.tolist()))
+    return dict(zip(Scheme, np.where(closed == first, 0.0, gap).max(-1).tolist()))
 
 
 def _distribution_gap(scheme: Scheme, oracle) -> float:

@@ -519,8 +519,17 @@ class TestValidate:
         out = tmp_path / "report.csv"
         assert main(["validate", "--out", str(out)]) == 0
         capsys.readouterr()
-        digest = "c2b33d031238f257bc6a156380db14df348bd7c9e1f80052fac339c5460a6f89"
+        digest = "6ddea052ffd4d85bd6384e6a4ace268c0fc503f5fb686341cbd68d4cc5ea0ff9"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_path_mode_cells_are_the_scalar_gaps(self, capsys):
+        # The two path rows whose largest gap of J differs from the largest
+        # gap of the J g g^T entries (3.46910000726e-16 and 2.40837442581e-16).
+        code, lines, _ = run_lines(capsys, ["validate"])
+        assert code == 0
+        cells = {l.split(",")[0]: l.split(",")[2] for l in lines[1:]}
+        assert cells["mode-consistency-lzm-path"] == "2.22022400465e-16"
+        assert cells["mode-consistency-pem-path"] == "1.97294032963e-16"
 
     def test_distribution_checks_call_each_oracle_once_on_21_points(self, capsys, monkeypatch):
         from qnetomo import validation

@@ -92,6 +92,14 @@ class TestSingleLinkScalars:
         assert abs(single_link_qcrb(Scheme.PEM, 0.0, FIRST) - 1.0 / 3.0) < 1e-12
 
 
+# validate's mode-consistency points: 1-, 2- and 3-link chains.
+ROW_GRIDS = [
+    [[0.05 + 0.1 * k] for k in range(10)],
+    [[a, b] for a in (0.1, 0.3, 0.5, 0.7, 0.9) for b in (0.1, 0.3, 0.5, 0.7, 0.9)],
+    [[a, b, c] for a in (0.2, 0.5, 0.8) for b in (0.2, 0.5, 0.8) for c in (0.2, 0.5, 0.8)],
+]
+
+
 class TestModeAgreement:
     """Closed form and first principles coincide away from the direct LZM entry."""
 
@@ -118,6 +126,21 @@ class TestModeAgreement:
         a = task_qfim(task, params, CLOSED).entries
         b = task_qfim(task, params, FIRST).entries
         assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
+
+    @pytest.mark.parametrize("grid", ROW_GRIDS, ids=["1-link", "2-link", "3-link"])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_task_entries_agree_within_the_row_tolerance(self, scheme, grid):
+        # validate's rows compare J alone; every entry is checked here, at the
+        # rows' 1e-9 relative, against exactly twice first principles on a
+        # direct LZM task.
+        task, params = _chain_task(scheme, grid[0])
+        params = dict(zip(params, np.array(grid).T))
+        closed = task_qfim(task, params, CLOSED).entries
+        first = task_qfim(task, params, FIRST).entries
+        if scheme is Scheme.LZM and len(grid[0]) == 1:
+            first = 2.0 * first
+        assert (np.abs(closed - first) <= 1e-9 * np.maximum(np.abs(closed), np.abs(first))).all()
+        assert (closed > 0.0).all()
 
 
 class TestTaskMatrices:

@@ -1,7 +1,6 @@
 """The checks behind ``qnetomo validate``: all-scheme mode gaps, batched tables, the failure path."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,21 +29,26 @@ ROWS = [
 ]
 
 
-def _per_task_mode_gap(scheme, grid):
-    """The mode gap of one scheme from validated one-task matrices over one path length."""
-    task, params = _chain_task(scheme, grid[0])
-    params = dict(zip(params, np.array(grid).T))
-    closed = task_qfim(task, params, FisherMode.CLOSED_FORM).entries
-    first = task_qfim(task, params, FisherMode.FIRST_PRINCIPLES).entries
-    with np.errstate(invalid="ignore"):
-        gap = np.abs(closed - first) / np.maximum(np.abs(closed), np.abs(first))
-    return float(np.where(closed == first, 0.0, gap).max())
+def _per_point_mode_gap(scheme, grid):
+    """The mode gap of one scheme from J at each point alone, largest over the points.
+
+    Each point's J is the scalar rule on that point's links, one mode at a
+    time; a nan at any point makes the gap nan.
+    """
+    gaps = []
+    for point in grid:
+        ws = [np.float64(w) for w in point]
+        closed, first = (fisher._rank_one(scheme, ws, mode) for mode in FisherMode)
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(closed - first) / np.maximum(np.abs(closed), np.abs(first))
+        gaps.append(0.0 if closed == first else float(gap))
+    return float(np.max(gaps))
 
 
 def _assert_per_task_gaps(gaps, grid):
     assert list(gaps) == list(Scheme)
     for scheme, got in gaps.items():
-        want = _per_task_mode_gap(scheme, grid)
+        want = _per_point_mode_gap(scheme, grid)
         assert (math.isnan(got) and math.isnan(want)) or got == want
 
 
@@ -75,12 +79,12 @@ class TestGroupedModeGaps:
             assert math.isnan(gaps[Scheme.PEM])
             _assert_per_task_gaps(gaps, grid)
 
-    def test_validate_makes_six_entry_builds_and_no_fisher_matrix(self, monkeypatch):
+    def test_validate_builds_no_matrix_and_no_entries(self, monkeypatch):
         builds, matrices, states, distributions = [], [], [], []
 
-        def entries(plans, params, mode, normalize, _original=validation._plan_entries):
-            builds.append((len(plans), mode))
-            return _original(plans, params, mode, normalize)
+        def blocks(*args, _original=fisher._blocks):
+            builds.append(args)
+            return _original(*args)
 
         def counted(cls, seen):
             original = cls.__post_init__
@@ -91,7 +95,7 @@ class TestGroupedModeGaps:
 
             return post_init
 
-        monkeypatch.setattr(validation, "_plan_entries", entries)
+        monkeypatch.setattr(fisher, "_blocks", blocks)
         monkeypatch.setattr(FisherMatrix, "__post_init__", counted(FisherMatrix, matrices))
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted(DensityMatrix, states))
 
@@ -102,14 +106,15 @@ class TestGroupedModeGaps:
         monkeypatch.setattr(OutcomeDistribution, "__init__", distribution)
         results = validation_checks()
         assert all(ok for *_, ok in results)
-        # One stack of the three schemes per path length (1, 2, 3 links) and mode.
-        closed, first = FisherMode.CLOSED_FORM, FisherMode.FIRST_PRINCIPLES
-        assert Counter(builds) == {(3, closed): 3, (3, first): 3}
-        assert matrices == []
+        # The mode rows read J alone: no n x n entries and no FisherMatrix.
+        assert builds == [] and matrices == []
         # Both sides of swap-multiplicativity in one real validated stack; the
         # scheme tables are checked as batches, with no per-point record.
         assert [(s.matrix.shape, s.matrix.dtype) for s in states] == [((2, 100, 4, 4), np.float64)]
         assert distributions == []
+        # The probes see what they count: one task matrix is one build of entries.
+        task_qfim(*_chain_task(Scheme.PEM, [0.5, 0.4]), FisherMode.CLOSED_FORM)
+        assert (len(builds), len(matrices)) == (1, 1)
 
 
 WS = np.arange(21) / 20.0
