@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .fisher import (
     FisherMode,
+    _inverse,
     crossover,
     plan_qfim,
     qcrb,
@@ -205,9 +206,8 @@ def cmd_single_link(cfg: dict) -> tuple:
     grid = _grid(cfg)
     columns = []
     for scheme in Scheme:
-        args = (scheme, grid, cfg["mode"], cfg["normalize"])
-        info, bound = single_link_fisher(*args), single_link_qcrb(*args)
-        columns.append((scheme, info.tolist(), bound.tolist()))
+        info = single_link_fisher(scheme, grid, cfg["mode"], cfg["normalize"])
+        columns.append((scheme, info.tolist(), _inverse(info).tolist()))
     settings = f"{cfg['mode'].value},{'on' if cfg['normalize'] else 'off'}"
     lines = ["scheme,w,fisher,qcrb,mode,normalized"]
     for i, w in enumerate(grid):
@@ -298,12 +298,9 @@ def cmd_benchmark(cfg: dict) -> tuple:
                 f"note: link {row.link} unidentifiable in {row.unidentifiable_rounds} "
                 f"of {cfg['rounds']} rounds"
             )
-        elif math.isinf(row.crb) and math.isnan(row.ratio):
-            notes.append(f"note: link {row.link} has an infinite bound; ratio undefined")
-        elif row.crb == 0.0 and row.variance == 0.0:
-            notes.append(
-                f"note: link {row.link} has a zero bound and zero variance; ratio undefined"
-            )
+        elif math.isnan(row.ratio):
+            what = "an infinite bound" if math.isinf(row.crb) else "a zero bound and zero variance"
+            notes.append(f"note: link {row.link} has {what}; ratio undefined")
     return lines, notes
 
 

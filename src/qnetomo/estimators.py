@@ -47,8 +47,6 @@ class OutcomeCounts(_Record):
     for analytically constructed expected counts.
     """
 
-    __match_args__ = ("labels", "counts", "total", "seed")
-
     def __init__(
         self, labels: tuple, counts: Mapping[str, float], total: float, seed: int | None = None
     ) -> None:
@@ -62,7 +60,7 @@ class OutcomeCounts(_Record):
             raise ValueError("total must be positive")
         if abs(sum(counts.values()) - total) > 1e-9:
             raise ValueError("counts must sum to the total")
-        self.__dict__.update(labels=labels, counts=counts, total=total, seed=seed)
+        self._store(locals())
 
     def frequency(self, label: str) -> float:
         return self.counts[label] / self.total
@@ -249,12 +247,10 @@ class LinkEstimates(_Record):
     ``unidentifiable`` and carry no value.
     """
 
-    __match_args__ = ("values", "unidentifiable")
-
     def __init__(
         self, values: Mapping[str, float], unidentifiable: frozenset = frozenset()
     ) -> None:
-        self.__dict__.update(values=values, unidentifiable=unidentifiable)
+        self._store(locals())
 
 
 def _clamp(x):
@@ -349,8 +345,6 @@ class BenchmarkRow(_Record):
     variance against an infinite bound also makes ``ratio`` nan.
     """
 
-    __match_args__ = ("link", "true_w", "variance", "crb", "ratio", "unidentifiable_rounds")
-
     def __init__(
         self,
         link: str,
@@ -360,14 +354,7 @@ class BenchmarkRow(_Record):
         ratio: float,
         unidentifiable_rounds: int,
     ) -> None:
-        self.__dict__.update(
-            link=link,
-            true_w=true_w,
-            variance=variance,
-            crb=crb,
-            ratio=ratio,
-            unidentifiable_rounds=unidentifiable_rounds,
-        )
+        self._store(locals())
 
 
 def benchmark_variance(

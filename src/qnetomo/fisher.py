@@ -75,8 +75,6 @@ class FisherMatrix(_Record):
     equality, hashing and repr leave them out.
     """
 
-    __match_args__ = ("entries", "order", "mode", "normalized", "ledger")
-
     def __init__(
         self,
         entries: np.ndarray,
@@ -85,9 +83,7 @@ class FisherMatrix(_Record):
         normalized: bool = False,
         ledger: UsageLedger | None = None,
     ) -> None:
-        self.__dict__.update(
-            entries=entries, order=order, mode=mode, normalized=normalized, ledger=ledger
-        )
+        self._store(locals())
         # A hook of its own: perfbench's recorder wraps it to count constructions.
         self.__post_init__()
 
@@ -196,9 +192,10 @@ def _rank_one(scheme: Scheme, ws: Sequence, mode: FisherMode) -> np.ndarray:
     """J over the batch: a task's information block is J * outer(g, g).
 
     J is +inf at W = 1, where every link is 1 and so is every g_i.  There
-    ``_information`` divides by zero, and the guard gives the +inf.
+    ``_information`` divides by zero, and the guard gives the +inf.  Float
+    links give a 0-d product, so that division follows NumPy's rules too.
     """
-    product = math.prod(ws)
+    product = np.asarray(math.prod(ws), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         info = _information(SCHEMES[scheme], product, mode, len(ws) == 1)
         return np.where(product == 1.0, math.inf, info)
@@ -331,12 +328,17 @@ def single_link_fisher(
     return _plain(_per_use(SCHEMES[scheme], _rank_one(scheme, [ws], mode), normalize))
 
 
+def _inverse(info: float | np.ndarray) -> float | np.ndarray:
+    """The single-link variance bound 1/J per point, +inf where J is 0."""
+    with np.errstate(divide="ignore"):
+        return _plain(np.divide(1.0, info))
+
+
 def single_link_qcrb(
     scheme: Scheme, w: float | np.ndarray, mode: FisherMode, normalize: bool = False
 ) -> float | np.ndarray:
     """Variance bound of a direct single-link task; +inf when information is 0."""
-    with np.errstate(divide="ignore"):
-        return _plain(np.divide(1.0, single_link_fisher(scheme, w, mode, normalize)))
+    return _inverse(single_link_fisher(scheme, w, mode, normalize))
 
 
 def crossover(

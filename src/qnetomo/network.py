@@ -25,12 +25,10 @@ BUILTIN_PLAN_KINDS = tuple(_BUILTIN_TASKS)
 class WernerLink(_Record):
     """A network link distributing Werner states with parameter ``w``."""
 
-    __match_args__ = ("id", "w")
-
     def __init__(self, id: str, w: float) -> None:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"link {id!r}: w={w} outside [0, 1]")
-        self.__dict__.update(id=id, w=w)
+        self._store(locals())
 
 
 class NetworkGraph(_Record):
@@ -39,8 +37,6 @@ class NetworkGraph(_Record):
     ``endpoints`` maps each link id to its node pair.  Instances are treated
     as immutable after construction.
     """
-
-    __match_args__ = ("nodes", "links", "endpoints", "monitors")
 
     def __init__(
         self, nodes: frozenset, links: tuple, endpoints: Mapping[str, tuple], monitors: frozenset
@@ -57,7 +53,7 @@ class NetworkGraph(_Record):
                 raise ValueError(f"link {lid!r} is a self-loop")
         if not monitors <= nodes:
             raise ValueError("monitors must be a subset of nodes")
-        self.__dict__.update(nodes=nodes, links=links, endpoints=endpoints, monitors=monitors)
+        self._store(locals())
 
     def params(self) -> dict:
         """Link id to Werner parameter, for the whole graph."""
@@ -67,14 +63,12 @@ class NetworkGraph(_Record):
 class Path(_Record):
     """Ordered simple path of link ids with its two terminal nodes."""
 
-    __match_args__ = ("link_ids", "endpoints")
-
     def __init__(self, link_ids: tuple, endpoints: tuple) -> None:
         if len(link_ids) < 1:
             raise ValueError("path needs at least one link")
         if len(set(link_ids)) != len(link_ids):
             raise ValueError("path repeats a link")
-        self.__dict__.update(link_ids=link_ids, endpoints=endpoints)
+        self._store(locals())
 
 
 def trace_path(graph: NetworkGraph, link_ids: Sequence[str]) -> Path:
@@ -115,10 +109,8 @@ def trace_path(graph: NetworkGraph, link_ids: Sequence[str]) -> Path:
 class MeasurementTask(_Record):
     """One scheme executed over one path."""
 
-    __match_args__ = ("scheme", "path")
-
     def __init__(self, scheme: Scheme, path: Path) -> None:
-        self.__dict__.update(scheme=scheme, path=path)
+        self._store(locals())
 
 
 class MonitoringPlan(_Record):
@@ -128,10 +120,8 @@ class MonitoringPlan(_Record):
     using link estimates produced by earlier tasks.
     """
 
-    __match_args__ = ("name", "tasks")
-
     def __init__(self, name: str, tasks: tuple) -> None:
-        self.__dict__.update(name=name, tasks=tasks)
+        self._store(locals())
 
     def covered_links(self) -> frozenset:
         out = set()
@@ -147,14 +137,12 @@ class UsageLedger(_Record):
     never enter ``total``: only network-link uses are counted there.
     """
 
-    __match_args__ = ("uses", "total", "preshared_pairs")
-
     def __init__(self, uses: Mapping[str, int], total: int, preshared_pairs: int = 0) -> None:
         if total != sum(uses.values()):
             raise ValueError("ledger total must equal the sum of per-link uses")
         if any(c < 0 for c in uses.values()) or preshared_pairs < 0:
             raise ValueError("ledger counts must be nonnegative")
-        self.__dict__.update(uses=uses, total=total, preshared_pairs=preshared_pairs)
+        self._store(locals())
 
 
 def _task_monitor_ok(task: MeasurementTask, graph: NetworkGraph) -> bool:

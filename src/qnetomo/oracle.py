@@ -61,10 +61,8 @@ class DensityMatrix(_Record):
     least -1e-10 (one batched ``eigvalsh``, real for real input).
     """
 
-    __match_args__ = ("matrix",)
-
     def __init__(self, matrix: np.ndarray) -> None:
-        self.__dict__.update(matrix=matrix)
+        self._store(locals())
         # A hook of its own: perfbench's recorder wraps it to count constructions.
         self.__post_init__()
 

@@ -158,6 +158,27 @@ class TestSingleLink:
             assert fields[2] == _fmt(single_link_fisher(scheme, w, CLOSED, True))
             assert fields[5] == "on"
 
+    @pytest.mark.parametrize("normalize", ["on", "off"])
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    def test_each_scheme_information_is_computed_once(self, capsys, monkeypatch, mode, normalize):
+        calls = []
+
+        def counted(*args, _original=fisher._rank_one):
+            calls.append(args[0])
+            return _original(*args)
+
+        monkeypatch.setattr(fisher, "_rank_one", counted)
+        code, lines, _ = run_lines(
+            capsys, ["single-link", "--mode", mode.value, "--normalize", normalize]
+        )
+        assert code == 0 and calls == list(Scheme)
+        # The bound column is still the library's single-link bound.
+        monkeypatch.undo()
+        for line in lines[1:]:
+            scheme, w, _, bound, _, _ = line.split(",")
+            expected = single_link_qcrb(Scheme[scheme], float(w), mode, normalize == "on")
+            assert bound == _fmt(expected)
+
     def test_out_writes_identical_bytes_across_runs(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SMALL_GRID)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -92,6 +92,30 @@ class TestSingleLinkScalars:
         assert abs(single_link_qcrb(Scheme.PEM, 0.0, FIRST) - 1.0 / 3.0) < 1e-12
 
 
+# Float links below W = 1: single links from 0 to the last float below 1, and
+# 2- and 3-link paths with links at 0 and 1 among them.
+BELOW_ONE = [[w] for w in (0.0, 1e-300, 0.01, 0.37, 0.5, 0.99, 1.0 - 2.0**-53)] + [
+    [0.3, 0.9],
+    [1.0, 0.5],
+    [0.0, 1.0],
+    [0.2, 0.5, 0.8],
+    [1.0, 1.0, 0.999],
+    [0.9999999, 1.0, 0.9999999],
+]
+
+
+@pytest.mark.parametrize("mode", [CLOSED, FIRST])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_rank_one_on_float_links_is_the_array_rule(scheme, mode):
+    # At W = 1 the guard gives +inf for floats too, not a ZeroDivisionError.
+    for n in (1, 2, 3):
+        assert fisher._rank_one(scheme, [1.0] * n, mode) == math.inf
+    for ws in BELOW_ONE:
+        by_float = float(fisher._rank_one(scheme, ws, mode))
+        by_array = fisher._rank_one(scheme, [np.array([w]) for w in ws], mode)
+        assert math.isfinite(by_float) and by_float.hex() == float(by_array[0]).hex()
+
+
 # validate's mode-consistency points: 1-, 2- and 3-link chains.
 ROW_GRIDS = [
     [[0.05 + 0.1 * k] for k in range(10)],

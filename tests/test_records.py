@@ -202,6 +202,9 @@ def test_record_contract(cls, params, kwargs, change, text, hashable):
     assert cls.__match_args__ == fields
 
     record = cls(**kwargs)
+    # The fields alone, in order, and no other local of the constructor.
+    state = ("_singular", "_bounds") if cls is FisherMatrix else ()
+    assert tuple(vars(record)) == fields + state
     assert repr(record) == text
     values = tuple(getattr(record, name) for name in fields)
     assert _same_record(cls(*values), record)

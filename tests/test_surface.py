@@ -150,6 +150,17 @@ def test_no_module_imports_dataclasses(module):
     assert not _imports(_source(module), "dataclasses")
 
 
+# A record's fields come from its constructor's code object, not from
+# signature inspection or generated source.
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_inspects_or_runs_generated_source(module):
+    source = _source(module)
+    assert not _imports(source, "inspect")
+    assert not {"exec", "eval"} & {
+        node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)
+    }
+
+
 def test_importing_the_cli_loads_every_layer_but_not_the_checks():
     # perfbench finds each layer in sys.modules right after this import.
     code = (
