@@ -161,13 +161,16 @@ def _leave_one_out(ws: Sequence) -> list:
     return [a * b for a, b in zip(prefix, suffix[1:])]
 
 
-def _parameter(w: float | np.ndarray, name: str, with_value: bool = False) -> np.ndarray:
-    """``w`` as an array once it is a float or a 1-D list or array within [0, 1]."""
+def _parameter(w: float | np.ndarray, name: str) -> np.ndarray:
+    """``w`` as an array once it is a float or a 1-D list or array within [0, 1].
+
+    Out of range, the error names the first value outside, as the oracle's does.
+    """
     ws = np.asarray(w, dtype=float)
     if ws.ndim > 1:
         raise ValueError(f"{name} must be a float or a 1-D array")
-    if not ((ws >= 0.0) & (ws <= 1.0)).all():
-        raise ValueError(f"{name}={w} outside [0, 1]" if with_value else f"{name} outside [0, 1]")
+    if not (inside := (ws >= 0.0) & (ws <= 1.0)).all():
+        raise ValueError(f"{name}={np.extract(~inside, ws)[0]} outside [0, 1]")
     return ws
 
 
@@ -324,7 +327,7 @@ def single_link_fisher(
     With ``normalize`` the value is divided by the channel uses one sample
     costs (2 for the fused-copies scheme, otherwise 1).
     """
-    ws = _parameter(w, "w", with_value=True)
+    ws = _parameter(w, "w")
     return _plain(_per_use(SCHEMES[scheme], _rank_one(scheme, [ws], mode), normalize))
 
 

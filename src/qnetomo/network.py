@@ -145,9 +145,11 @@ class UsageLedger(_Record):
         self._store(locals())
 
 
-def _task_monitor_ok(task: MeasurementTask, graph: NetworkGraph) -> bool:
+def _require_monitors(graph: NetworkGraph, idx: int, task: MeasurementTask) -> None:
+    """Task ``idx``'s monitor rule: LZM at both path endpoints, JBM and PEM at one."""
     watched = [end in graph.monitors for end in task.path.endpoints]
-    return all(watched) if SCHEMES[task.scheme].both_monitors else any(watched)
+    if not (all(watched) if SCHEMES[task.scheme].both_monitors else any(watched)):
+        raise ValueError(f"task {idx} ({task.scheme.value}): monitor requirement not met")
 
 
 def _plan_steps(plan: MonitoringPlan) -> tuple:
@@ -185,8 +187,7 @@ def validate_plan(graph: NetworkGraph, plan: MonitoringPlan) -> None:
         traced = trace_path(graph, task.path.link_ids)
         if set(traced.endpoints) != set(task.path.endpoints):
             raise ValueError(f"task {idx}: stored endpoints do not match the graph")
-        if not _task_monitor_ok(task, graph):
-            raise ValueError(f"task {idx} ({task.scheme.value}): monitor requirement not met")
+        _require_monitors(graph, idx, task)
     _plan_steps(plan)
     if plan.covered_links() != frozenset(l.id for l in graph.links):
         raise ValueError("plan does not cover exactly the graph's links")
@@ -244,9 +245,12 @@ def builtin_plan(kind: str, graph: NetworkGraph) -> MonitoringPlan:
         MeasurementTask(scheme=scheme, path=trace_path(graph, link_ids))
         for scheme, *link_ids in _BUILTIN_TASKS[kind]
     )
-    plan = MonitoringPlan(name=kind, tasks=tasks)
-    validate_plan(graph, plan)
-    return plan
+    # Each path was just traced on the required star, and every kind is
+    # solvable and covers e0, e1, e2: of validate_plan's rules only the
+    # monitors' can fail.
+    for idx, task in enumerate(tasks):
+        _require_monitors(graph, idx, task)
+    return MonitoringPlan(name=kind, tasks=tasks)
 
 
 def channel_uses(plan: MonitoringPlan) -> UsageLedger:

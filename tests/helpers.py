@@ -10,6 +10,18 @@ def expected_counts(dist, n):
     return OutcomeCounts(labels=dist.labels, counts=counts, total=float(n))
 
 
+def constructed(monkeypatch, cls):
+    """The list every later construction of ``cls`` is appended to, once it has built."""
+    built = []
+
+    def counted(obj, *args, _original=cls.__init__, **kwargs):
+        _original(obj, *args, **kwargs)
+        built.append(obj)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
 def _chain_task(scheme, ws):
     """A task over the whole of a fresh chain with links p0, p1, ... set to ``ws``."""
     graph = _chain({f"p{i}": w for i, w in enumerate(ws)})

@@ -21,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnetomo import (
+    FisherMatrix,
     FisherMode,
     Scheme,
     fisher,
+    network,
     single_link_fisher,
     single_link_qcrb,
     validate_plan,
@@ -42,6 +44,8 @@ from qnetomo.cli import (
     build_config,
     main,
 )
+
+from helpers import constructed
 
 CLOSED = FisherMode.CLOSED_FORM
 FIRST = FisherMode.FIRST_PRINCIPLES
@@ -285,36 +289,42 @@ class TestStar:
         for kind in ("JBM2", "JBM3", "HYB2", "HYB3"):
             assert abs(values[kind] - hom_values[kind]) < 1e-12
 
-    def test_shipped_sweep_is_one_stacked_inversion(self, capsys, tmp_path, monkeypatch):
-        # The four plans share one validated matrix: one PSD eigvalsh, one inv.
-        calls = dict.fromkeys(("eigvalsh", "inv"), 0)
-        for name in calls:
+    @pytest.mark.parametrize("manifest", ["star_homogeneous.cfg", "star_heterogeneous.cfg"])
+    def test_each_star_command_builds_one_matrix(self, capsys, tmp_path, monkeypatch, manifest):
+        # The four plans over every grid point are checked and bounded as one batch.
+        built = constructed(monkeypatch, FisherMatrix)
+        argv = ["star", "--config", str(MANIFESTS / manifest), "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) == 1
 
-            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+    def test_shipped_sweep_evaluates_each_task_information_once_per_point(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The four plans hold 12 tasks over 6 distinct (scheme, path) pairs,
+        # and the sweep has 99 points: J is evaluated at 6 x 99 path products,
+        # in one call per task or in one call per task and point alike.
+        points = []
 
-            monkeypatch.setattr(np.linalg, name, counted)
+        def counted(spec, product, *args, _original=fisher._information):
+            points.append(np.size(product))
+            return _original(spec, product, *args)
+
+        monkeypatch.setattr(fisher, "_information", counted)
         out = tmp_path / "star.csv"
         argv = ["star", "--config", str(MANIFESTS / "star_homogeneous.cfg"), "--out", str(out)]
         assert main(argv) == 0
         capsys.readouterr()
-        assert calls == {"eigvalsh": 1, "inv": 1}
+        assert sum(points) == 6 * 99
 
-    def test_shipped_sweep_builds_each_task_block_once(self, capsys, tmp_path, monkeypatch):
-        # The four plans hold 12 tasks over 6 distinct (scheme, path) pairs.
-        calls = []
-
-        def counted(*args, _original=fisher._rank_one):
-            calls.append(args[0])
-            return _original(*args)
-
-        monkeypatch.setattr(fisher, "_rank_one", counted)
+    def test_each_task_path_is_traced_once(self, capsys, tmp_path, monkeypatch):
+        # 4 plans of 3 tasks each: one Path record per task, none thrown away.
+        traced = constructed(monkeypatch, network.Path)
         out = tmp_path / "star.csv"
         argv = ["star", "--config", str(MANIFESTS / "star_homogeneous.cfg"), "--out", str(out)]
         assert main(argv) == 0
         capsys.readouterr()
-        assert len(calls) == 6
+        assert len(traced) == 12
 
     def test_incomplete_fixed_pair_rejected(self, capsys, tmp_path):
         cfg = write_config(

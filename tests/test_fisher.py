@@ -25,11 +25,12 @@ from qnetomo import (
     single_link_qcrb,
     task_qfim,
     trace_path,
+    werner_density,
 )
 from qnetomo import fisher
 from qnetomo.cli import _fmt
 
-from helpers import _chain_task
+from helpers import _chain_task, constructed
 
 interior = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
 
@@ -81,6 +82,23 @@ class TestSingleLinkScalars:
             single_link_fisher(Scheme.LZM, 1.2, FIRST)
         with pytest.raises(ValueError, match="^w must be a float or a 1-D array$"):
             single_link_fisher(Scheme.LZM, np.full((2, 2), 0.5), FIRST)
+
+    def test_a_range_error_names_the_first_bad_value(self):
+        # Not the whole list: the oracle's rule, first value outside.
+        ws = [0.5] * 100000 + [1.5]
+        for function in (single_link_fisher, single_link_qcrb):
+            with pytest.raises(ValueError) as info:
+                function(Scheme.LZM, ws, FIRST)
+            assert str(info.value) == "w=1.5 outside [0, 1]"
+        with pytest.raises(ValueError) as oracle:
+            werner_density(ws)
+        assert str(oracle.value) == str(info.value) and len(str(info.value)) < 100
+        with pytest.raises(ValueError, match=r"^w=-1.0 outside \[0, 1\]$"):
+            single_link_fisher(Scheme.PEM, [0.5, -1.0, 1.5], CLOSED)
+        graph = build_star(3, [0.5, 0.5, 0.5])
+        params = {"e0": np.array(ws), "e1": 0.5, "e2": 0.5}
+        with pytest.raises(ValueError, match=r"^parameter for link 'e0'=1.5 outside \[0, 1\]$"):
+            plan_qfim(builtin_plan("JBM3", graph), params, FIRST)
 
     def test_qcrb_reciprocal(self):
         info = single_link_fisher(Scheme.PEM, 0.6, FIRST)
@@ -444,10 +462,10 @@ class TestBatchedCore:
     @pytest.mark.parametrize(
         "e1, e2, bad",
         [
-            (1.5, np.array([-3.0, 0.5]), "e1"),
-            (0.8, np.array([-3.0, 0.5]), "e2"),
-            (math.nan, 0.5, "e1"),
-            (0.8, np.array([0.5, math.nan]), "e2"),
+            (1.5, np.array([-3.0, 0.5]), "'e1'=1.5"),
+            (0.8, np.array([-3.0, 0.5]), "'e2'=-3.0"),
+            (math.nan, 0.5, "'e1'=nan"),
+            (0.8, np.array([0.5, math.nan]), "'e2'=nan"),
         ],
         ids=["e1-above-one", "e2-negative", "e1-nan", "e2-nan"],
     )
@@ -456,7 +474,8 @@ class TestBatchedCore:
         task = MeasurementTask(scheme=Scheme.JBM, path=trace_path(graph, ("e0",)))
         direct = MonitoringPlan(name="e0", tasks=(task,))
         params = {"e0": 0.9, "e1": e1, "e2": e2}
-        message = rf"parameter for link '{bad}' outside \[0, 1\]"
+        # The error names the first value outside the interval.
+        message = rf"^parameter for link {bad} outside \[0, 1\]$"
         with pytest.raises(ValueError, match=message):
             plan_qfim(direct, params, CLOSED)
         with pytest.raises(ValueError, match=message):
@@ -750,56 +769,48 @@ class TestOnePathAgainstPerMaskReference:
                 rtol = 4.0 * np.finfo(float).eps * eig[-1] / eig[0]
                 np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
-    def test_mixed_masks_make_one_eigvalsh_and_one_inv(self, monkeypatch):
-        # Links at 1 in different members: the per-mask algorithm needs four
-        # groups here, so four eigvalsh and four inv calls.
-        calls = dict.fromkeys(("eigvalsh", "inv"), 0)
-        for name in calls:
-
-            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+    def test_mixed_masks_build_one_matrix_equal_to_single_plan_calls(self, monkeypatch):
+        # Links at 1 in different members make known coordinates in different
+        # places, and e0 at 0 makes every plan singular: still one matrix,
+        # and each plan's bounds are bit for bit the ones it gives alone.
         graph = build_star(3, [0.5, 0.5, 0.5])
         plans = [builtin_plan(kind, graph) for kind in ("JBM2", "JBM3", "HYB2", "HYB3")]
         params = {
-            "e0": np.array([1.0, 0.5, 0.5, 1.0, 0.3]),
-            "e1": np.array([0.5, 1.0, 0.5, 1.0, 0.3]),
-            "e2": np.array([0.5, 0.5, 1.0, 1.0, 0.3]),
+            "e0": np.array([1.0, 0.5, 0.5, 1.0, 0.3, 0.0]),
+            "e1": np.array([0.5, 1.0, 0.5, 1.0, 0.3, 0.5]),
+            "e2": np.array([0.5, 0.5, 1.0, 1.0, 0.3, 0.5]),
         }
-        total = qcrb(plan_qfim(plans, params, CLOSED))
-        assert calls == {"eigvalsh": 1, "inv": 1}
-        assert total.shape == (4, 5) and (total[:, 3] == 0.0).all()
+        built = constructed(monkeypatch, FisherMatrix)
+        stack = plan_qfim(plans, params, CLOSED)
+        assert len(built) == 1
+        monkeypatch.undo()
+        bounds, total = crb_diagonal(stack, scale=3.0), qcrb(stack)
+        assert total.shape == (4, 6) and (total[:, 3] == 0.0).all()
+        assert (total[:, 5] == math.inf).all() and np.isfinite(total[:, :5]).all()
+        for k, plan in enumerate(plans):
+            alone = plan_qfim(plan, params, CLOSED)
+            assert qcrb(alone).tobytes() == total[k].tobytes()
+            for lid, bound in crb_diagonal(alone, scale=3.0).items():
+                assert bound.tobytes() == bounds[lid][k].tobytes()
 
-
-    def test_each_matrix_with_a_known_coordinate_is_reordered_once(self, monkeypatch):
-        # The build moves the known coordinates; crb_diagonal and qcrb read
-        # what it kept and reorder nothing again.
-        calls = []
-
-        def counted(e, _original=fisher._finite_first):
-            calls.append(e.shape)
-            return _original(e)
-
-        monkeypatch.setattr(fisher, "_finite_first", counted)
+    def test_bounds_are_read_from_the_built_matrix(self, monkeypatch):
+        # Known coordinates are settled when the matrix is built: crb_diagonal
+        # and qcrb build no matrix of their own (and, in test_surface, run no
+        # linear algebra).
         inf = math.inf
         single = FisherMatrix(np.array([[inf, 0.0], [0.0, 2.0]]), ("a", "b"), FIRST)
-        assert crb_diagonal(single, scale=2.0) == {"a": 0.0, "b": 0.25}
-        assert qcrb(single) == 0.5
-        assert calls == [(2, 2)]
         graph = build_star(3, [0.5, 0.5, 0.5])
         plans = [builtin_plan(kind, graph) for kind in ("JBM2", "HYB3")]
         params = {"e0": np.array([1.0, 0.5]), "e1": 0.5, "e2": 0.5}
         stack = plan_qfim(plans, params, CLOSED)
-        bounds, total = crb_diagonal(stack), qcrb(stack)
-        assert calls == [(2, 2), (2, 2, 3, 3)]
-        assert (bounds["e0"][:, 0] == 0.0).all() and np.isfinite(total).all()
-        # An all-finite matrix is never reordered.
         plain = FisherMatrix(np.diag([1.0, 2.0]), ("a", "b"), FIRST)
-        crb_diagonal(plain)
-        qcrb(plain)
-        assert len(calls) == 2
+        built = constructed(monkeypatch, FisherMatrix)
+        assert crb_diagonal(single, scale=2.0) == {"a": 0.0, "b": 0.25}
+        assert qcrb(single) == 0.5
+        bounds, total = crb_diagonal(stack), qcrb(stack)
+        assert (bounds["e0"][:, 0] == 0.0).all() and np.isfinite(total).all()
+        assert crb_diagonal(plain) == {"a": 1.0, "b": 0.5} and qcrb(plain) == 1.5
+        assert built == []
 
 
 class TestBoundGrouping:

@@ -226,6 +226,26 @@ class TestBuiltinPlans:
         with pytest.raises(ValueError, match="monitor"):
             builtin_plan("HYB3", g)
 
+    @pytest.mark.parametrize(
+        "monitors", [None, {"v1", "v2"}, {"v1", "v3"}, {"v2", "v3"}, {"v1"}, {"v3"}, set()]
+    )
+    @pytest.mark.parametrize("kind", BUILTIN_PLAN_KINDS)
+    def test_every_plan_passes_validate_plan_or_fails_as_it_would(self, kind, monitors):
+        # builtin_plan checks only the monitor rule, the one rule the star can
+        # break: a plan it returns passes every rule, and a plan it refuses
+        # gets validate_plan's first error.
+        g = build_star(3, [0.9, 0.8, 0.7], monitors=monitors)
+        same = builtin_plan(kind, star())
+        try:
+            plan = builtin_plan(kind, g)
+        except ValueError as err:
+            with pytest.raises(ValueError) as expected:
+                validate_plan(g, same)
+            assert str(err) == str(expected.value)
+            return
+        validate_plan(g, plan)
+        assert plan == same
+
     def test_requires_three_leaf_star(self):
         with pytest.raises(ValueError):
             builtin_plan("JBM2", build_star(2, [0.5, 0.5]))

@@ -322,47 +322,8 @@ def test_public_oracle_states_are_real_and_complex_input_stays_complex(w):
     assert qnetomo.DensityMatrix(np.eye(4, dtype=np.complex64) / 4).matrix.dtype == np.complex128
 
 
-# Every PSD and singularity decision of a Fisher matrix is made once, as it
-# is built, with one eigvalsh over the whole stack, and one inv over the same
-# stack gives its bounds.  Neither runs per member or per group.
-_LOOPS = (
-    ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
-)
-
-
-def _homes(source: str, name: str) -> list:
-    """The dotted scope (class and function names) of each use of ``name``.
-
-    A use anywhere inside a loop or a comprehension gets `` (loop)`` appended.
-    """
-    homes = []
-
-    def visit(node, scope, looped):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,), looped)
-                continue
-            if (
-                (isinstance(child, ast.Attribute) and child.attr == name)
-                or (isinstance(child, ast.Name) and child.id == name)
-                or (isinstance(child, ast.alias) and child.name.split(".")[-1] == name)
-            ):
-                homes.append(".".join(scope) + (" (loop)" if looped else ""))
-            visit(child, scope, looped or isinstance(child, _LOOPS))
-
-    visit(ast.parse(source), (), False)
-    return homes
-
-
-def test_fisher_calls_eigvalsh_only_when_a_matrix_is_built():
-    assert _homes(_source("fisher"), "eigvalsh") == ["FisherMatrix.__post_init__"]
-
-
-def test_fisher_decomposes_a_matrix_only_when_it_is_built():
-    # Both linear-algebra calls, the PSD check's and the bounds'.
-    assert _homes(_source("fisher"), "linalg") == ["FisherMatrix.__post_init__"] * 2
-
-
+# A matrix's bounds are taken when it is built: crb_diagonal and qcrb only
+# divide them by the scale and add them up.
 class _NoLinearAlgebra:
     def __getattr__(self, name):
         raise AssertionError(f"linear algebra ({name}) after the matrix was built")
@@ -389,76 +350,69 @@ def test_bounds_only_scale_and_sum(monkeypatch):
         assert np.asarray(qnetomo.qcrb(matrix)).tobytes() == np.asarray(sum(unit.values())).tobytes()
 
 
-@pytest.mark.parametrize(
-    "source, homes",
-    [
-        ("np.linalg.eigvalsh(a)", [""]),
-        ("def crb_diagonal(m):\n    return np.linalg.eigvalsh(m)\n", ["crb_diagonal"]),
-        ("class A:\n    def f(self):\n        eigvalsh(self)\n", ["A.f"]),
-        ("def f():\n    from numpy.linalg import eigvalsh\n", ["f"]),
-        ("np.linalg.eigvals(a)\nnp.linalg.inv(a)", []),
-    ],
-)
-def test_the_eigvalsh_scan_sees_each_use_in_its_scope(source, homes):
-    assert _homes(source, "eigvalsh") == homes
+# Each tolerance decision has one home.  The outcome-law rule is
+# schemes._require_law: every other module that checks a law calls it.  A
+# Fisher matrix's PSD and singularity decisions are made as it is built.
+_TOLERANCE_HOMES = {
+    "PROB_ATOL": ("schemes", "_require_law"),
+    "PSD_ATOL": ("fisher", "FisherMatrix.__post_init__"),
+    "SINGULAR_RTOL": ("fisher", "FisherMatrix.__post_init__"),
+}
 
 
-@pytest.mark.parametrize(
-    "source, homes",
-    [
-        ("def f(ms):\n    for m in ms:\n        np.linalg.inv(m)\n", ["f (loop)"]),
-        ("while ms:\n    inv(ms.pop())\n", [" (loop)"]),
-        ("def f(ms):\n    return [np.linalg.inv(m) for m in ms]\n", ["f (loop)"]),
-        ("for m in ms:\n    def g():\n        return np.linalg.inv(m)\n", ["g (loop)"]),
-        ("def f(m):\n    return np.linalg.inv(m)\n", ["f"]),
-        ("def f(m):\n    invert = np.linalg.pinv(m)\n", []),
-    ],
-)
-def test_the_scan_marks_a_use_inside_a_loop(source, homes):
-    assert _homes(source, "inv") == homes
+def _tolerance_compares(source: str, name: str) -> list:
+    """The dotted scope (class and function names) of every comparison that reads ``name``."""
+    scopes = []
 
-
-# The outcome-law rule has one home, schemes._require_law: every other module
-# that checks a law calls it, and none compares a value against PROB_ATOL.
-def _law_tolerance_compares(source: str) -> list:
-    """The line of every comparison that reads ``PROB_ATOL``."""
-    return [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Compare)
-        and any(
-            (isinstance(n, ast.Name) and n.id == "PROB_ATOL")
-            or (isinstance(n, ast.Attribute) and n.attr == "PROB_ATOL")
+    def reads(node):
+        return any(
+            (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
             for n in ast.walk(node)
         )
-    ]
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Compare) and reads(child):
+                scopes.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return scopes
+
+
+@pytest.mark.parametrize("name", sorted(_TOLERANCE_HOMES))
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_each_tolerance_is_compared_only_in_its_home(module, name):
+    home_module, home = _TOLERANCE_HOMES[name]
+    expected = {home} if module == home_module else set()
+    assert set(_tolerance_compares(_source(module), name)) == expected
 
 
 @pytest.mark.parametrize(
-    "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "schemes")
-)
-def test_only_the_scheme_table_compares_against_the_law_tolerance(module):
-    assert _law_tolerance_compares(_source(module)) == []
-
-
-def test_the_law_tolerance_scan_sees_the_rule_in_the_scheme_table():
-    assert _law_tolerance_compares(_source("schemes"))
-
-
-@pytest.mark.parametrize(
-    "source",
+    "source, scopes",
     [
-        "if p < -PROB_ATOL:\n    pass\n",
-        "ok = abs(sum(ps) - 1.0) <= schemes.PROB_ATOL",
-        "bad = (np.abs(total - 1.0) > PROB_ATOL).any()",
-        "def f(p):\n    return -PROB_ATOL <= p <= 1.0\n",
-        "class Law:\n    def ok(self, p):\n        return all(q >= -PROB_ATOL for q in p)\n",
+        ("if p < -PROB_ATOL:\n    pass\n", [""]),
+        ("ok = abs(sum(ps) - 1.0) <= schemes.PROB_ATOL", [""]),
+        ("bad = (np.abs(total - 1.0) > PROB_ATOL).any()", [""]),
+        ("def f(p):\n    return -PROB_ATOL <= p <= 1.0\n", ["f"]),
+        (
+            "class Law:\n    def ok(self, p):\n        return all(q >= -PROB_ATOL for q in p)\n",
+            ["Law.ok"],
+        ),
+        ("def f(ws):\n    def g(w):\n        return [w < PROB_ATOL, w > PROB_ATOL]\n", ["f.g"] * 2),
     ],
 )
-def test_the_law_tolerance_scan_sees_a_comparison(source):
-    assert _law_tolerance_compares(source)
+def test_the_tolerance_scan_sees_each_comparison_in_its_scope(source, scopes):
+    assert _tolerance_compares(source, "PROB_ATOL") == scopes
+    renamed = source.replace("PROB_ATOL", "SINGULAR_RTOL")
+    assert _tolerance_compares(renamed, "SINGULAR_RTOL") == scopes
+    assert _tolerance_compares(renamed, "PROB_ATOL") == []
 
 
-def test_the_law_tolerance_scan_passes_other_uses():
+def test_the_tolerance_scan_passes_other_uses():
     source = "from .schemes import PROB_ATOL\natol = 2 * PROB_ATOL\nok = p < ATOL\n"
-    assert _law_tolerance_compares(source) == []
+    assert _tolerance_compares(source, "PROB_ATOL") == []

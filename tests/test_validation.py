@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetomo import DensityMatrix, FisherMatrix, FisherMode, OutcomeDistribution, Scheme, task_qfim
+from qnetomo import DensityMatrix, FisherMatrix, FisherMode, OutcomeDistribution, Scheme
 from qnetomo import fisher, schemes, validation
 from qnetomo.cli import main
 from qnetomo.schemes import SCHEMES, SchemeSpec, scheme_distribution
 from qnetomo.validation import _distribution_gap, _mode_gaps, validation_checks
 
-from helpers import _chain_task
+from helpers import _chain_task, constructed
 
 ROWS = [
     "lzm-distribution-vs-oracle",
@@ -80,41 +80,21 @@ class TestGroupedModeGaps:
             _assert_per_task_gaps(gaps, grid)
 
     def test_validate_builds_no_matrix_and_no_entries(self, monkeypatch):
-        builds, matrices, states, distributions = [], [], [], []
-
-        def blocks(*args, _original=fisher._blocks):
-            builds.append(args)
-            return _original(*args)
-
-        def counted(cls, seen):
-            original = cls.__post_init__
-
-            def post_init(obj):
-                original(obj)
-                seen.append(obj)
-
-            return post_init
-
-        monkeypatch.setattr(fisher, "_blocks", blocks)
-        monkeypatch.setattr(FisherMatrix, "__post_init__", counted(FisherMatrix, matrices))
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counted(DensityMatrix, states))
-
-        def distribution(obj, *args, _original=OutcomeDistribution.__init__, **kwargs):
-            distributions.append(args or kwargs)
-            _original(obj, *args, **kwargs)
-
-        monkeypatch.setattr(OutcomeDistribution, "__init__", distribution)
+        # The mode rows read J alone: every task or plan information call
+        # builds a matrix, and none is built.
+        classes = (FisherMatrix, DensityMatrix, OutcomeDistribution)
+        built = {cls: constructed(monkeypatch, cls) for cls in classes}
         results = validation_checks()
         assert all(ok for *_, ok in results)
-        # The mode rows read J alone: no n x n entries and no FisherMatrix.
-        assert builds == [] and matrices == []
+        assert built[FisherMatrix] == []
         # Both sides of swap-multiplicativity in one real validated stack; the
         # scheme tables are checked as batches, with no per-point record.
-        assert [(s.matrix.shape, s.matrix.dtype) for s in states] == [((2, 100, 4, 4), np.float64)]
-        assert distributions == []
-        # The probes see what they count: one task matrix is one build of entries.
-        task_qfim(*_chain_task(Scheme.PEM, [0.5, 0.4]), FisherMode.CLOSED_FORM)
-        assert (len(builds), len(matrices)) == (1, 1)
+        states = [(s.matrix.shape, s.matrix.dtype) for s in built[DensityMatrix]]
+        assert states == [((2, 100, 4, 4), np.float64)]
+        assert built[OutcomeDistribution] == []
+        # The probe sees what it counts: one task matrix is one matrix.
+        fisher.task_qfim(*_chain_task(Scheme.PEM, [0.5, 0.4]), FisherMode.CLOSED_FORM)
+        assert len(built[FisherMatrix]) == 1
 
 
 WS = np.arange(21) / 20.0
