@@ -20,12 +20,17 @@ Everything is array-valued over a batch of parameter points.  A link
 parameter is a float or a 1-D list or array of floats, batches of equal length;
 a batch gives a `FisherMatrix` with entries of shape (..., n, n) and array
 bounds, floats give one (n, n) matrix and float bounds, from the same code.
-A matrix makes every check and singularity decision when it is built, with
-one `eigvalsh` over its stack, and one `inv` of that stack then gives every
-member's bounds: `crb_diagonal` only divides them by the sample count.
-`plan_qfim` also stacks a sequence of plans on a new leading axis of one
-matrix; each distinct (scheme, path) block is built once per call and every
-plan sums its blocks in task order.  `validate`'s mode-consistency rows
+Every member's bounds are settled when its matrix is built; `crb_diagonal`
+only divides them by the sample count.  `plan_qfim` also stacks a sequence
+of plans on a new leading axis of one matrix; J and g of each distinct
+(scheme, path) task are evaluated once per call and every plan sums its
+blocks in task order.  A square plan (each task resolves exactly one new
+link) is bounded from its own triangular factor, with no eigen-solver, no
+inverse and no re-check of entries that are symmetric and PSD by
+construction; that also gives each link that is identifiable a finite
+bound when others are not.  Every other member, and every matrix a caller
+builds, takes the generic route: checks, one `eigvalsh` for the PSD and
+singularity decisions, and one `inv`.  `validate`'s mode-consistency rows
 compare J per scheme between the two modes, through `_rank_one`, with no
 matrix and no entries.
 `crossover` bisects on plain floats through the J rule the array path guards.
@@ -41,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .network import MeasurementTask, MonitoringPlan, UsageLedger, channel_uses
+from .network import MeasurementTask, MonitoringPlan, UsageLedger, _plan_steps, channel_uses
 from .schemes import SCHEMES, Scheme, SchemeSpec, _Record, _require_links
 
 SYM_ATOL = 1e-12
@@ -66,13 +71,19 @@ class FisherMatrix(_Record):
     probability vanishes and the information diverges; such coordinates are
     treated as exactly known by the bound computations, and the finite block
     left must be positive semidefinite.  ``ledger`` records the channel-use
-    normalization when ``normalized`` is set.  ``_singular``, in the batch
-    shape, flags each member whose finite block has eigenvalue ratio below
-    ``SINGULAR_RTOL``: its parameters are not jointly identifiable.
-    ``_bounds``, shape (..., n) in parameter order, is the diagonal of each
-    member's inverse, with 0 on known coordinates and +inf on a singular
-    member's finite ones.  Both are read-only and neither is a field, so
-    equality, hashing and repr leave them out.
+    normalization when ``normalized`` is set.
+
+    ``_bounds``, shape (..., n) in parameter order, holds each member's
+    variance bounds, with 0 on known coordinates, and ``_singular``, in the
+    batch shape, flags members whose parameters are not all identifiable.
+    A member of a square plan from ``plan_qfim`` takes them from the plan's
+    factor (``_factor_bounds``): +inf on exactly the links outside the range
+    of its information.  Every other member takes the generic route: it is
+    singular when its finite block has eigenvalue ratio below
+    ``SINGULAR_RTOL``, and then +inf on every finite coordinate; otherwise
+    its bounds are the diagonal of its inverse.  Both are read-only and
+    neither is a field, so equality, hashing and repr leave them out; copies,
+    deep copies and unpickled clones keep them bit for bit.
     """
 
     def __init__(
@@ -88,42 +99,71 @@ class FisherMatrix(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        # A plan-built matrix arrives with the members its plans' factors
+        # settled (see ``_built``); every other member is derived here.
+        bounds, singular, settled = vars(self).pop("_settled", None) or (None, None, None)
         e = np.array(self.entries, dtype=float)
         n = len(self.order)
         if e.ndim < 2 or e.shape[-2:] != (n, n):
             raise ValueError("entries must be square over the parameter order")
         if len(set(self.order)) != n:
             raise ValueError("parameter order repeats a name")
-        finite = np.isfinite(e)
-        all_finite = finite.all()
-        if not all_finite and (e[~finite] != math.inf).any():
-            raise ValueError("entries must not be nan or -inf")
-        # inf - inf is nan: equal infinities pass by equality alone.
-        with np.errstate(invalid="ignore"):
-            t = e.swapaxes(-1, -2)
-            if not ((e == t) | (np.abs(e - t) <= SYM_ATOL)).all():
-                raise ValueError("matrix is not symmetric within tolerance")
-        block, perm, known = (e, None, False) if all_finite else _finite_first(e)
-        if not (all_finite or np.isfinite(block).all()):
-            raise ValueError("off-diagonal infinity with finite diagonal is not supported")
-        eig = np.linalg.eigvalsh(block)
-        # Slices, not indices: a matrix over no parameters has no eigenvalue.
-        lo, hi = eig[..., :1], eig[..., -1:]
-        if (lo < -PSD_ATOL * np.maximum(1.0, hi)).any():
-            raise ValueError("matrix is not positive semidefinite within tolerance")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            singular = np.asarray(((hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)).any(-1))
-        if singular.any():
-            # A singular member inverts the identity in its place; its bounds are +inf.
-            block = np.where(singular[..., None, None], np.eye(n), block)
-        bounds = np.diagonal(np.linalg.inv(block), axis1=-2, axis2=-1)
-        if perm is not None or singular.any():
-            bounds = np.where(known, 0.0, np.where(singular[..., None], math.inf, bounds))
-        if perm is not None:
-            bounds = np.take_along_axis(bounds, np.argsort(perm, axis=-1), axis=-1)
+        if settled is None or not np.all(settled):
+            rest = e if settled is None else e[~settled]
+            finite = np.isfinite(rest)
+            all_finite = finite.all()
+            if not all_finite and (rest[~finite] != math.inf).any():
+                raise ValueError("entries must not be nan or -inf")
+            # inf - inf is nan: equal infinities pass by equality alone.
+            with np.errstate(invalid="ignore"):
+                t = rest.swapaxes(-1, -2)
+                if not ((rest == t) | (np.abs(rest - t) <= SYM_ATOL)).all():
+                    raise ValueError("matrix is not symmetric within tolerance")
+            block, perm, known = (rest, None, False) if all_finite else _finite_first(rest)
+            if not (all_finite or np.isfinite(block).all()):
+                raise ValueError("off-diagonal infinity with finite diagonal is not supported")
+            eig = np.linalg.eigvalsh(block)
+            # Slices, not indices: a matrix over no parameters has no eigenvalue.
+            lo, hi = eig[..., :1], eig[..., -1:]
+            if (lo < -PSD_ATOL * np.maximum(1.0, hi)).any():
+                raise ValueError("matrix is not positive semidefinite within tolerance")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                flags = np.asarray(((hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)).any(-1))
+            if flags.any():
+                # A singular member inverts the identity in its place; its bounds are +inf.
+                block = np.where(flags[..., None, None], np.eye(n), block)
+            derived = np.diagonal(np.linalg.inv(block), axis1=-2, axis2=-1)
+            if perm is not None or flags.any():
+                derived = np.where(known, 0.0, np.where(flags[..., None], math.inf, derived))
+            if perm is not None:
+                derived = np.take_along_axis(derived, np.argsort(perm, axis=-1), axis=-1)
+            if settled is None:
+                bounds, singular = derived, flags
+            else:
+                bounds[~settled], singular[~settled] = derived, flags
         for array in (e, singular, bounds):
             array.setflags(write=False)
         self.__dict__.update(entries=e, order=tuple(self.order), _singular=singular, _bounds=bounds)
+
+    def __reduce__(self) -> tuple:
+        # Deep copies and unpickled clones keep the bounds the matrix was
+        # built with: from its plans' factors or by the generic route.
+        return _built, (*self._values, (self._bounds, self._singular, True))
+
+
+def _built(entries, order, mode, normalized, ledger, factor: tuple | None) -> FisherMatrix:
+    """A matrix built with the bounds ``factor`` already settled, if any.
+
+    ``factor`` is ``(bounds, singular, settled)``: the members ``settled``
+    flags (all of them when it is ``True``) take those ``bounds`` and
+    ``singular`` flags, and the constructor derives the other members' by
+    the generic route, into the same arrays.  The matrix goes through
+    ``__init__`` and ``__post_init__`` like any other.
+    """
+    matrix = object.__new__(FisherMatrix)
+    vars(matrix)["_settled"] = factor
+    matrix.__init__(entries, order, mode, normalized, ledger)
+    return matrix
 
 
 def _finite_first(e: np.ndarray) -> tuple:
@@ -209,21 +249,104 @@ def _per_use(spec: SchemeSpec, info, normalize: bool):
     return info / spec.uses_per_link if normalize else info
 
 
-def _blocks(
-    tasks: Sequence[MeasurementTask], row: Mapping, index: Mapping, batch: tuple, mode: FisherMode
-) -> dict:
-    """Each distinct task's information over the parameter order, shape (..., n, n)."""
-    n = len(index)
-    blocks = {}
-    for scheme, link_ids in dict.fromkeys((t.scheme, t.path.link_ids) for t in tasks):
-        ws = [row[lid] for lid in link_ids]
-        info = _rank_one(scheme, ws, mode)[..., None, None]
-        g = np.array(_leave_one_out(ws)).T  # batch-major, (..., k)
-        coords = np.array([index[lid] for lid in link_ids])
-        block = np.zeros(batch + (n, n))
-        block[..., coords[:, None], coords] = info * (g[..., :, None] * g[..., None, :])
-        blocks[scheme, link_ids] = block
-    return blocks
+def _task_terms(keys: list, values: np.ndarray, row_of: Mapping, index: Mapping, mode) -> tuple:
+    """J and g of each distinct (scheme, path) task in ``keys``, with the batch last.
+
+    ``values[row_of[lid]]`` is link ``lid``'s batch.  Returns ``info``, shape
+    (tasks, batch), and ``g``, shape (tasks, coordinates, batch): the
+    g_i = dW/dw_i at each path link's coordinate and 0 off the path.  Tasks
+    of one scheme and path length are evaluated as one stack, with the same
+    arithmetic per task and point.
+    """
+    info = np.empty((len(keys),) + values.shape[1:])
+    g = np.zeros((len(keys), len(index)) + values.shape[1:])
+    groups: dict = {}
+    for k, (scheme, link_ids) in enumerate(keys):
+        groups.setdefault((scheme, len(link_ids)), []).append(k)
+    for (scheme, length), rows in groups.items():
+        paths = [keys[k][1] for k in rows]
+        ws = [values[[row_of[path[i]] for path in paths]] for i in range(length)]
+        info[rows] = _rank_one(scheme, ws, mode)
+        for i, leave in enumerate(_leave_one_out(ws)):
+            g[rows, [index[path[i]] for path in paths]] = leave
+    return info, g
+
+
+def _square_steps(plan: MonitoringPlan, n: int) -> tuple | None:
+    """The plan's solve steps if every task resolves exactly one new link and the
+    tasks cover all ``n`` coordinates; None otherwise."""
+    try:
+        steps = _plan_steps(plan)
+    except ValueError:
+        return None
+    return steps if len(steps) == len(plan.tasks) == n else None
+
+
+def _factor_bounds(
+    plans: tuple, index: Mapping, picks: np.ndarray, info: np.ndarray, g: np.ndarray, ledgers, batch
+) -> tuple | None:
+    """Bounds of the members of square plans, from each plan's own factor.
+
+    A square plan's information is F = G^T diag(J) G, with G lower triangular
+    in solve order: G[r, q] is task r's g at the link step q resolves, and
+    the diagonal holds each task's divisor, the product of its other links.
+    With X = G^-1 from forward substitution, link i is identifiable iff
+    X[i, t] = 0 for every task t with J = 0 (Stoica & Marzetta, IEEE TSP
+    49(1), 2001), and its bound is then sum_t X[i, t]^2 / J_t, with 1/inf = 0.
+
+    ``picks[p, r]`` is the distinct task that is plan p's task r; ``info``
+    (tasks, batch) and ``g`` (tasks, coordinates, batch) are their J and g.
+    Returns ``(bounds, singular, settled)`` over (plans, *batch), or None
+    when no plan is square: ``settled`` flags the members these bounds hold
+    for.
+    The generic route bounds the rest: every member of a plan that is not
+    square, and members with a zero divisor (or one so small that X
+    overflows), or with a link of infinite information that a task of
+    finite information resolves (the generic route knows such a link
+    exactly, the factor only its product with the others).
+    """
+    n, size = len(index), info.shape[-1]
+    square = {k: steps for k, p in enumerate(plans) if (steps := _square_steps(p, n)) is not None}
+    if not (n and square):
+        return None
+    rows = np.array(list(square), dtype=int)
+    # Square plan s's task r and the coordinate its step q resolves, each (n, s).
+    tasks = picks[rows, :n].T
+    coords = np.array([[index[t] for _, t, _ in steps] for steps in square.values()], dtype=int).T
+    members = len(rows) * size
+    j = info[tasks].reshape(n, members)
+    lower = g[tasks[:, None, :], coords[None, :, :]].reshape(n, n, members)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.zeros(lower.shape)
+        for r in range(n):
+            x[r, r] = 1.0
+            for q in range(r):
+                x[r] -= lower[r, q] * x[q]
+            x[r] /= lower[r, r]
+        unknown = j == 0.0
+        unidentified = (unknown & (x != 0.0)).any(1)
+        # 1/inf = 0: a task of infinite information adds nothing.
+        parts = x * x / np.where(unknown, math.inf, j)
+    own = parts[:, 0]
+    for t in range(1, n):
+        own = own + parts[:, t]
+    # A zero divisor, or one small enough to overflow X, leaves X non-finite.
+    faulty = ~np.isfinite(x).all((0, 1))
+    infinite = np.isinf(j)
+    if infinite.any():
+        faulty |= (infinite[:, None] & (lower != 0.0) & ~infinite[None, :]).any((0, 1))
+    own[unidentified] = math.inf
+    own = own.reshape(n, len(rows), size)
+    if ledgers is not None:
+        own *= np.array([[ledgers[k].total] for k in rows], dtype=float)
+    bounds = np.zeros((len(plans), size, n))
+    bounds[rows, :, coords] = own
+    singular = np.zeros((len(plans), size), dtype=bool)
+    singular[rows] = unidentified.any(0).reshape(len(rows), size)
+    settled = np.zeros((len(plans), size), dtype=bool)
+    settled[rows] = ~faulty.reshape(len(rows), size)
+    shape = (len(plans),) + batch
+    return bounds.reshape(shape + (n,)), singular.reshape(shape), settled.reshape(shape)
 
 
 def task_qfim(
@@ -256,8 +379,8 @@ def plan_qfim(
 
     A sequence of plans over the same parameters gives one matrix that stacks
     the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
-    checked and inverted as one batch.  Each member is bit for bit
-    the matrix its plan gives alone.  With ``normalize`` each plan is divided
+    bounded as one batch.  Each member is bit for bit the matrix, and has
+    the bounds, its plan gives alone.  With ``normalize`` each plan is divided
     by its own total and ``ledger`` is the tuple of the plans' ledgers.
     """
     single = isinstance(plan, MonitoringPlan)
@@ -274,32 +397,47 @@ def plan_qfim(
     if len(shapes) > 1:
         raise ValueError("link parameters must be floats or equal-length 1-D arrays")
     batch = shapes.pop() if shapes else ()
-    values = np.empty((len(links),) + batch)
+    n, size = len(order), math.prod(batch)
+    values = np.empty((len(links), size))
     for k, lid in enumerate(links):
         values[k] = arrays[lid]
-    tasks = [t for p in plans for t in p.tasks]
-    blocks = _blocks(tasks, dict(zip(links, values)), index, batch, mode)
+    keys = list(dict.fromkeys((t.scheme, t.path.link_ids) for p in plans for t in p.tasks))
+    info, g = _task_terms(keys, values, {lid: k for k, lid in enumerate(links)}, index, mode)
+    # Each distinct task's block J g g^T, with the batch last, 0 off its path
+    # also where J is +inf; one more block, all zero, pads shorter plans.
+    outer = g[:, :, None] * g[:, None, :]
+    blocks = np.zeros((len(keys) + 1, n, n, size))
+    with np.errstate(invalid="ignore"):
+        blocks[:-1] = np.where(outer == 0.0, 0.0, info[:, None, None] * outer)
+    position = {key: k for k, key in enumerate(keys)}
+    width = max(len(p.tasks) for p in plans)
+    picks = np.full((len(plans), width), len(keys))
+    for k, p in enumerate(plans):
+        picks[k, : len(p.tasks)] = [position[t.scheme, t.path.link_ids] for t in p.tasks]
+    # Every plan adds its task blocks in task order, all plans at once;
+    # starting from 0.0 is exact for these non-negative entries.
+    entries = np.zeros((len(plans), n, n, size))
+    for column in picks.T:
+        entries += blocks[column]
     ledgers = tuple(channel_uses(p) for p in plans) if normalize else None
-    # Each plan's blocks add in task order; starting from 0.0 is exact for
-    # these non-negative entries.
-    entries = np.zeros((len(plans),) + batch + (len(order), len(order)))
-    for k, (total, p) in enumerate(zip(entries, plans)):
-        for t in p.tasks:
-            total += blocks[t.scheme, t.path.link_ids]
-        if normalize:
-            total /= ledgers[k].total
+    if normalize:
+        entries /= np.reshape([ledger.total for ledger in ledgers], (-1, 1, 1, 1))
+    entries = np.ascontiguousarray(entries.transpose(0, 3, 1, 2))
+    entries = entries.reshape((len(plans),) + batch + (n, n))
+    factor = _factor_bounds(plans, index, picks, info, g, ledgers, batch)
     if single:
         entries, ledgers = entries[0], None if ledgers is None else ledgers[0]
-    return FisherMatrix(entries, order, mode, normalized=normalize, ledger=ledgers)
+        factor = factor and tuple(array[0, ...] for array in factor)
+    return _built(entries, order, mode, normalize, ledgers, factor)
 
 
 def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     """Per-parameter variance bounds: diagonal of the scaled matrix inverse.
 
-    Coordinates with infinite information contribute a bound of 0.  A member
-    whose finite block is singular (flagged when the matrix was built) gets
-    +inf on its finite coordinates: the parameters are not jointly
-    identifiable.  A batched matrix gives an array of bounds per parameter.
+    Coordinates with infinite information contribute a bound of 0, and
+    parameters that are not identifiable +inf, as decided when the matrix
+    was built (see ``FisherMatrix``).  A batched matrix gives an array of
+    bounds per parameter.
     ``scale`` (the samples per task) must be a positive finite number; the
     bounds, inverted when the matrix was built, are only divided by it.
     """

@@ -64,6 +64,11 @@ def run_lines(capsys, argv):
 
 
 INFINITE_E0_NOTE = "note: link e0 has an infinite bound; ratio undefined"
+
+
+class _NoLinearAlgebra:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.linalg.{name} called")
 ZERO_E0_NOTE = "note: link e0 has a zero bound and zero variance; ratio undefined"
 
 SMALL_GRID = """\
@@ -289,11 +294,17 @@ class TestStar:
         for kind in ("JBM2", "JBM3", "HYB2", "HYB3"):
             assert abs(values[kind] - hom_values[kind]) < 1e-12
 
+    @pytest.mark.parametrize("mode", ["closed-form", "first-principles"])
     @pytest.mark.parametrize("manifest", ["star_homogeneous.cfg", "star_heterogeneous.cfg"])
-    def test_each_star_command_builds_one_matrix(self, capsys, tmp_path, monkeypatch, manifest):
-        # The four plans over every grid point are checked and bounded as one batch.
+    def test_each_star_command_builds_one_matrix(
+        self, capsys, tmp_path, monkeypatch, manifest, mode
+    ):
+        # The four plans over every grid point are bounded as one batch, each
+        # from its own factor: no eigen-solver and no inverse.
         built = constructed(monkeypatch, FisherMatrix)
-        argv = ["star", "--config", str(MANIFESTS / manifest), "--out", str(tmp_path / "s.csv")]
+        monkeypatch.setattr(np, "linalg", _NoLinearAlgebra())
+        config = str(MANIFESTS / manifest)
+        argv = ["star", "--config", config, "--mode", mode, "--out", str(tmp_path / "s.csv")]
         assert main(argv) == 0
         capsys.readouterr()
         assert len(built) == 1
@@ -453,9 +464,10 @@ class TestBenchmark:
         assert code == 0 and err == "" and echoed.count(INFINITE_E0_NOTE) == 1
         assert out.read_text().splitlines() == lines
 
-    def test_near_perfect_links_beside_a_dead_one_give_infinite_bounds(self, capsys, tmp_path):
-        # The plan matrix's largest eigenvalue is about 1.5e12 and its
-        # smallest rounds to about -1.7e-4: PSD within the relative tolerance.
+    def test_near_perfect_links_beside_a_dead_one_give_finite_bounds(self, capsys, tmp_path):
+        # The plan matrix's eigenvalues span from about 1.5e12 down to 1e-15,
+        # yet every link has a task of its own: the plan's factor bounds each
+        # one by 1 / (100 J), J the information on that link alone.
         cfg = write_config(
             tmp_path,
             """\
@@ -471,7 +483,52 @@ class TestBenchmark:
         argv = ["benchmark", "--config", cfg, "--mode", "closed-form"]
         code, lines, err = run_lines(capsys, argv)
         assert code == 0 and "Traceback" not in err
-        assert [l.split(",")[4] for l in lines[1:]] == ["inf", "inf", "inf"]
+
+        def jbm(w):
+            return 12.0 * w * w / ((1.0 + 3.0 * w * w) * (1.0 - w * w))
+
+        near, dead = 0.999999999999, 0.00000001
+        # e2 is measured only through (e0, e2), whose g on e2 is w0.
+        info = [jbm(near), jbm(near), near * near * jbm(near * dead)]
+        crb = [float(l.split(",")[4]) for l in lines[1:]]
+        assert crb == pytest.approx([1.0 / (100.0 * j) for j in info], rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "fixed, samples, flags, crb",
+        [
+            # A link with no information beside two measured on their own.
+            (("0", "0.5", "0.5"), 100, [], ["inf", "0.004375", "0.004375"]),
+            # A diagonal plan whose information spans fourteen orders of magnitude.
+            (
+                ("0.5", "1e-7", "0.9"),
+                1000,
+                ["--mode", "first-principles"],
+                ["0.0004375", "8333333333.33", "6.70473251029e-05"],
+            ),
+        ],
+    )
+    def test_each_identifiable_link_of_a_direct_plan_gets_its_own_bound(
+        self, capsys, tmp_path, fixed, samples, flags, crb
+    ):
+        w0, w1, w2 = fixed
+        cfg = write_config(
+            tmp_path,
+            f"""\
+            experiment = benchmark
+            plan = JBM3
+            fixed.w0 = {w0}
+            fixed.w1 = {w1}
+            fixed.w2 = {w2}
+            samples = {samples}
+            rounds = 20
+            seed = 1
+            """,
+        )
+        code, lines, err = run_lines(capsys, ["benchmark", "--config", cfg, *flags])
+        assert code == 0
+        assert [l.split(",")[4] for l in lines[1:]] == crb
+        infinite = [INFINITE_E0_NOTE] if crb[0] == "inf" else []
+        assert err.splitlines() == infinite
 
     @pytest.mark.parametrize("plan", ["PEM", "LZM"])
     def test_zero_bound_and_zero_variance_is_noted(self, capsys, tmp_path, plan):
@@ -1030,14 +1087,20 @@ class TestPinnedBenchmarks:
                 ],
             ),
             (
-                "plan = JBM3\n" + _W0_ZERO,
+                "plan = HYB2\n" + _W0_ZERO,
                 [],
-                "718f32035a0629b040e7ec101d143a71f1ccc46d0904012274c0f169b82d6476",
+                "dd7dcfdba3e925e371dbd8f3d44aadd2169e81dc7dd5f898085731953f86f920",
                 [
                     INFINITE_E0_NOTE,
-                    "note: link e1 has an infinite bound; ratio undefined",
-                    "note: link e2 has an infinite bound; ratio undefined",
+                    "note: link e1 unidentifiable in 3 of 5 rounds",
+                    "note: link e2 unidentifiable in 3 of 5 rounds",
                 ],
+            ),
+            (
+                "plan = JBM3\n" + _W0_ZERO,
+                [],
+                "b9a82db11668a1e9e2ff2af4505253a6052805226b17106f6982346ca01053f8",
+                [INFINITE_E0_NOTE],
             ),
             (
                 "plan = PEM\nfixed.w = 1\nsamples = 100\nrounds = 5\n",
@@ -1075,6 +1138,7 @@ class TestPinnedBenchmarks:
             "pem-manifest",
             "hyb3-20000x1000",
             "hyb3-w0-zero",
+            "hyb2-w0-zero",
             "jbm3-w0-zero",
             "pem-w-one",
             "seed-0",

@@ -13,6 +13,7 @@ from qnetomo import (
     FisherMode,
     MeasurementTask,
     MonitoringPlan,
+    Path,
     Scheme,
     build_star,
     builtin_plan,
@@ -325,8 +326,45 @@ def _reference_information(scheme, ws, mode):
     return sum(0.0 if d == 0.0 else (d * d / p if p > 0.0 else math.inf) for p, d in table)
 
 
+def _factor_rule_applies(plan, params, mode):
+    """Whether the plan's own factor bounds this point, written out apart from the package.
+
+    It does when each task introduces exactly one new link, the tasks cover
+    every parameter, no task's other links multiply to 0 (its divisor), and
+    every link on a task of infinite information is introduced by one.
+    """
+    introduced = {}
+    for task in plan.tasks:
+        new = [l for l in task.path.link_ids if l not in introduced]
+        if len(new) != 1:
+            return False
+        introduced[new[0]] = task
+    if set(introduced) != set(params):
+        return False
+
+    def infinite(task):
+        ws = [params[l] for l in task.path.link_ids]
+        return _reference_information(task.scheme, ws, mode) == math.inf
+
+    known = {l for task in plan.tasks if infinite(task) for l in task.path.link_ids}
+    for link, task in introduced.items():
+        if math.prod(params[l] for l in task.path.link_ids if l != link) == 0.0:
+            return False
+        if link in known and not infinite(task):
+            return False
+    return True
+
+
 def _reference_point(plan, params, mode, normalize):
-    """Plan information and bounds at one point: J g g^T sums, then np.linalg.inv."""
+    """Plan information and bounds at one point: J g g^T sums, then np.linalg.
+
+    Coordinates with infinite information are known, bound 0.  A regular
+    finite block gives the diagonal of its inverse.  A singular one gives
+    +inf on every finite coordinate, except where the plan's factor bounds
+    the point: there a coordinate in the range of the block gets its
+    pseudo-inverse diagonal entry and only the others +inf (Stoica &
+    Marzetta, IEEE TSP 49(1), 2001).
+    """
     order = sorted(params)
     n = len(order)
     m = np.zeros((n, n))
@@ -344,8 +382,12 @@ def _reference_point(plan, params, mode, normalize):
     bounds = [0.0] * n
     sub = m[np.ix_(finite, finite)]
     if finite and np.linalg.matrix_rank(sub) < len(finite):
-        for k in finite:
-            bounds[k] = math.inf
+        pseudo = np.linalg.pinv(sub)
+        factor = _factor_rule_applies(plan, params, mode)
+        for pos, k in enumerate(finite):
+            unit = np.eye(len(finite))[pos]
+            in_range = np.allclose(sub @ (pseudo @ unit), unit, rtol=0.0, atol=1e-9)
+            bounds[k] = pseudo[pos, pos] if factor and in_range else math.inf
     elif finite:
         inverse = np.linalg.inv(sub)
         for pos, k in enumerate(finite):
@@ -585,6 +627,128 @@ class TestSharedBlocks:
                     assert np.array_equal(bounds[lid][k, i], point_bounds[lid])
                     assert _close(point_bounds[lid], expected[j])
                 assert np.array_equal(total[k, i], qcrb(point))
+
+
+@st.composite
+def _tree_plans(draw):
+    """A square plan over a tree of 2-12 links, named p0, p1, ... in shuffled order.
+
+    Link k hangs below an earlier link, and task k measures a path from one
+    of its ancestors down to it, so each task introduces link k alone.  The
+    names are shuffled, so with 10 or more links the sorted parameter order
+    ("p10" before "p2") differs from the solve order.
+    """
+    m = draw(st.one_of(st.integers(2, 9), st.integers(10, 12)))
+    names = [f"p{k}" for k in draw(st.permutations(range(m)))]
+    parent = [None] + [draw(st.integers(0, k - 1)) for k in range(1, m)]
+    tasks = []
+    for k in range(m):
+        chain = [k]
+        for _ in range(draw(st.integers(0, 3))):
+            if parent[chain[-1]] is not None:
+                chain.append(parent[chain[-1]])
+        ids = tuple(names[c] for c in reversed(chain))
+        tasks.append(MeasurementTask(draw(st.sampled_from(list(Scheme))), Path(ids, ("a", "b"))))
+    return MonitoringPlan(name="tree", tasks=tuple(tasks))
+
+
+@st.composite
+def _tree_points(draw):
+    """A tree plan and 1-4 points: links in [0.5, 0.95], at most two of them at 0 or 1."""
+    plan = draw(_tree_plans())
+    names = [t.path.link_ids[-1] for t in plan.tasks]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.lists(st.floats(0.5, 0.95), min_size=len(names), max_size=len(names)))
+        for k in draw(st.sets(st.integers(0, len(names) - 1), max_size=2)):
+            row[k] = draw(st.sampled_from([0.0, 1.0]))
+        rows.append(row)
+    columns = np.array(rows).T
+    return plan, {lid: columns[k] for k, lid in enumerate(names)}, rows
+
+
+def _epsilon_limit(block):
+    """e_i^T (F + eps I)^-1 e_i as eps -> 0, Richardson-extrapolated, and +inf
+    where it grows like 1/eps (e_i outside the range of F)."""
+    largest = np.linalg.eigvalsh(block)[-1]
+    eps = 1e-7 * (largest if largest > 0.0 else 1.0)
+    coarse, fine = (np.diag(np.linalg.inv(block + e * np.eye(len(block)))) for e in (eps, eps / 2))
+    return np.where(fine / coarse > 1.5, math.inf, 2.0 * fine - coarse)
+
+
+class TestFactorBounds:
+    """Square plans take their bounds from their own factor.
+
+    Each member is checked against a reference that does not use it: the
+    inverse of the information where that is regular, the eps-limit where
+    some task has no information, and the generic route (the bounds of a
+    FisherMatrix built from the same entries) wherever the factor leaves a
+    member to it.
+    """
+
+    @staticmethod
+    def _generic(matrix, member):
+        return FisherMatrix(matrix.entries[member], matrix.order, matrix.mode)._bounds
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_tree_points(), st.sampled_from([CLOSED, FIRST]), st.booleans())
+    def test_square_plans_match_independent_references(self, drawn, mode, normalize):
+        plan, params, rows = drawn
+        matrix = plan_qfim(plan, params, mode, normalize)
+        for member, row in enumerate(rows):
+            point = dict(zip(params, row))
+            bounds = matrix._bounds[member]
+            if not _factor_rule_applies(plan, point, mode):
+                # A zero divisor, or a known link that a task of finite
+                # information introduces: the generic route, bit for bit.
+                assert bounds.tobytes() == self._generic(matrix, member).tobytes()
+                continue
+            entries = matrix.entries[member]
+            finite = np.isfinite(np.diagonal(entries))
+            assert (bounds[~finite] == 0.0).all()
+            if not finite.any():
+                continue
+            block = entries[np.ix_(finite, finite)]
+            zero = any(
+                _reference_information(t.scheme, [point[l] for l in t.path.link_ids], mode) == 0.0
+                for t in plan.tasks
+            )
+            if not zero:
+                # Regular: the inverse of the information, to within its condition number.
+                expected = np.diag(np.linalg.inv(block))
+                rtol = 4.0 * np.finfo(float).eps * np.linalg.cond(block)
+                np.testing.assert_allclose(bounds[finite], expected, rtol=rtol, atol=0.0)
+                assert not matrix._singular[member]
+                continue
+            expected = _epsilon_limit(block)
+            assert np.array_equal(np.isinf(bounds[finite]), np.isinf(expected))
+            settled = np.isfinite(expected)
+            finite_bounds = bounds[finite][settled]
+            np.testing.assert_allclose(finite_bounds, expected[settled], rtol=1e-6, atol=0.0)
+            assert matrix._singular[member] == (~settled).any()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        _tree_points(),
+        st.sampled_from(["repeat", "unread", "uncovered"]),
+        st.sampled_from([CLOSED, FIRST]),
+    )
+    def test_non_square_plans_take_the_generic_route(self, drawn, change, mode):
+        plan, params, rows = drawn
+        if change == "repeat":
+            # A task that introduces no link is skipped when solving.
+            other = MonitoringPlan(name="repeat", tasks=plan.tasks + plan.tasks[:1])
+        elif change == "unread":
+            other, params = plan, {**params, "zz": np.full(len(rows), 0.5)}
+        else:
+            other = MonitoringPlan(name="uncovered", tasks=plan.tasks[:-1])
+        stacked = plan_qfim([plan, other], params, mode)
+        alone = plan_qfim(plan, params, mode)
+        assert stacked._bounds[0].tobytes() == alone._bounds.tobytes()
+        for member in range(len(rows)):
+            generic = FisherMatrix(stacked.entries[1, member], stacked.order, mode)
+            assert stacked._bounds[1, member].tobytes() == generic._bounds.tobytes()
+            assert stacked._singular[1, member] == generic._singular
 
 
 class TestBounds:
@@ -901,6 +1065,34 @@ class TestFisherMatrixValidation:
             with pytest.raises(ValueError, match=NOT_PSD):
                 FisherMatrix(np.array(entries), order, FIRST)
         FisherMatrix(np.diag([1.0, -0.5e-10]), order, FIRST)
+
+    def test_symmetry_tolerance_edges(self):
+        order = ("a", "b")
+        # An asymmetry of exactly SYM_ATOL passes, on a zero entry and on a
+        # non-zero one; ten times that fails.
+        for low, high in [(0.0, 1e-12), (0.25, np.nextafter(0.25, 1.0))]:
+            assert abs(low - high) <= fisher.SYM_ATOL
+            FisherMatrix(np.array([[1.0, low], [high, 1.0]]), order, FIRST)
+        with pytest.raises(ValueError, match="symmetric"):
+            FisherMatrix(np.array([[1.0, 0.0], [1e-11, 1.0]]), order, FIRST)
+
+    def test_psd_tolerance_below_a_largest_eigenvalue_of_one(self):
+        # Up to a largest eigenvalue of 1 the PSD tolerance is PSD_ATOL itself,
+        # reached exactly by -1e-10.
+        order = ("a", "b")
+        for hi in (0.5, 1.0):
+            with pytest.raises(ValueError, match=NOT_PSD):
+                FisherMatrix(np.diag([hi, -1.2e-10]), order, FIRST)
+            for lo in (-1e-10, -0.9e-10):
+                assert bool(FisherMatrix(np.diag([hi, lo]), order, FIRST)._singular)
+
+    def test_a_built_matrix_is_singular_below_an_eigenvalue_ratio_of_1e_12(self):
+        order = ("a", "b")
+        for small in (1e-10, 1e-12):
+            matrix = FisherMatrix(np.diag([1.0, small]), order, FIRST)
+            assert not matrix._singular and crb_diagonal(matrix) == {"a": 1.0, "b": 1.0 / small}
+        matrix = FisherMatrix(np.diag([1.0, 1e-13]), order, FIRST)
+        assert matrix._singular and crb_diagonal(matrix) == {"a": math.inf, "b": math.inf}
 
     def test_entries_read_only(self):
         m = FisherMatrix(np.eye(2), ("a", "b"), FIRST)

@@ -27,6 +27,9 @@ from qnetomo import (
     Scheme,
     UsageLedger,
     WernerLink,
+    build_star,
+    builtin_plan,
+    plan_qfim,
 )
 from qnetomo.schemes import SchemeSpec
 
@@ -273,6 +276,23 @@ def test_fisher_bounds_state_is_read_only_and_survives_copies():
     shallow = copy.copy(matrix)
     for state in ("entries", "_singular", "_bounds"):
         assert getattr(shallow, state) is getattr(matrix, state)
+
+
+def test_clones_keep_the_bounds_of_a_plan_factor():
+    # JBM3 with e0 at 0: the factor bounds e1 and e2, where the generic route
+    # on the same entries (a singular matrix) would give +inf to all three.
+    graph = build_star(3, [0.5, 0.5, 0.5])
+    params = {"e0": np.array([0.0, 0.5]), "e1": 0.5, "e2": np.array([0.5, 0.9])}
+    matrix = plan_qfim(builtin_plan("JBM3", graph), params, FisherMode.CLOSED_FORM)
+    assert np.isinf(matrix._bounds[0, 0]) and np.isfinite(matrix._bounds[0, 1:]).all()
+    assert matrix._singular.tolist() == [True, False]
+    generic = FisherMatrix(matrix.entries, matrix.order, matrix.mode)
+    assert np.isinf(generic._bounds[0]).all()
+    for clone in (copy.copy(matrix), copy.deepcopy(matrix), pickle.loads(pickle.dumps(matrix))):
+        assert _same_record(clone, matrix)
+        for state in ("_singular", "_bounds"):
+            assert getattr(clone, state).tobytes() == getattr(matrix, state).tobytes()
+            assert not getattr(clone, state).flags.writeable
 
 
 def test_density_matrix_stays_read_only_in_copies():
