@@ -327,6 +327,8 @@ def _factor_bounds(
         unidentified = (unknown & (x != 0.0)).any(1)
         # 1/inf = 0: a task of infinite information adds nothing.
         parts = x * x / np.where(unknown, math.inf, j)
+    # Added in task order, one task at a time: over a batch of one, sum(1)
+    # reduces a contiguous axis pairwise and can move the last bits.
     own = parts[:, 0]
     for t in range(1, n):
         own = own + parts[:, t]

@@ -295,6 +295,37 @@ class TestStar:
             assert abs(values[kind] - hom_values[kind]) < 1e-12
 
     @pytest.mark.parametrize("mode", ["closed-form", "first-principles"])
+    def test_a_badly_scaled_star_gets_finite_bounds(self, capsys, tmp_path, mode):
+        # With e0 at 1e-7 the plans' eigenvalues lie more than twelve orders
+        # apart, yet every link is identifiable: each plan's own factor bounds
+        # it, where an eigenvalue-ratio test called every plan singular.
+        cfg = write_config(
+            tmp_path,
+            """\
+            experiment = star
+            grid.start = 0.1
+            grid.stop = 0.3
+            grid.step = 0.1
+            fixed.w0 = 1e-7
+            fixed.w1 = 0.9
+            """,
+        )
+        code, lines, _ = run_lines(capsys, ["star", "--config", cfg, "--mode", mode])
+        assert code == 0 and len(lines) == 1 + 4 * 3
+        assert lines[2] == "JBM3,0.1,5.00000000001e+13"
+        assert all(np.isfinite(float(l.split(",")[2])) for l in lines[1:])
+
+        def jbm(w):
+            return 12.0 * w * w / ((1.0 + 3.0 * w * w) * (1.0 - w * w))
+
+        # JBM3 is diagonal: 6 channel uses a round times the sum of 1 / J.
+        for line in lines[1:]:
+            kind, w2, bound = line.split(",")
+            if kind == "JBM3":
+                expected = 6.0 * sum(1.0 / jbm(w) for w in (1e-7, 0.9, float(w2)))
+                assert float(bound) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["closed-form", "first-principles"])
     @pytest.mark.parametrize("manifest", ["star_homogeneous.cfg", "star_heterogeneous.cfg"])
     def test_each_star_command_builds_one_matrix(
         self, capsys, tmp_path, monkeypatch, manifest, mode
