@@ -22,9 +22,8 @@ from typing import Sequence
 from .fisher import (
     FisherMode,
     _inverse,
+    _plan_qcrb,
     crossover,
-    plan_qfim,
-    qcrb,
     single_link_fisher,
     single_link_qcrb,
 )
@@ -43,6 +42,8 @@ EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
 EXIT_VALIDATION_FAILED = 2
 
+# The digits of every number a CSV prints.
+_DIGITS = ".12g"
 GRID_MIN = 0.01
 GRID_MAX = 0.99
 # Size caps: larger requests are a ConfigError rather than an unbounded run.
@@ -96,7 +97,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return format(x, _DIGITS)
+
+
+def _lines(head: str, row: str, grid: list, columns: list) -> list:
+    """``head``, then ``row`` (one or more lines) per grid point: {0} is w, {k} column k."""
+    return [head] + [row.format(_fmt(w), *values) for w, values in zip(grid, zip(*columns))]
 
 
 def _parse_config_file(path: str) -> dict:
@@ -204,17 +210,14 @@ def _grid(cfg: dict) -> list:
 def cmd_single_link(cfg: dict) -> tuple:
     """Per-scheme information and variance bound over the parameter grid."""
     grid = _grid(cfg)
-    columns = []
+    settings = f"{cfg['mode'].value},{'on' if cfg['normalize'] else 'off'}"
+    columns, rows = [], []
     for scheme in Scheme:
         info = single_link_fisher(scheme, grid, cfg["mode"], cfg["normalize"])
-        columns.append((scheme, info.tolist(), _inverse(info).tolist()))
-    settings = f"{cfg['mode'].value},{'on' if cfg['normalize'] else 'off'}"
-    lines = ["scheme,w,fisher,qcrb,mode,normalized"]
-    for i, w in enumerate(grid):
-        text = _fmt(w)
-        for scheme, info, bound in columns:
-            lines.append(f"{scheme.value},{text},{_fmt(info[i])},{_fmt(bound[i])},{settings}")
-    return lines, []
+        k = len(columns)
+        columns += [info.tolist(), _inverse(info).tolist()]
+        rows.append(f"{scheme.value},{{0}},{{{k + 1}:{_DIGITS}}},{{{k + 2}:{_DIGITS}}},{settings}")
+    return _lines("scheme,w,fisher,qcrb,mode,normalized", "\n".join(rows), grid, columns), []
 
 
 def cmd_ratio(cfg: dict) -> tuple:
@@ -233,8 +236,8 @@ def cmd_ratio(cfg: dict) -> tuple:
 def cmd_star(cfg: dict) -> tuple:
     """Bounds of the four star strategies over a homogeneous or w2 sweep.
 
-    The four plans go through one stacked ``plan_qfim`` call, so the whole
-    sweep is validated and inverted as a single batch.
+    One ``_plan_qcrb`` call bounds the four plans over the whole sweep,
+    each from its integer incidence: no Fisher matrix is built.
     """
     graph = build_star(3, [0.5, 0.5, 0.5])
     plans = [builtin_plan(kind, graph) for kind in BUILTIN_PLAN_KINDS]
@@ -245,13 +248,9 @@ def cmd_star(cfg: dict) -> tuple:
         params = {"e0": cfg["fixed.w0"], "e1": cfg["fixed.w1"], "e2": grid}
     else:
         params = {"e0": grid, "e1": grid, "e2": grid}
-    bounds = qcrb(plan_qfim(plans, params, cfg["mode"], cfg["normalize"])).tolist()
-    lines = ["strategy,w,qcrb"]
-    for i, w in enumerate(grid):
-        text = _fmt(w)
-        for plan, column in zip(plans, bounds):
-            lines.append(f"{plan.name},{text},{_fmt(column[i])}")
-    return lines, []
+    bounds = _plan_qcrb(plans, params, cfg["mode"], cfg["normalize"])
+    row = "\n".join(f"{plan.name},{{0}},{{{k}:{_DIGITS}}}" for k, plan in enumerate(plans, 1))
+    return _lines("strategy,w,qcrb", row, grid, bounds), []
 
 
 def _benchmark_plan(cfg: dict) -> tuple:

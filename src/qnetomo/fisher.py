@@ -1,39 +1,19 @@
 """Fisher information of measurement tasks and plans, with Cramér-Rao bounds.
 
-Every task's information is rank one: J_s(W) * outer(g, g), where W is the
-path product and g_i = dW/dw_i is the product of the other path links.  Two
-computation modes for the scalar J_s are first-class and kept deliberately
-independent:
+A task's information is rank one, J_s(W) g g^T: W is the path product and
+g_i = dW/dw_i the product of the other path links.  J_s has two independent
+modes: closed-form, the scheme table's published scalar (1/(1-W^2) for LZM,
+doubled on a direct link; 12W^2/((1+3W^2)(1-W^2)) for JBM; 3/((1+3W)(1-W))
+for PEM), and first-principles, the outcome sum of (d p_k / dW)^2 / p_k.
+They agree except on a direct LZM link, where the closed form is exactly
+twice the other; `validate` reports it.
 
-* closed-form: the published scalar of the scheme table, 1/(1-W^2) for LZM
-  (2/(1-W^2) on a direct link), 12W^2/((1+3W^2)(1-W^2)) for JBM and
-  3/((1+3W)(1-W)) for PEM;
-* first-principles: the per-outcome sum of (d p_k / dW)^2 / p_k over the
-  table's outcome distribution.
-
-The two agree to high precision everywhere except the single-link LZM entry,
-where the closed form is exactly twice the first-principles value.  Both are
-exposed so the discrepancy stays inspectable; the `validate` CLI command
-reports it.
-
-Everything is array-valued over a batch of parameter points.  A link
-parameter is a float or a 1-D list or array of floats, batches of equal length;
-a batch gives a `FisherMatrix` with entries of shape (..., n, n) and array
-bounds, floats give one (n, n) matrix and float bounds, from the same code.
-Every member's bounds are settled when its matrix is built; `crb_diagonal`
-only divides them by the sample count.  `plan_qfim` also stacks a sequence
-of plans on a new leading axis of one matrix; J and g of each distinct
-(scheme, path) task are evaluated once per call and every plan sums its
-blocks in task order.  A square plan (each task resolves exactly one new
-link) is bounded from its own triangular factor, with no eigen-solver, no
-inverse and no re-check of entries that are symmetric and PSD by
-construction; that also gives each link that is identifiable a finite
-bound when others are not.  Every other member, and every matrix a caller
-builds, takes the generic route: checks, one `eigvalsh` for the PSD and
-singularity decisions, and one `inv`.  `validate`'s mode-consistency rows
-compare J per scheme between the two modes, through `_rank_one`, with no
-matrix and no entries.
-`crossover` bisects on plain floats through the J rule the array path guards.
+Everything is array-valued over a batch of parameter points, and J and W of
+each distinct (scheme, path) task are evaluated once per call.  A plan's
+bounds come from its integer path-link incidence (`_plan_bounds`), with no
+matrix and no linear algebra: `star` calls it directly, and `plan_qfim`
+settles its matrix's bounds with it.  Only a matrix a caller builds takes
+the generic route, one `eigvalsh` and one `inv`.
 """
 
 from __future__ import annotations
@@ -46,7 +26,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .network import MeasurementTask, MonitoringPlan, UsageLedger, _plan_steps, channel_uses
+from .network import (
+    MeasurementTask,
+    MonitoringPlan,
+    UsageLedger,
+    _identifiable,
+    _incidence_inverse,
+    channel_uses,
+)
 from .schemes import SCHEMES, Scheme, SchemeSpec, _Record, _require_links
 
 SYM_ATOL = 1e-12
@@ -66,24 +53,18 @@ class FisherMode(Enum):
 class FisherMatrix(_Record):
     """Symmetric PSD information matrix over an ordered link-parameter vector.
 
-    ``entries`` has shape (n, n), or (..., n, n) for a batch of parameter
-    points, over distinct names in ``order``.  Entries may be +inf where a
-    probability vanishes and the information diverges; such coordinates are
-    treated as exactly known by the bound computations, and the finite block
-    left must be positive semidefinite.  ``ledger`` records the channel-use
-    normalization when ``normalized`` is set.
+    ``entries`` has shape (n, n), or (..., n, n) for a batch of points, over
+    distinct names in ``order``.  A +inf entry (a vanishing probability)
+    makes its coordinate exactly known; the finite block left must be PSD.
+    ``ledger`` records the normalization when ``normalized`` is set.
 
-    ``_bounds``, shape (..., n) in parameter order, holds each member's
-    variance bounds, with 0 on known coordinates, and ``_singular``, in the
-    batch shape, flags members whose parameters are not all identifiable.
-    A member of a square plan from ``plan_qfim`` takes them from the plan's
-    factor (``_factor_bounds``): +inf on exactly the links outside the range
-    of its information.  Every other member takes the generic route: it is
-    singular when its finite block has eigenvalue ratio below
-    ``SINGULAR_RTOL``, and then +inf on every finite coordinate; otherwise
-    its bounds are the diagonal of its inverse.  Both are read-only and
-    neither is a field, so equality, hashing and repr leave them out; copies,
-    deep copies and unpickled clones keep them bit for bit.
+    ``_bounds`` (..., n) holds each member's variance bounds, 0 on known
+    coordinates, and ``_singular`` flags members with an infinite bound.
+    ``plan_qfim`` settles them from its plans.  A matrix a caller builds
+    takes the generic route: a member whose finite block has eigenvalue ratio
+    below ``SINGULAR_RTOL`` is singular, +inf on every finite coordinate;
+    else its bounds are the diagonal of its inverse.  Neither is a
+    field: equality, hashing and repr leave them out, and copies keep them.
     """
 
     def __init__(
@@ -99,27 +80,25 @@ class FisherMatrix(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        # A plan-built matrix arrives with the members its plans' factors
-        # settled (see ``_built``); every other member is derived here.
-        bounds, singular, settled = vars(self).pop("_settled", None) or (None, None, None)
+        # A plan-built matrix arrives with its bounds settled (see ``_built``).
+        bounds, singular = vars(self).pop("_settled", None) or (None, None)
         e = np.array(self.entries, dtype=float)
         n = len(self.order)
         if e.ndim < 2 or e.shape[-2:] != (n, n):
             raise ValueError("entries must be square over the parameter order")
         if len(set(self.order)) != n:
             raise ValueError("parameter order repeats a name")
-        if settled is None or not np.all(settled):
-            rest = e if settled is None else e[~settled]
-            finite = np.isfinite(rest)
+        if bounds is None:
+            finite = np.isfinite(e)
             all_finite = finite.all()
-            if not all_finite and (rest[~finite] != math.inf).any():
+            if not all_finite and (e[~finite] != math.inf).any():
                 raise ValueError("entries must not be nan or -inf")
             # inf - inf is nan: equal infinities pass by equality alone.
             with np.errstate(invalid="ignore"):
-                t = rest.swapaxes(-1, -2)
-                if not ((rest == t) | (np.abs(rest - t) <= SYM_ATOL)).all():
+                t = e.swapaxes(-1, -2)
+                if not ((e == t) | (np.abs(e - t) <= SYM_ATOL)).all():
                     raise ValueError("matrix is not symmetric within tolerance")
-            block, perm, known = (rest, None, False) if all_finite else _finite_first(rest)
+            block, perm, known = (e, None, False) if all_finite else _finite_first(e)
             if not (all_finite or np.isfinite(block).all()):
                 raise ValueError("off-diagonal infinity with finite diagonal is not supported")
             eig = np.linalg.eigvalsh(block)
@@ -128,40 +107,26 @@ class FisherMatrix(_Record):
             if (lo < -PSD_ATOL * np.maximum(1.0, hi)).any():
                 raise ValueError("matrix is not positive semidefinite within tolerance")
             with np.errstate(divide="ignore", invalid="ignore"):
-                flags = np.asarray(((hi <= 0.0) | (lo <= 0.0) | (lo / hi < SINGULAR_RTOL)).any(-1))
-            if flags.any():
+                singular = np.asarray(((lo <= 0.0) | (lo / hi < SINGULAR_RTOL)).any(-1))
+            if singular.any():
                 # A singular member inverts the identity in its place; its bounds are +inf.
-                block = np.where(flags[..., None, None], np.eye(n), block)
-            derived = np.diagonal(np.linalg.inv(block), axis1=-2, axis2=-1)
-            if perm is not None or flags.any():
-                derived = np.where(known, 0.0, np.where(flags[..., None], math.inf, derived))
+                block = np.where(singular[..., None, None], np.eye(n), block)
+            bounds = np.diagonal(np.linalg.inv(block), axis1=-2, axis2=-1)
+            bounds = np.where(known, 0.0, np.where(singular[..., None], math.inf, bounds))
             if perm is not None:
-                derived = np.take_along_axis(derived, np.argsort(perm, axis=-1), axis=-1)
-            if settled is None:
-                bounds, singular = derived, flags
-            else:
-                bounds[~settled], singular[~settled] = derived, flags
+                bounds = np.take_along_axis(bounds, np.argsort(perm, axis=-1), axis=-1)
         for array in (e, singular, bounds):
             array.setflags(write=False)
         self.__dict__.update(entries=e, order=tuple(self.order), _singular=singular, _bounds=bounds)
 
     def __reduce__(self) -> tuple:
-        # Deep copies and unpickled clones keep the bounds the matrix was
-        # built with: from its plans' factors or by the generic route.
-        return _built, (*self._values, (self._bounds, self._singular, True))
+        # Deep copies and unpickled clones keep the bounds it was built with.
+        return _built, (*self._values, (self._bounds, self._singular))
 
 
-def _built(entries, order, mode, normalized, ledger, factor: tuple | None) -> FisherMatrix:
-    """A matrix built with the bounds ``factor`` already settled, if any.
-
-    ``factor`` is ``(bounds, singular, settled)``: the members ``settled``
-    flags (all of them when it is ``True``) take those ``bounds`` and
-    ``singular`` flags, and the constructor derives the other members' by
-    the generic route, into the same arrays.  The matrix goes through
-    ``__init__`` and ``__post_init__`` like any other.
-    """
-    matrix = object.__new__(FisherMatrix)
-    vars(matrix)["_settled"] = factor
+def _built(entries, order, mode, normalized, ledger, settled: tuple | None) -> FisherMatrix:
+    """A matrix built through its constructor, with ``settled`` bounds and flags if any."""
+    vars(matrix := object.__new__(FisherMatrix))["_settled"] = settled
     matrix.__init__(entries, order, mode, normalized, ledger)
     return matrix
 
@@ -192,13 +157,6 @@ def _finite_first(e: np.ndarray) -> tuple:
 def _plain(x: np.ndarray) -> float | np.ndarray:
     """A float for a batch of one, the array otherwise."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _leave_one_out(ws: Sequence) -> list:
-    """g_i = dW/dw_i, the product of the other links, exact when a link is 0."""
-    prefix = list(accumulate(ws, mul, initial=1.0))
-    suffix = list(accumulate(reversed(ws), mul, initial=1.0))[::-1]
-    return [a * b for a, b in zip(prefix, suffix[1:])]
 
 
 def _parameter(w: float | np.ndarray, name: str) -> np.ndarray:
@@ -249,119 +207,144 @@ def _per_use(spec: SchemeSpec, info, normalize: bool):
     return info / spec.uses_per_link if normalize else info
 
 
-def _task_terms(keys: list, values: np.ndarray, row_of: Mapping, index: Mapping, mode) -> tuple:
-    """J and g of each distinct (scheme, path) task in ``keys``, with the batch last.
+def _plan_terms(plans: tuple, params: Mapping, mode: FisherMode) -> tuple:
+    """``(index, batch, keys, info, product, g, w)`` at checked ``params``.
 
-    ``values[row_of[lid]]`` is link ``lid``'s batch.  Returns ``info``, shape
-    (tasks, batch), and ``g``, shape (tasks, coordinates, batch): the
-    g_i = dW/dw_i at each path link's coordinate and 0 off the path.  Tasks
-    of one scheme and path length are evaluated as one stack, with the same
-    arithmetic per task and point.
+    ``w`` (n, points) holds the parameters in sorted order; each distinct
+    (scheme, path) task in ``keys`` has its J, W and g (tasks, n, points),
+    0 off its path.  A row of ones pads shorter paths: products stay exact.
     """
-    info = np.empty((len(keys),) + values.shape[1:])
-    g = np.zeros((len(keys), len(index)) + values.shape[1:])
-    groups: dict = {}
-    for k, (scheme, link_ids) in enumerate(keys):
-        groups.setdefault((scheme, len(link_ids)), []).append(k)
-    for (scheme, length), rows in groups.items():
-        paths = [keys[k][1] for k in rows]
-        ws = [values[[row_of[path[i]] for path in paths]] for i in range(length)]
-        info[rows] = _rank_one(scheme, ws, mode)
-        for i, leave in enumerate(_leave_one_out(ws)):
-            g[rows, [index[path[i]] for path in paths]] = leave
-    return info, g
+    index = {lid: k for k, lid in enumerate(sorted(params))}
+    _require_links(dict.fromkeys(l for p in plans for t in p.tasks for l in t.path.link_ids), index)
+    # Every parameter, read or not, sets the batch shape and is range-checked.
+    arrays = {lid: _parameter(w, f"parameter for link {lid!r}") for lid, w in params.items()}
+    shapes = {ws.shape for ws in arrays.values()} - {()}
+    if len(shapes) > 1:
+        raise ValueError("link parameters must be floats or equal-length 1-D arrays")
+    batch = shapes.pop() if shapes else ()
+    w = np.ones((len(index) + 1, math.prod(batch)))
+    for lid, k in index.items():
+        w[k] = arrays[lid]
+    keys = list(dict.fromkeys((t.scheme, t.path.link_ids) for p in plans for t in p.tasks))
+    # Each task's J rule: only LZM's direct J is its path J doubled.
+    kinds = [(s, len(p) == 1 and SCHEMES[s].direct_factor != 1.0) for s, p in keys]
+    width = max((len(path) for _, path in keys), default=0)
+    columns = list(zip(*([index[l] for l in p] + [len(index)] * (width - len(p)) for _, p in keys)))
+    ws = [w[list(c)] for c in columns]
+    product = math.prod(ws, start=np.ones((len(keys), w.shape[1])))
+    info = np.empty_like(product)
+    # J is +inf at W = 1, where _information divides by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for kind in dict.fromkeys(kinds):
+            rows = [k for k, other in enumerate(kinds) if other == kind]
+            # At one point, J per task on NumPy scalars, cheaper than arrays.
+            for at in [rows] if w.shape[1] != 1 else [(k, 0) for k in rows]:
+                info[at] = _information(SCHEMES[kind[0]], product[at], mode, kind[1])
+    info[product == 1.0] = math.inf
+    # g_i = dW/dw_i is the product of the other links, exact when a link is 0.
+    prefix = list(accumulate(ws, mul, initial=1.0))
+    suffix = list(accumulate(reversed(ws), mul, initial=1.0))[::-1]
+    g = np.zeros((len(keys),) + w.shape)
+    for i, column in enumerate(columns):
+        g[range(len(keys)), column] = prefix[i] * suffix[i + 1]
+    return index, batch, keys, info, product, g[:, :-1], w[:-1]
 
 
-def _square_steps(plan: MonitoringPlan, n: int) -> tuple | None:
-    """The plan's solve steps if every task resolves exactly one new link and the
-    tasks cover all ``n`` coordinates; None otherwise."""
-    try:
-        steps = _plan_steps(plan)
-    except ValueError:
-        return None
-    return steps if len(steps) == len(plan.tasks) == n else None
+def _plan_bounds(plans: Sequence, terms: tuple, normalize: bool) -> tuple:
+    """Every plan's bounds, shape (plans, n, points), and its ledgers if ``normalize``.
 
-
-def _factor_bounds(
-    plans: tuple, index: Mapping, picks: np.ndarray, info: np.ndarray, g: np.ndarray, ledgers, batch
-) -> tuple | None:
-    """Bounds of the members of square plans, from each plan's own factor.
-
-    A square plan's information is F = G^T diag(J) G, with G lower triangular
-    in solve order: G[r, q] is task r's g at the link step q resolves, and
-    the diagonal holds each task's divisor, the product of its other links.
-    With X = G^-1 from forward substitution, link i is identifiable iff
-    X[i, t] = 0 for every task t with J = 0 (Stoica & Marzetta, IEEE TSP
-    49(1), 2001), and its bound is then sum_t X[i, t]^2 / J_t, with 1/inf = 0.
-
-    ``picks[p, r]`` is the distinct task that is plan p's task r; ``info``
-    (tasks, batch) and ``g`` (tasks, coordinates, batch) are their J and g.
-    Returns ``(bounds, singular, settled)`` over (plans, *batch), or None
-    when no plan is square: ``settled`` flags the members these bounds hold
-    for.
-    The generic route bounds the rest: every member of a plan that is not
-    square, and members with a zero divisor (or one so small that X
-    overflows), or with a link of infinite information that a task of
-    finite information resolves (the generic route knows such a link
-    exactly, the factor only its product with the others).
+    In theta = log w a plan's information is R^T diag(J W^2) R, R its 0/1
+    path-link incidence.  In a square plan X = R^-1 is an integer matrix:
+    link i's bound is sum_t X_it^2 (w_i/W_t)^2 / J_t, added in task order,
+    times the channel-use total if ``normalize``.  Other plans, and points
+    with a link at 0 or a W = 1 task, take ``_edge_bounds``.
     """
-    n, size = len(index), info.shape[-1]
-    square = {k: steps for k, p in enumerate(plans) if (steps := _square_steps(p, n)) is not None}
-    if not (n and square):
-        return None
-    rows = np.array(list(square), dtype=int)
-    # Square plan s's task r and the coordinate its step q resolves, each (n, s).
-    tasks = picks[rows, :n].T
-    coords = np.array([[index[t] for _, t, _ in steps] for steps in square.values()], dtype=int).T
-    members = len(rows) * size
-    j = info[tasks].reshape(n, members)
-    lower = g[tasks[:, None, :], coords[None, :, :]].reshape(n, n, members)
+    ledgers = tuple(channel_uses(p) for p in plans) if normalize else None
+    if ledgers and not all(ledger.total for ledger in ledgers):
+        raise ValueError("cannot normalize by a plan's channel-use total of 0")
+    index, _, keys, info, product, g, w = terms
+    rows_of = [[keys.index((t.scheme, t.path.link_ids)) for t in p.tasks] for p in plans]
+    bounds = np.zeros((len(plans),) + w.shape)
+    square, picks, cells = [], [], []
+    for p, rows in enumerate(rows_of):
+        square.append(x := _incidence_inverse(plans[p], len(w)))
+        for link, row in (x or {}).items():
+            picks.append((p, index[link]))
+            cells.append([(rows[t], c * c) for t, c in enumerate(row) if c])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.zeros(lower.shape)
-        for r in range(n):
-            x[r, r] = 1.0
-            for q in range(r):
-                x[r] -= lower[r, q] * x[q]
-            x[r] /= lower[r, r]
-        unknown = j == 0.0
-        unidentified = (unknown & (x != 0.0)).any(1)
-        # 1/inf = 0: a task of infinite information adds nothing.
-        parts = x * x / np.where(unknown, math.inf, j)
-    # Added in task order, one task at a time: over a batch of one, sum(1)
-    # reduces a contiguous axis pairwise and can move the last bits.
-    own = parts[:, 0]
-    for t in range(1, n):
-        own = own + parts[:, t]
-    # A zero divisor, or one small enough to overflow X, leaves X non-finite.
-    faulty = ~np.isfinite(x).all((0, 1))
-    infinite = np.isinf(j)
-    if infinite.any():
-        faulty |= (infinite[:, None] & (lower != 0.0) & ~infinite[None, :]).any((0, 1))
-    own[unidentified] = math.inf
-    own = own.reshape(n, len(rows), size)
-    if ledgers is not None:
-        own *= np.array([[ledgers[k].total] for k in rows], dtype=float)
-    bounds = np.zeros((len(plans), size, n))
-    bounds[rows, :, coords] = own
-    singular = np.zeros((len(plans), size), dtype=bool)
-    singular[rows] = unidentified.any(0).reshape(len(rows), size)
-    settled = np.zeros((len(plans), size), dtype=bool)
-    settled[rows] = ~faulty.reshape(len(rows), size)
-    shape = (len(plans),) + batch
-    return bounds.reshape(shape + (n,)), singular.reshape(shape), settled.reshape(shape)
+        if picks:
+            # (task, X_it^2) in task order; a pad slot, W = J = inf, adds 0.
+            width = max(map(len, cells))
+            cells = np.array([row + [(len(keys), 0)] * (width - len(row)) for row in cells])
+            pad, slot = np.full((1, w.shape[1]), math.inf), cells[..., 0]
+            ratio = w[[l for _, l in picks]][:, None] / np.concatenate([product, pad])[slot]
+            parts = cells[..., 1, None] * ratio * ratio / np.concatenate([info, pad])[slot]
+            bounds[tuple(zip(*picks))] = sum(parts[:, t] for t in range(width))
+        if not all(square) or w.min(initial=1.0) == 0.0 or product.max(initial=0.0) == 1.0:
+            marks = np.vstack([w == 0.0, product == 1.0])
+            for p, rows in enumerate(rows_of):
+                mine = marks[[*range(len(w)), *(len(w) + k for k in rows)]]
+                edge = np.flatnonzero(mine.any(0) | (not square[p]))
+                for mark in {tuple(m) for m in mine[:, edge].T.tolist()}:
+                    s = edge[(mine[:, edge].T == mark).all(1)]
+                    bounds[p][:, s] = _edge_bounds(plans[p], index, terms, rows, s, mark)
+        if normalize:
+            bounds *= np.array([ledger.total for ledger in ledgers], dtype=float)[:, None, None]
+    return bounds, ledgers
+
+
+def _edge_bounds(plan, index: Mapping, terms: tuple, rows: list, s, mark: tuple) -> np.ndarray:
+    """Bounds (n, points) of the plan with tasks ``rows``, at points ``s``.
+
+    ``mark`` flags the links at 0, then the tasks with W = 1, whose links are
+    known (bound 0).  A task through one link at 0 informs it alone.  With
+    the other tasks' rows independent, an identifiable link's bound is
+    sum_t y_t^2 (w_i/W_t)^2 / J_t over its combination y; else it is read
+    from their inverse information.
+    """
+    (info, W, g), w, n = (a[rows][..., s] for a in terms[3:6]), terms[6][:, s], len(index)
+    zeros = {c for c in range(n) if mark[c]}
+    paths = [{index[lid] for lid in t.path.link_ids} for t in plan.tasks]
+    known = {c for t, path in enumerate(paths) if mark[n + t] for c in path}
+    bounds = np.full(w.shape, math.inf)
+    bounds[list(known)] = 0.0
+    for c in zeros:
+        # Tasks through c and no other 0 link; w[c] = 0 starts the sum.
+        alone = (j * r[c] ** 2 for j, r, path in zip(info, g, paths) if path & zeros == {c})
+        bounds[c] = 1.0 / sum(alone, w[c])
+    live = [t for t, path in enumerate(paths) if not (mark[n + t] or path & zeros)]
+    pivots, combos, independent = _identifiable([paths[t] - known for t in live], n)
+    if independent:
+        for c, (y, d) in combos.items():
+            bounds[c] = sum((k / d * w[c] / W[t]) ** 2 / info[t] for k, t in zip(y, live) if k)
+        return bounds
+    # Dependent rows (rare: imported here): Gauss-Jordan on [F | I] per point,
+    # exact on the floats, as a float F loses tasks of small information.
+    from fractions import Fraction
+
+    exact = np.frompyfunc(Fraction, 1, 1)
+    f = sum(j * r[:, None] * r for j, r in zip(exact(info[live]), exact(g[live][:, pivots])))
+    for p in range(w.shape[1]):
+        a = np.concatenate([f[..., p], np.eye(len(f), dtype=int)], 1)
+        try:
+            for k in range(len(a)):
+                a[k] /= a[k, k]
+                a -= (np.arange(len(a)) != k)[:, None] * a[:, k, None] * a[k]
+            for k, c in enumerate(pivots):
+                bounds[c, p] = a[k, len(a) + k] if c in combos else math.inf
+        except (ZeroDivisionError, OverflowError):
+            # J or g below the float range, or a bound past it: +inf.
+            pass
+    return bounds
 
 
 def task_qfim(
-    task: MeasurementTask,
-    params: Mapping[str, float | np.ndarray],
-    mode: FisherMode,
+    task: MeasurementTask, params: Mapping[str, float | np.ndarray], mode: FisherMode
 ) -> FisherMatrix:
-    """Information matrix of one task over the full parameter vector.
+    """Information matrix of the one-task plan over the full parameter vector.
 
-    The matrix of the one-task plan: entries outside the task's path
-    coordinates are zero.  Parameters may sit on the closed interval [0, 1];
-    where a probability vanishes the affected entries are +inf rather than a
-    silent overflow.
+    Entries off the task's path are zero; where a probability vanishes they
+    are +inf rather than a silent overflow.
     """
     return plan_qfim(MonitoringPlan("task", (task,)), params, mode)
 
@@ -372,76 +355,52 @@ def plan_qfim(
     mode: FisherMode,
     normalize: bool = False,
 ) -> FisherMatrix:
-    """Sum of per-task information, optionally per total channel use.
+    """Sum of per-task information, optionally per total channel use of a round.
 
-    Tasks are independent experiments, so their information matrices add.
-    Normalization divides by the plan's total channel uses for one round.
-    Link parameters are floats or equal-length 1-D lists or arrays; the
-    batch spans every parameter, including links no task reads.
-
-    A sequence of plans over the same parameters gives one matrix that stacks
-    the plans on a new leading axis of ``entries``, shape (plans, ..., n, n),
-    bounded as one batch.  Each member is bit for bit the matrix, and has
-    the bounds, its plan gives alone.  With ``normalize`` each plan is divided
-    by its own total and ``ledger`` is the tuple of the plans' ledgers.
+    Link parameters are floats or equal-length 1-D lists or arrays; the batch
+    spans every parameter, read or not.  A sequence of plans gives one matrix
+    with the plans on a new leading axis, each member bit for bit what its
+    plan gives alone; with ``normalize`` ``ledger`` is then a tuple.
     """
     single = isinstance(plan, MonitoringPlan)
     plans = (plan,) if single else tuple(plan)
     if not plans:
         raise ValueError("plan_qfim needs at least one plan")
-    order = tuple(sorted(params))
-    index = {lid: k for k, lid in enumerate(order)}
-    links = list(dict.fromkeys(lid for p in plans for t in p.tasks for lid in t.path.link_ids))
-    _require_links(links, index)
-    # Every parameter, read by the tasks or not, sets the batch shape and is range-checked.
-    arrays = {lid: _parameter(w, f"parameter for link {lid!r}") for lid, w in params.items()}
-    shapes = {ws.shape for ws in arrays.values()} - {()}
-    if len(shapes) > 1:
-        raise ValueError("link parameters must be floats or equal-length 1-D arrays")
-    batch = shapes.pop() if shapes else ()
-    n, size = len(order), math.prod(batch)
-    values = np.empty((len(links), size))
-    for k, lid in enumerate(links):
-        values[k] = arrays[lid]
-    keys = list(dict.fromkeys((t.scheme, t.path.link_ids) for p in plans for t in p.tasks))
-    info, g = _task_terms(keys, values, {lid: k for k, lid in enumerate(links)}, index, mode)
+    terms = _plan_terms(plans, params, mode)
+    index, batch, keys, info, _, g, _ = terms
+    bounds, ledgers = _plan_bounds(plans, terms, normalize)
     # Each distinct task's block J g g^T, with the batch last, 0 off its path
-    # also where J is +inf; one more block, all zero, pads shorter plans.
+    # also where J is +inf.  Every plan adds its blocks in task order, from
+    # 0.0, then is divided by its total.
     outer = g[:, :, None] * g[:, None, :]
-    blocks = np.zeros((len(keys) + 1, n, n, size))
     with np.errstate(invalid="ignore"):
-        blocks[:-1] = np.where(outer == 0.0, 0.0, info[:, None, None] * outer)
-    position = {key: k for k, key in enumerate(keys)}
-    width = max(len(p.tasks) for p in plans)
-    picks = np.full((len(plans), width), len(keys))
+        blocks = np.where(outer == 0.0, 0.0, info[:, None, None] * outer)
+    entries = np.zeros((len(plans),) + blocks.shape[1:])
     for k, p in enumerate(plans):
-        picks[k, : len(p.tasks)] = [position[t.scheme, t.path.link_ids] for t in p.tasks]
-    # Every plan adds its task blocks in task order, all plans at once;
-    # starting from 0.0 is exact for these non-negative entries.
-    entries = np.zeros((len(plans), n, n, size))
-    for column in picks.T:
-        entries += blocks[column]
-    ledgers = tuple(channel_uses(p) for p in plans) if normalize else None
-    if normalize:
-        entries /= np.reshape([ledger.total for ledger in ledgers], (-1, 1, 1, 1))
-    entries = np.ascontiguousarray(entries.transpose(0, 3, 1, 2))
-    entries = entries.reshape((len(plans),) + batch + (n, n))
-    factor = _factor_bounds(plans, index, picks, info, g, ledgers, batch)
+        for t in p.tasks:
+            entries[k] += blocks[keys.index((t.scheme, t.path.link_ids))]
+        if normalize:
+            entries[k] /= ledgers[k].total
+    entries = entries.transpose(0, 3, 1, 2).reshape((len(plans),) + batch + 2 * (len(index),))
+    settled = (b := bounds.transpose(0, 2, 1).reshape(entries.shape[:-1])), np.isinf(b).any(-1)
     if single:
-        entries, ledgers = entries[0], None if ledgers is None else ledgers[0]
-        factor = factor and tuple(array[0, ...] for array in factor)
-    return _built(entries, order, mode, normalize, ledgers, factor)
+        entries, ledgers = entries[0], ledgers and ledgers[0]
+        settled = tuple(array[0] for array in settled)
+    return _built(entries, tuple(index), mode, normalize, ledgers, settled)
+
+
+def _plan_qcrb(plans: Sequence, params: Mapping, mode: FisherMode, normalize: bool) -> list:
+    """Each plan's ``qcrb`` over the batch, as lists; no matrix is built."""
+    with np.errstate(over="ignore"):
+        return _plan_bounds(plans, _plan_terms(plans, params, mode), normalize)[0].sum(1).tolist()
 
 
 def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     """Per-parameter variance bounds: diagonal of the scaled matrix inverse.
 
-    Coordinates with infinite information contribute a bound of 0, and
-    parameters that are not identifiable +inf, as decided when the matrix
-    was built (see ``FisherMatrix``).  A batched matrix gives an array of
-    bounds per parameter.
-    ``scale`` (the samples per task) must be a positive finite number; the
-    bounds, inverted when the matrix was built, are only divided by it.
+    0 for a known coordinate, +inf for one that is not identifiable, as
+    settled when the matrix was built; an array per parameter for a batch.
+    ``scale`` (samples per task), positive and finite, only divides them.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a positive finite number, got {scale!r}")
@@ -485,10 +444,7 @@ def single_link_qcrb(
 
 
 def crossover(
-    scheme_a: Scheme,
-    scheme_b: Scheme,
-    mode: FisherMode,
-    normalize: bool = False,
+    scheme_a: Scheme, scheme_b: Scheme, mode: FisherMode, normalize: bool = False
 ) -> float | None:
     """Single-link parameter where the two schemes' information curves cross.
 
@@ -501,23 +457,16 @@ def crossover(
     spec_a, spec_b = SCHEMES[scheme_a], SCHEMES[scheme_b]
 
     def gap(w: float) -> float:
-        return _per_use(spec_a, _information(spec_a, w, mode, True), normalize) - _per_use(
-            spec_b, _information(spec_b, w, mode, True), normalize
-        )
+        a = _per_use(spec_a, _information(spec_a, w, mode, True), normalize)
+        return a - _per_use(spec_b, _information(spec_b, w, mode, True), normalize)
 
     lo, hi = 1e-9, 1.0 - 1e-9
-    glo, ghi = gap(lo), gap(hi)
     # Only identical schemes give a 0 gap at an end, at both: that returns None.
-    if (glo > 0.0) == (ghi > 0.0):
+    if ((glo := gap(lo)) > 0.0) == (gap(hi) > 0.0):
         return None
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         gmid = gap(mid)
         if gmid == 0.0:
             return mid
-        if (gmid > 0.0) == (glo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (gmid > 0.0) == (glo > 0.0) else (lo, mid)
     return mid

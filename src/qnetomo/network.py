@@ -175,6 +175,48 @@ def _plan_steps(plan: MonitoringPlan) -> tuple:
     return tuple(steps)
 
 
+def _incidence_inverse(plan: MonitoringPlan, n: int) -> dict | None:
+    """X = R^-1 of a square plan over ``n`` links, ``{link: row over tasks}``; else None.
+
+    Square: each task, in solve order, brings in one new link, and they cover
+    ``n`` links; the 0/1 incidence R is then unit lower triangular, and
+    forward substitution gives the integer X exactly.
+    """
+    try:
+        steps = _plan_steps(plan)
+    except ValueError:
+        return None
+    if not len(steps) == len(plan.tasks) == n:
+        return None
+    x: dict = {}
+    for r, (_, link, others) in enumerate(steps):
+        x[link] = [0] * n
+        x[link][r] = 1
+        for other in others:
+            x[link] = [a - b for a, b in zip(x[link], x[other])]
+    return x
+
+
+def _identifiable(rows: Sequence, n: int) -> tuple:
+    """``(pivots, combos, independent)`` of rows over links 0..n-1, each a set of links.
+
+    By exact integer elimination.  A link is identifiable iff its unit vector
+    is in the row space (Ma, He, Swami, Towsley et al., IMC 2013); ``combos``
+    maps it to ``(y, d)``: e_link = sum_t (y_t / d) row_t.
+    """
+    basis: dict = {}
+    for t, row in enumerate(rows):
+        v = [int(c in row) for c in range(n)] + [int(k == t) for k in range(len(rows))]
+        for q, b in basis.items():
+            v = [b[q] * x - v[q] * y for x, y in zip(v, b)]
+        if any(v[:n]):
+            q = next(c for c, x in enumerate(v) if x)
+            basis = {k: [v[q] * x - b[q] * y for x, y in zip(b, v)] for k, b in basis.items()}
+            basis[q] = v
+    combos = {c: (b[n:], b[c]) for c, b in basis.items() if sum(map(bool, b[:n])) == 1}
+    return list(basis), combos, len(basis) == len(rows)
+
+
 def validate_plan(graph: NetworkGraph, plan: MonitoringPlan) -> None:
     """Check a plan against a graph; raise ValueError on any violation.
 

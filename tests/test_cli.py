@@ -297,8 +297,8 @@ class TestStar:
     @pytest.mark.parametrize("mode", ["closed-form", "first-principles"])
     def test_a_badly_scaled_star_gets_finite_bounds(self, capsys, tmp_path, mode):
         # With e0 at 1e-7 the plans' eigenvalues lie more than twelve orders
-        # apart, yet every link is identifiable: each plan's own factor bounds
-        # it, where an eigenvalue-ratio test called every plan singular.
+        # apart, yet every link is identifiable: each plan's integer incidence
+        # bounds it, where an eigenvalue-ratio test called every plan singular.
         cfg = write_config(
             tmp_path,
             """\
@@ -327,18 +327,18 @@ class TestStar:
 
     @pytest.mark.parametrize("mode", ["closed-form", "first-principles"])
     @pytest.mark.parametrize("manifest", ["star_homogeneous.cfg", "star_heterogeneous.cfg"])
-    def test_each_star_command_builds_one_matrix(
+    def test_each_star_command_builds_no_matrix(
         self, capsys, tmp_path, monkeypatch, manifest, mode
     ):
         # The four plans over every grid point are bounded as one batch, each
-        # from its own factor: no eigen-solver and no inverse.
+        # from its own integer incidence: no matrix, no eigen-solver and no inverse.
         built = constructed(monkeypatch, FisherMatrix)
         monkeypatch.setattr(np, "linalg", _NoLinearAlgebra())
         config = str(MANIFESTS / manifest)
         argv = ["star", "--config", config, "--mode", mode, "--out", str(tmp_path / "s.csv")]
         assert main(argv) == 0
         capsys.readouterr()
-        assert len(built) == 1
+        assert built == []
 
     def test_shipped_sweep_evaluates_each_task_information_once_per_point(
         self, capsys, tmp_path, monkeypatch
@@ -458,11 +458,12 @@ class TestBenchmark:
         nan_links = [l.split(",")[1] for l in lines[1:] if l.split(",")[3] == "nan"]
         assert nan_links == ["e1", "e2"]
         notes = err.splitlines()
-        # With w0 = 0, e0 is identified in every round but its bound is infinite.
-        infinite = [INFINITE_E0_NOTE] if w0 == "0" else []
-        assert notes[: len(infinite)] == infinite
-        assert len(notes) == len(infinite) + len(nan_links)
-        for link, note in zip(nan_links, notes[len(infinite) :]):
+        if w0 == "0":
+            # e0 is identified in every round and its bound is finite: the LZM
+            # tasks through it inform it, 1 / (100 (w1^2 + w2^2)).
+            assert lines[1].split(",")[4] == "0.02"
+        assert len(notes) == len(nan_links)
+        for link, note in zip(nan_links, notes):
             prefix, _, tail = note.partition(" of ")
             assert prefix.startswith(f"note: link {link} unidentifiable in ")
             assert tail == f"{rounds} rounds"
@@ -473,11 +474,12 @@ class TestBenchmark:
         assert echoed == notes and out.read_text().splitlines() == lines
 
     def test_infinite_bound_is_noted(self, capsys, tmp_path):
+        # JBM informs nothing at W = 0, and every JBM3 task through e0 is one.
         cfg = write_config(
             tmp_path,
             """\
             experiment = benchmark
-            plan = HYB3
+            plan = JBM3
             fixed.w0 = 0
             fixed.w1 = 0.5
             fixed.w2 = 0.5
@@ -487,7 +489,7 @@ class TestBenchmark:
         )
         code, lines, err = run_lines(capsys, ["benchmark", "--config", cfg])
         assert code == 0
-        assert lines[1] == "HYB3,e0,0,0.0308013606859,inf,nan"
+        assert lines[1] == "JBM3,e0,0,0.0308013606859,inf,nan"
         assert err.splitlines().count(INFINITE_E0_NOTE) == 1
         assert not any(l.startswith("note:") for l in lines)
         out = tmp_path / "bench.csv"
@@ -495,10 +497,24 @@ class TestBenchmark:
         assert code == 0 and err == "" and echoed.count(INFINITE_E0_NOTE) == 1
         assert out.read_text().splitlines() == lines
 
+    @pytest.mark.parametrize("plan", ["HYB2", "HYB3"])
+    def test_hybrid_plans_at_a_dead_link_reach_no_linear_algebra(
+        self, capsys, tmp_path, monkeypatch, plan
+    ):
+        # At w0 = 0 every task through e0 informs e0 alone, or nothing: the
+        # edge rules bound the plan with no eigen-solver and no inverse.
+        cfg = write_config(tmp_path, f"experiment = benchmark\nplan = {plan}\n" + _W0_ZERO)
+        monkeypatch.setattr(np, "linalg", _NoLinearAlgebra())
+        assert main(["benchmark", "--config", cfg]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == [
+            "0.04" if plan == "HYB2" else "0.02", "inf", "inf"
+        ]
+
     def test_near_perfect_links_beside_a_dead_one_give_finite_bounds(self, capsys, tmp_path):
         # The plan matrix's eigenvalues span from about 1.5e12 down to 1e-15,
-        # yet every link has a task of its own: the plan's factor bounds each
-        # one by 1 / (100 J), J the information on that link alone.
+        # yet every link has a task of its own: the plan's integer incidence
+        # bounds each one by 1 / (100 J), J the information on that link alone.
         cfg = write_config(
             tmp_path,
             """\
@@ -1110,9 +1126,8 @@ class TestPinnedBenchmarks:
             (
                 "plan = HYB3\n" + _W0_ZERO,
                 [],
-                "1c625ebb51c7c36fd431bd4a9691e22271008e780ebedb4d2c19980f743902e3",
+                "b42eccd198d5ffcc68723d44017d80ed80b9554f00bff8fe8de86eff9dd56ad1",
                 [
-                    INFINITE_E0_NOTE,
                     "note: link e1 unidentifiable in 3 of 5 rounds",
                     "note: link e2 unidentifiable in 3 of 5 rounds",
                 ],
@@ -1120,12 +1135,17 @@ class TestPinnedBenchmarks:
             (
                 "plan = HYB2\n" + _W0_ZERO,
                 [],
-                "dd7dcfdba3e925e371dbd8f3d44aadd2169e81dc7dd5f898085731953f86f920",
+                "47518af447d98760e9c9fd3af30de61d3ba3709c6aa307b79029061d7cd78e20",
                 [
-                    INFINITE_E0_NOTE,
                     "note: link e1 unidentifiable in 3 of 5 rounds",
                     "note: link e2 unidentifiable in 3 of 5 rounds",
                 ],
+            ),
+            (
+                "plan = JBM2\n" + _W0_ZERO,
+                [],
+                "52f86d65172c68241f4deb81230860478506b0231b95b2aa6313ccca1f9c40cf",
+                [INFINITE_E0_NOTE, "note: link e2 unidentifiable in 3 of 5 rounds"],
             ),
             (
                 "plan = JBM3\n" + _W0_ZERO,
@@ -1170,6 +1190,7 @@ class TestPinnedBenchmarks:
             "hyb3-20000x1000",
             "hyb3-w0-zero",
             "hyb2-w0-zero",
+            "jbm2-w0-zero",
             "jbm3-w0-zero",
             "pem-w-one",
             "seed-0",

@@ -31,7 +31,7 @@ from qnetomo import (
 from qnetomo import fisher
 from qnetomo.cli import _fmt
 
-from helpers import _chain_task, constructed
+from helpers import _chain_task, constructed, exact_solve
 
 interior = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
 
@@ -298,6 +298,33 @@ class TestPlanMatrices:
         assert per_use.normalized and per_use.ledger == ledger
         assert raw.ledger is None
 
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    def test_normalizing_a_plan_of_no_channel_use_is_an_error(self, mode):
+        # The total is checked before anything is divided by it.
+        empty = MonitoringPlan("none", ())
+        with pytest.raises(ValueError, match="channel-use total of 0"):
+            plan_qfim(empty, {"e0": 0.5}, mode, normalize=True)
+        with pytest.raises(ValueError, match="channel-use total of 0"):
+            fisher._plan_qcrb([empty], {"e0": 0.5}, mode, True)
+        assert qcrb(plan_qfim(empty, {"e0": 0.5}, mode)) == math.inf
+
+    def test_a_dead_hub_link_leaves_every_identifiable_bound_finite(self, monkeypatch):
+        # At w0 = 0 a task through e0 informs e0 alone, LZM with J = 1 and JBM
+        # with J = 0; every other link needs a task of its own.
+        graph = self._star([0.0, 0.5, 0.5])
+        expected = {
+            "JBM2": [math.inf, 0.004375, math.inf],
+            "JBM3": [math.inf, 0.004375, 0.004375],
+            "HYB2": [0.04, math.inf, math.inf],
+            "HYB3": [0.02, math.inf, math.inf],
+        }
+        monkeypatch.setattr(np, "linalg", None)
+        for kind, bounds in expected.items():
+            plan = builtin_plan(kind, graph)
+            for mode in (CLOSED, FIRST):
+                got = crb_diagonal(plan_qfim(plan, graph.params(), mode), scale=100.0)
+                assert [got[lid] for lid in ("e0", "e1", "e2")] == pytest.approx(bounds, rel=1e-15)
+
     def test_all_builtin_plans_identifiable_in_the_interior(self):
         graph = self._star([0.9, 0.8, 0.7])
         for kind in ("JBM2", "JBM3", "HYB2", "HYB3"):
@@ -326,44 +353,13 @@ def _reference_information(scheme, ws, mode):
     return sum(0.0 if d == 0.0 else (d * d / p if p > 0.0 else math.inf) for p, d in table)
 
 
-def _factor_rule_applies(plan, params, mode):
-    """Whether the plan's own factor bounds this point, written out apart from the package.
-
-    It does when each task introduces exactly one new link, the tasks cover
-    every parameter, no task's other links multiply to 0 (its divisor), and
-    every link on a task of infinite information is introduced by one.
-    """
-    introduced = {}
-    for task in plan.tasks:
-        new = [l for l in task.path.link_ids if l not in introduced]
-        if len(new) != 1:
-            return False
-        introduced[new[0]] = task
-    if set(introduced) != set(params):
-        return False
-
-    def infinite(task):
-        ws = [params[l] for l in task.path.link_ids]
-        return _reference_information(task.scheme, ws, mode) == math.inf
-
-    known = {l for task in plan.tasks if infinite(task) for l in task.path.link_ids}
-    for link, task in introduced.items():
-        if math.prod(params[l] for l in task.path.link_ids if l != link) == 0.0:
-            return False
-        if link in known and not infinite(task):
-            return False
-    return True
-
-
 def _reference_point(plan, params, mode, normalize):
     """Plan information and bounds at one point: J g g^T sums, then np.linalg.
 
     Coordinates with infinite information are known, bound 0.  A regular
-    finite block gives the diagonal of its inverse.  A singular one gives
-    +inf on every finite coordinate, except where the plan's factor bounds
-    the point: there a coordinate in the range of the block gets its
-    pseudo-inverse diagonal entry and only the others +inf (Stoica &
-    Marzetta, IEEE TSP 49(1), 2001).
+    finite block gives the diagonal of its inverse.  In a singular one a
+    coordinate in the range of the block gets its pseudo-inverse diagonal
+    entry and only the others +inf (Stoica & Marzetta, IEEE TSP 49(1), 2001).
     """
     order = sorted(params)
     n = len(order)
@@ -383,11 +379,10 @@ def _reference_point(plan, params, mode, normalize):
     sub = m[np.ix_(finite, finite)]
     if finite and np.linalg.matrix_rank(sub) < len(finite):
         pseudo = np.linalg.pinv(sub)
-        factor = _factor_rule_applies(plan, params, mode)
         for pos, k in enumerate(finite):
             unit = np.eye(len(finite))[pos]
             in_range = np.allclose(sub @ (pseudo @ unit), unit, rtol=0.0, atol=1e-9)
-            bounds[k] = pseudo[pos, pos] if factor and in_range else math.inf
+            bounds[k] = pseudo[pos, pos] if in_range else math.inf
     elif finite:
         inverse = np.linalg.inv(sub)
         for pos, k in enumerate(finite):
@@ -523,6 +518,14 @@ class TestBatchedCore:
         with pytest.raises(ValueError, match=message):
             task_qfim(task, params, FIRST)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_an_empty_batch_gives_empty_bounds(self, normalize):
+        plans = [builtin_plan(kind, build_star(3, [0.5, 0.5, 0.5])) for kind in ("JBM2", "HYB3")]
+        params = {"e0": [], "e1": np.array([]), "e2": 0.5}
+        matrix = plan_qfim(plans, params, FIRST, normalize)
+        assert matrix.entries.shape == (2, 0, 3, 3) and qcrb(matrix).shape == (2, 0)
+        assert fisher._plan_qcrb(plans, params, FIRST, normalize) == [[], []]
+
     def test_float_and_array_parameters_mix(self):
         plan = builtin_plan("HYB3", build_star(3, [0.5, 0.5, 0.5]))
         params = {"e0": 0.99, "e1": 0.99, "e2": np.array([0.2, 0.6])}
@@ -654,13 +657,13 @@ def _tree_plans(draw):
 
 @st.composite
 def _tree_points(draw):
-    """A tree plan and 1-4 points: links in [0.5, 0.95], at most two of them at 0 or 1."""
+    """A tree plan and 1-4 points: links in [0.5, 0.95], at most three of them at 0 or 1."""
     plan = draw(_tree_plans())
     names = [t.path.link_ids[-1] for t in plan.tasks]
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         row = draw(st.lists(st.floats(0.5, 0.95), min_size=len(names), max_size=len(names)))
-        for k in draw(st.sets(st.integers(0, len(names) - 1), max_size=2)):
+        for k in draw(st.sets(st.integers(0, len(names) - 1), max_size=3)):
             row[k] = draw(st.sampled_from([0.0, 1.0]))
         rows.append(row)
     columns = np.array(rows).T
@@ -676,56 +679,139 @@ def _epsilon_limit(block):
     return np.where(fine / coarse > 1.5, math.inf, 2.0 * fine - coarse)
 
 
-class TestFactorBounds:
-    """Square plans take their bounds from their own factor.
+def _check_against_references(matrix, member):
+    """One plan-built member against references that do not use its route.
 
-    Each member is checked against a reference that does not use it: the
-    inverse of the information where that is regular, the eps-limit where
-    some task has no information, and the generic route (the bounds of a
-    FisherMatrix built from the same entries) wherever the factor leaves a
-    member to it.
+    Known coordinates (+inf diagonal) have bound 0.  A regular finite block
+    gives the inverse of the information, to within its condition number; a
+    singular one the eps-limit, with +inf exactly where that grows like 1/eps.
     """
+    bounds = matrix._bounds[member]
+    entries = matrix.entries[member]
+    finite = np.isfinite(np.diagonal(entries))
+    assert (bounds[~finite] == 0.0).all()
+    if not finite.any():
+        return
+    block = entries[np.ix_(finite, finite)]
+    if np.linalg.matrix_rank(block) == len(block):
+        expected = np.diag(np.linalg.inv(block))
+        rtol = 4.0 * np.finfo(float).eps * np.linalg.cond(block)
+        np.testing.assert_allclose(bounds[finite], expected, rtol=rtol, atol=0.0)
+        assert not matrix._singular[member]
+        return
+    expected = _epsilon_limit(block)
+    assert np.array_equal(np.isinf(bounds[finite]), np.isinf(expected))
+    settled = np.isfinite(expected)
+    np.testing.assert_allclose(bounds[finite][settled], expected[settled], rtol=1e-6, atol=0.0)
+    assert matrix._singular[member] == (~settled).any()
 
-    @staticmethod
-    def _generic(matrix, member):
-        return FisherMatrix(matrix.entries[member], matrix.order, matrix.mode)._bounds
+
+def _exact_bounds(plan, point):
+    """Each parameter's bound from exact rationals: 0 if known, None if not identifiable.
+
+    Closed-form J at each float's exact value; the information over the links
+    not known, sum_t J_t g_t g_t^T, solved exactly for each unit vector.
+    """
+    paths = [t.path.link_ids for t in plan.tasks]
+    known = {l for path in paths if all(point[m] == 1 for m in path) for l in path}
+    rest = [l for l in sorted(point) if l not in known]
+    f = [[Fraction(0)] * len(rest) for _ in rest]
+    for task in plan.tasks:
+        links = task.path.link_ids
+        product = math.prod((point[l] for l in links), start=Fraction(1))
+        if product == 1:
+            continue
+        j = {
+            Scheme.LZM: (2 if len(links) == 1 else 1) / ((1 + product) * (1 - product)),
+            Scheme.JBM: 12 * product**2 / ((1 + 3 * product**2) * (1 - product**2)),
+            Scheme.PEM: 3 / ((1 + 3 * product) * (1 - product)),
+        }[task.scheme]
+        g = [
+            math.prod((point[m] for m in links if m != l), start=Fraction(1)) if l in links else 0
+            for l in rest
+        ]
+        for a, b in np.ndindex(len(rest), len(rest)):
+            f[a][b] += j * g[a] * g[b]
+    bounds = dict.fromkeys(known, Fraction(0))
+    for i, link in enumerate(rest):
+        x = exact_solve(f, [Fraction(int(k == i)) for k in range(len(rest))])
+        bounds[link] = None if x is None else x[i]
+    return bounds
+
+
+class TestFactorBounds:
+    """Every plan-built member takes its bounds from its plan's integer incidence.
+
+    Each member is checked against references that do not use it, links at 0
+    and tasks with W = 1 included (``_check_against_references``).
+    """
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_tree_points(), st.sampled_from([CLOSED, FIRST]), st.booleans())
     def test_square_plans_match_independent_references(self, drawn, mode, normalize):
         plan, params, rows = drawn
         matrix = plan_qfim(plan, params, mode, normalize)
-        for member, row in enumerate(rows):
-            point = dict(zip(params, row))
-            bounds = matrix._bounds[member]
-            if not _factor_rule_applies(plan, point, mode):
-                # A zero divisor, or a known link that a task of finite
-                # information introduces: the generic route, bit for bit.
-                assert bounds.tobytes() == self._generic(matrix, member).tobytes()
-                continue
-            entries = matrix.entries[member]
-            finite = np.isfinite(np.diagonal(entries))
-            assert (bounds[~finite] == 0.0).all()
-            if not finite.any():
-                continue
-            block = entries[np.ix_(finite, finite)]
-            zero = any(
-                _reference_information(t.scheme, [point[l] for l in t.path.link_ids], mode) == 0.0
-                for t in plan.tasks
-            )
-            if not zero:
-                # Regular: the inverse of the information, to within its condition number.
-                expected = np.diag(np.linalg.inv(block))
-                rtol = 4.0 * np.finfo(float).eps * np.linalg.cond(block)
-                np.testing.assert_allclose(bounds[finite], expected, rtol=rtol, atol=0.0)
-                assert not matrix._singular[member]
-                continue
-            expected = _epsilon_limit(block)
-            assert np.array_equal(np.isinf(bounds[finite]), np.isinf(expected))
-            settled = np.isfinite(expected)
-            finite_bounds = bounds[finite][settled]
-            np.testing.assert_allclose(finite_bounds, expected[settled], rtol=1e-6, atol=0.0)
-            assert matrix._singular[member] == (~settled).any()
+        for member in range(len(rows)):
+            _check_against_references(matrix, member)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        _tree_plans(),
+        st.data(),
+        st.booleans(),
+    )
+    def test_badly_scaled_points_match_an_exact_reference(self, plan, data, repeat):
+        # Links spanning seven orders of magnitude, at 0 and at 1, where a
+        # float information matrix loses the tasks of small information.
+        if repeat:
+            plan = MonitoringPlan(name="repeat", tasks=plan.tasks + plan.tasks[-1:])
+        names = sorted({l for t in plan.tasks for l in t.path.link_ids})
+        values = st.sampled_from([0.0, 1.0, 1e-7, 1e-3, 0.3, 0.9999])
+        drawn = data.draw(st.lists(values, min_size=len(names), max_size=len(names)))
+        point = dict(zip(names, drawn))
+        bounds = crb_diagonal(plan_qfim(plan, point, CLOSED))
+        for link, exact in _exact_bounds(plan, {l: Fraction(v) for l, v in point.items()}).items():
+            if exact is None or exact == 0:
+                assert bounds[link] == (math.inf if exact is None else 0.0)
+            else:
+                assert bounds[link] == pytest.approx(float(exact), rel=1e-9)
+
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    def test_a_path_of_links_at_one_makes_them_known_with_no_link_at_zero(self, mode):
+        # Square plan a, ab, bc at (0.5, 1, 1): the task over b and c has
+        # W = 1, so b and c are known, although the tasks that bring b in
+        # have finite information; a is then measured twice.
+        tasks = [("a",), ("a", "b"), ("b", "c")]
+        tasks = tuple(MeasurementTask(Scheme.JBM, Path(ids, ("x", "y"))) for ids in tasks)
+        plan = MonitoringPlan("chain", tasks)
+        point = {"a": 0.5, "b": 1.0, "c": 1.0}
+        bounds = crb_diagonal(plan_qfim(plan, point, mode))
+        assert bounds["b"] == bounds["c"] == 0.0
+        exact = _exact_bounds(plan, {l: Fraction(v) for l, v in point.items()})
+        assert bounds["a"] == pytest.approx(float(exact["a"]), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    def test_a_plan_whose_incidence_inverse_is_not_integer(self, mode):
+        # Paths ab, bc, ca: no task order brings in one link at a time, and
+        # the incidence has determinant 2, so each link is half a sum of paths.
+        tasks = [("a", "b"), ("b", "c"), ("c", "a")]
+        tasks = tuple(MeasurementTask(Scheme.LZM, Path(ids, ("x", "y"))) for ids in tasks)
+        plan, point = MonitoringPlan("triangle", tasks), {"a": 0.9, "b": 0.6, "c": 0.3}
+        bounds = crb_diagonal(plan_qfim(plan, point, mode))
+        exact = _exact_bounds(plan, {l: Fraction(v) for l, v in point.items()})
+        expected = [float(exact[l]) for l in "abc"]
+        assert [bounds[l] for l in "abc"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("w0", [1e-170, 5e-324])
+    def test_information_under_the_float_range_leaves_the_bound_infinite(self, w0):
+        # A repeated task makes the rows dependent; JBM's J at W = w0 is 0 in floats.
+        plan = builtin_plan("JBM3", build_star(3, [0.5, 0.5, 0.5]))
+        plan = MonitoringPlan(name="repeat", tasks=plan.tasks + plan.tasks[:1])
+        bounds = crb_diagonal(plan_qfim(plan, {"e0": [w0, 0.5], "e1": 0.5, "e2": 0.5}, CLOSED))
+        assert bounds["e0"][0] == math.inf
+        # Each point on its own: the healthy one keeps the bounds it gets alone.
+        alone = crb_diagonal(plan_qfim(plan, {"e0": 0.5, "e1": 0.5, "e2": 0.5}, CLOSED))
+        assert [bounds[lid][1] for lid in alone] == list(alone.values())
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -733,7 +819,7 @@ class TestFactorBounds:
         st.sampled_from(["repeat", "unread", "uncovered"]),
         st.sampled_from([CLOSED, FIRST]),
     )
-    def test_non_square_plans_take_the_generic_route(self, drawn, change, mode):
+    def test_non_square_plans_follow_the_same_rules(self, drawn, change, mode):
         plan, params, rows = drawn
         if change == "repeat":
             # A task that introduces no link is skipped when solving.
@@ -745,10 +831,10 @@ class TestFactorBounds:
         stacked = plan_qfim([plan, other], params, mode)
         alone = plan_qfim(plan, params, mode)
         assert stacked._bounds[0].tobytes() == alone._bounds.tobytes()
+        alone = plan_qfim(other, params, mode)
+        assert stacked._bounds[1].tobytes() == alone._bounds.tobytes()
         for member in range(len(rows)):
-            generic = FisherMatrix(stacked.entries[1, member], stacked.order, mode)
-            assert stacked._bounds[1, member].tobytes() == generic._bounds.tobytes()
-            assert stacked._singular[1, member] == generic._singular
+            _check_against_references(alone, member)
 
 
 class TestBounds:

@@ -300,6 +300,11 @@ class TestChannelUses:
         with pytest.raises(ValueError, match="nonnegative"):
             UsageLedger(uses=uses, total=total, preshared_pairs=preshared)
 
+    def test_a_count_of_zero_is_allowed(self):
+        # The edge of the nonnegative rule; an empty plan's ledger has total 0.
+        ledger = UsageLedger(uses={"e0": 0}, total=0)
+        assert ledger.total == 0 and channel_uses(MonitoringPlan("none", ())).total == 0
+
 
 class TestValidatePlan:
     def test_builtin_plans_are_solvable_in_order(self):

@@ -279,7 +279,7 @@ def test_fisher_bounds_state_is_read_only_and_survives_copies():
 
 
 def test_clones_keep_the_bounds_of_a_plan_factor():
-    # JBM3 with e0 at 0: the factor bounds e1 and e2, where the generic route
+    # JBM3 with e0 at 0: the plan bounds e1 and e2, where the generic route
     # on the same entries (a singular matrix) would give +inf to all three.
     graph = build_star(3, [0.5, 0.5, 0.5])
     params = {"e0": np.array([0.0, 0.5]), "e1": 0.5, "e2": np.array([0.5, 0.9])}
