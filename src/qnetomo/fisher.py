@@ -12,8 +12,8 @@ Everything is array-valued over a batch of parameter points, and J and W of
 each distinct (scheme, path) task are evaluated once per call.  A plan's
 bounds come from its integer path-link incidence (`_plan_bounds`), with no
 matrix and no linear algebra: `star` calls it directly, and `plan_qfim`
-settles its matrix's bounds with it.  Only a matrix a caller builds takes
-the generic route, one `eigvalsh` and one `inv`.
+stores them in the matrix it returns.  A `FisherMatrix` is always a plan's
+result: no bound is ever computed from a matrix's entries.
 """
 
 from __future__ import annotations
@@ -29,21 +29,11 @@ import numpy as np
 from .network import (
     MeasurementTask,
     MonitoringPlan,
-    UsageLedger,
     _identifiable,
     _incidence_inverse,
     channel_uses,
 )
 from .schemes import SCHEMES, Scheme, SchemeSpec, _Record, _require_links
-
-SYM_ATOL = 1e-12
-# Most negative eigenvalue a PSD matrix may show, scaled by its largest
-# eigenvalue once that exceeds 1: rounding grows with the entries.
-PSD_ATOL = 1e-10
-# Eigenvalue ratio below which a matrix is reported as singular (condition
-# number above 1e12).
-SINGULAR_RTOL = 1e-12
-
 
 class FisherMode(Enum):
     CLOSED_FORM = "closed-form"
@@ -51,107 +41,35 @@ class FisherMode(Enum):
 
 
 class FisherMatrix(_Record):
-    """Symmetric PSD information matrix over an ordered link-parameter vector.
+    """A plan's information matrix over an ordered link-parameter vector, with its bounds.
 
     ``entries`` has shape (n, n), or (..., n, n) for a batch of points, over
-    distinct names in ``order``.  A +inf entry (a vanishing probability)
-    makes its coordinate exactly known; the finite block left must be PSD.
-    ``ledger`` records the normalization when ``normalized`` is set.
-
-    ``_bounds`` (..., n) holds each member's variance bounds, 0 on known
-    coordinates, and ``_singular`` flags members with an infinite bound.
-    ``plan_qfim`` settles them from its plans.  A matrix a caller builds
-    takes the generic route: a member whose finite block has eigenvalue ratio
-    below ``SINGULAR_RTOL`` is singular, +inf on every finite coordinate;
-    else its bounds are the diagonal of its inverse.  Neither is a
-    field: equality, hashing and repr leave them out, and copies keep them.
+    distinct names in ``order``; ``mode`` is a ``FisherMode``.  A +inf entry
+    (a vanishing probability) makes its coordinate exactly known.
+    ``bounds`` (..., n) holds each member's variance bounds: 0 on known
+    coordinates, +inf on those the plan does not identify.  ``plan_qfim``
+    settles them from the plan's incidence; nothing derives them from
+    ``entries``, so a matrix is never built from raw entries alone.
+    ``ledger``, a ``UsageLedger``, records the normalization when
+    ``normalized`` is set.
     """
 
-    def __init__(
-        self,
-        entries: np.ndarray,
-        order: tuple,
-        mode: FisherMode,
-        normalized: bool = False,
-        ledger: UsageLedger | None = None,
-    ) -> None:
+    def __init__(self, entries, order, mode, bounds, normalized=False, ledger=None) -> None:
         self._store(locals())
         # A hook of its own: perfbench's recorder wraps it to count constructions.
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        # A plan-built matrix arrives with its bounds settled (see ``_built``).
-        bounds, singular = vars(self).pop("_settled", None) or (None, None)
-        e = np.array(self.entries, dtype=float)
-        n = len(self.order)
-        if e.ndim < 2 or e.shape[-2:] != (n, n):
-            raise ValueError("entries must be square over the parameter order")
+        e, b = np.array(self.entries, dtype=float), np.array(self.bounds, dtype=float)
+        if e.shape[-2:] != (n := len(self.order),) * 2 or b.shape != e.shape[:-1]:
+            raise ValueError("entries must be square over the parameter order, bounds one per row")
         if len(set(self.order)) != n:
             raise ValueError("parameter order repeats a name")
-        if bounds is None:
-            finite = np.isfinite(e)
-            all_finite = finite.all()
-            if not all_finite and (e[~finite] != math.inf).any():
-                raise ValueError("entries must not be nan or -inf")
-            # inf - inf is nan: equal infinities pass by equality alone.
-            with np.errstate(invalid="ignore"):
-                t = e.swapaxes(-1, -2)
-                if not ((e == t) | (np.abs(e - t) <= SYM_ATOL)).all():
-                    raise ValueError("matrix is not symmetric within tolerance")
-            block, perm, known = (e, None, False) if all_finite else _finite_first(e)
-            if not (all_finite or np.isfinite(block).all()):
-                raise ValueError("off-diagonal infinity with finite diagonal is not supported")
-            eig = np.linalg.eigvalsh(block)
-            # Slices, not indices: a matrix over no parameters has no eigenvalue.
-            lo, hi = eig[..., :1], eig[..., -1:]
-            if (lo < -PSD_ATOL * np.maximum(1.0, hi)).any():
-                raise ValueError("matrix is not positive semidefinite within tolerance")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                singular = np.asarray(((lo <= 0.0) | (lo / hi < SINGULAR_RTOL)).any(-1))
-            if singular.any():
-                # A singular member inverts the identity in its place; its bounds are +inf.
-                block = np.where(singular[..., None, None], np.eye(n), block)
-            bounds = np.diagonal(np.linalg.inv(block), axis1=-2, axis2=-1)
-            bounds = np.where(known, 0.0, np.where(singular[..., None], math.inf, bounds))
-            if perm is not None:
-                bounds = np.take_along_axis(bounds, np.argsort(perm, axis=-1), axis=-1)
-        for array in (e, singular, bounds):
+        if not (b >= 0.0).all():
+            raise ValueError("bounds must not be nan or negative")
+        for array in (e, b):
             array.setflags(write=False)
-        self.__dict__.update(entries=e, order=tuple(self.order), _singular=singular, _bounds=bounds)
-
-    def __reduce__(self) -> tuple:
-        # Deep copies and unpickled clones keep the bounds it was built with.
-        return _built, (*self._values, (self._bounds, self._singular))
-
-
-def _built(entries, order, mode, normalized, ledger, settled: tuple | None) -> FisherMatrix:
-    """A matrix built through its constructor, with ``settled`` bounds and flags if any."""
-    vars(matrix := object.__new__(FisherMatrix))["_settled"] = settled
-    matrix.__init__(entries, order, mode, normalized, ledger)
-    return matrix
-
-
-def _finite_first(e: np.ndarray) -> tuple:
-    """Each member with its known coordinates (+inf diagonal) moved last, uncoupled.
-
-    Returns ``(block, order, known)``: ``order`` is each member's stable
-    permutation of the coordinates, finite ones first, and ``known`` flags the
-    moved ones in that order.  Each known coordinate becomes a lone diagonal
-    entry equal to the member's largest finite diagonal entry, or 1 when there
-    is none.  That value lies between the finite block's smallest and largest
-    eigenvalues, so the PSD and singularity tests see the finite block alone.
-    """
-    n = e.shape[-1]
-    known = np.diagonal(e, axis1=-2, axis2=-1) == math.inf
-    order = np.argsort(known, axis=-1, kind="stable")
-    # One gather from the flat stack: member offset, then row and column.
-    members = np.arange(known.size // n).reshape(known.shape[:-1] + (1, 1)) * (n * n)
-    block = e.reshape(-1)[members + order[..., :, None] * n + order[..., None, :]]
-    diagonal = np.diagonal(block, axis1=-2, axis2=-1)
-    known = diagonal == math.inf
-    fill = np.max(diagonal, -1, where=~known, initial=-math.inf)[..., None, None]
-    lone = np.eye(n) * np.where(fill == -math.inf, 1.0, fill)
-    return np.where(known[..., :, None] | known[..., None, :], lone, block), order, known
+        self.__dict__.update(entries=e, order=tuple(self.order), bounds=b)
 
 
 def _plain(x: np.ndarray) -> float | np.ndarray:
@@ -382,11 +300,10 @@ def plan_qfim(
         if normalize:
             entries[k] /= ledgers[k].total
     entries = entries.transpose(0, 3, 1, 2).reshape((len(plans),) + batch + 2 * (len(index),))
-    settled = (b := bounds.transpose(0, 2, 1).reshape(entries.shape[:-1])), np.isinf(b).any(-1)
+    bounds = bounds.transpose(0, 2, 1).reshape(entries.shape[:-1])
     if single:
-        entries, ledgers = entries[0], ledgers and ledgers[0]
-        settled = tuple(array[0] for array in settled)
-    return _built(entries, tuple(index), mode, normalize, ledgers, settled)
+        entries, bounds, ledgers = entries[0], bounds[0], ledgers and ledgers[0]
+    return FisherMatrix(entries, tuple(index), mode, bounds, normalize, ledgers)
 
 
 def _plan_qcrb(plans: Sequence, params: Mapping, mode: FisherMode, normalize: bool) -> list:
@@ -398,14 +315,14 @@ def _plan_qcrb(plans: Sequence, params: Mapping, mode: FisherMode, normalize: bo
 def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:
     """Per-parameter variance bounds: diagonal of the scaled matrix inverse.
 
-    0 for a known coordinate, +inf for one that is not identifiable, as
-    settled when the matrix was built; an array per parameter for a batch.
+    0 for a known coordinate, +inf for one that is not identifiable, read
+    from ``matrix.bounds``; an array per parameter for a batch.
     ``scale`` (samples per task), positive and finite, only divides them.
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a positive finite number, got {scale!r}")
     with np.errstate(over="ignore"):
-        return {lid: _plain(matrix._bounds[..., k] / scale) for k, lid in enumerate(matrix.order)}
+        return {lid: _plain(matrix.bounds[..., k] / scale) for k, lid in enumerate(matrix.order)}
 
 
 def qcrb(matrix: FisherMatrix) -> float | np.ndarray:

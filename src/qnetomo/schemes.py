@@ -47,8 +47,6 @@ class _Record:
     frozen dataclass's do, and no attribute can be assigned or deleted.
     ``copy.copy`` shares the field values; deepcopy and pickle rebuild the
     record through its constructor, checks and read-only arrays included.
-    ``FisherMatrix`` is the exception: its clones carry the bounds it was
-    built with and skip re-checking its entries.
     These are plain classes because a dataclass builds its methods with
     ``exec`` at import, which every fresh command would pay for.
     """

@@ -1,9 +1,12 @@
 """Helpers shared by the test modules."""
 
+import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 from qnetomo import MeasurementTask, OutcomeCounts, trace_path
 from qnetomo.network import _chain
+from qnetomo.schemes import SCHEMES
 
 
 def expected_counts(dist, n):
@@ -22,6 +25,33 @@ def constructed(monkeypatch, cls):
 
     monkeypatch.setattr(cls, "__init__", counted)
     return built
+
+
+def watched_schemes(monkeypatch):
+    """The list of ``(scheme, W)`` each later evaluation of a scheme's J rule appends.
+
+    Every module's scheme table becomes one of equal ``SchemeSpec``s that
+    note the path product W when their closed form or their outcome law is
+    evaluated, so one J evaluation, in either mode, adds one entry.
+    """
+    seen, table = [], {}
+    for scheme, spec in SCHEMES.items():
+
+        class Watched(type(spec)):
+            def probabilities(self, w, _scheme=scheme):
+                seen.append((_scheme, w))
+                return super().probabilities(w)
+
+        def closed_form(w, _scheme=scheme, _rule=spec.closed_form):
+            seen.append((_scheme, w))
+            return _rule(w)
+
+        fields = dict(zip(spec.__match_args__, spec._values), closed_form=closed_form)
+        table[scheme] = Watched(**fields)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qnetomo") and getattr(module, "SCHEMES", None) is SCHEMES:
+            monkeypatch.setattr(module, "SCHEMES", MappingProxyType(table))
+    return seen
 
 
 def _chain_task(scheme, ws):

@@ -45,7 +45,7 @@ from qnetomo.cli import (
     main,
 )
 
-from helpers import constructed
+from helpers import constructed, watched_schemes
 
 CLOSED = FisherMode.CLOSED_FORM
 FIRST = FisherMode.FIRST_PRINCIPLES
@@ -170,17 +170,13 @@ class TestSingleLink:
     @pytest.mark.parametrize("normalize", ["on", "off"])
     @pytest.mark.parametrize("mode", [CLOSED, FIRST])
     def test_each_scheme_information_is_computed_once(self, capsys, monkeypatch, mode, normalize):
-        calls = []
-
-        def counted(*args, _original=fisher._rank_one):
-            calls.append(args[0])
-            return _original(*args)
-
-        monkeypatch.setattr(fisher, "_rank_one", counted)
+        seen = watched_schemes(monkeypatch)
         code, lines, _ = run_lines(
             capsys, ["single-link", "--mode", mode.value, "--normalize", normalize]
         )
-        assert code == 0 and calls == list(Scheme)
+        # One J evaluation per scheme, each over the whole grid.
+        assert code == 0 and [scheme for scheme, _ in seen] == list(Scheme)
+        assert all(np.shape(w) == (len(lines[1:]) // len(Scheme),) for _, w in seen)
         # The bound column is still the library's single-link bound.
         monkeypatch.undo()
         for line in lines[1:]:

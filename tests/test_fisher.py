@@ -31,7 +31,7 @@ from qnetomo import (
 from qnetomo import fisher
 from qnetomo.cli import _fmt
 
-from helpers import _chain_task, constructed, exact_solve
+from helpers import _chain_task, constructed, exact_solve, watched_schemes
 
 interior = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
 
@@ -565,22 +565,6 @@ class TestBatchedCore:
         with pytest.raises(ValueError):
             plan_qfim(plan, params, CLOSED)
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            ([[1.0, 0.5], [0.2, 1.0]], "symmetric"),
-            ([[1.0, math.inf], [0.0, 1.0]], "symmetric"),
-            ([[1.0, 2.0], [2.0, 1.0]], "positive semidefinite"),
-            ([[math.inf, 0.0], [0.0, -1.0]], "positive semidefinite"),
-            ([[1.0, math.inf], [math.inf, 1.0]], "off-diagonal infinity"),
-        ],
-    )
-    def test_one_bad_member_rejects_the_batch(self, bad, message):
-        members = [np.eye(2), [[math.inf, 0.0], [0.0, 1.0]], bad, 2.0 * np.eye(2)]
-        with pytest.raises(ValueError, match=message):
-            FisherMatrix(np.array(members, dtype=float), ("a", "b"), FIRST)
-
-
 # Every task the 3-leaf star can run: each scheme over each 1- and 2-link path.
 _STAR = build_star(3, [0.5, 0.5, 0.5])
 _STAR_TASKS = [
@@ -686,7 +670,7 @@ def _check_against_references(matrix, member):
     gives the inverse of the information, to within its condition number; a
     singular one the eps-limit, with +inf exactly where that grows like 1/eps.
     """
-    bounds = matrix._bounds[member]
+    bounds = matrix.bounds[member]
     entries = matrix.entries[member]
     finite = np.isfinite(np.diagonal(entries))
     assert (bounds[~finite] == 0.0).all()
@@ -697,13 +681,13 @@ def _check_against_references(matrix, member):
         expected = np.diag(np.linalg.inv(block))
         rtol = 4.0 * np.finfo(float).eps * np.linalg.cond(block)
         np.testing.assert_allclose(bounds[finite], expected, rtol=rtol, atol=0.0)
-        assert not matrix._singular[member]
+        assert not np.isinf(bounds).any(-1)
         return
     expected = _epsilon_limit(block)
     assert np.array_equal(np.isinf(bounds[finite]), np.isinf(expected))
     settled = np.isfinite(expected)
     np.testing.assert_allclose(bounds[finite][settled], expected[settled], rtol=1e-6, atol=0.0)
-    assert matrix._singular[member] == (~settled).any()
+    assert np.isinf(bounds).any(-1) == (~settled).any()
 
 
 def _exact_bounds(plan, point):
@@ -830,34 +814,42 @@ class TestFactorBounds:
             other = MonitoringPlan(name="uncovered", tasks=plan.tasks[:-1])
         stacked = plan_qfim([plan, other], params, mode)
         alone = plan_qfim(plan, params, mode)
-        assert stacked._bounds[0].tobytes() == alone._bounds.tobytes()
+        assert stacked.bounds[0].tobytes() == alone.bounds.tobytes()
         alone = plan_qfim(other, params, mode)
-        assert stacked._bounds[1].tobytes() == alone._bounds.tobytes()
+        assert stacked.bounds[1].tobytes() == alone.bounds.tobytes()
         for member in range(len(rows)):
             _check_against_references(alone, member)
 
 
 class TestBounds:
-    def _matrix(self, entries, order=("a", "b")):
-        return FisherMatrix(np.array(entries, dtype=float), order, FIRST)
+    # JBM3 measures each link directly, so its information is diagonal;
+    # HYB3's tasks over (e0, e1) and (e0, e2) couple the links.
+    def _matrix(self, kind, w0=0.9, w1=0.8, w2=0.7):
+        return plan_qfim(builtin_plan(kind, _STAR), {"e0": w0, "e1": w1, "e2": w2}, FIRST)
 
     def test_diagonal_inverse(self):
-        bounds = crb_diagonal(self._matrix([[2.0, 0.0], [0.0, 4.0]]))
-        assert abs(bounds["a"] - 0.5) < 1e-15
-        assert abs(bounds["b"] - 0.25) < 1e-15
+        matrix = self._matrix("JBM3")
+        assert (matrix.entries == np.diag(np.diagonal(matrix.entries))).all()
+        bounds = crb_diagonal(matrix)
+        for k, lid in enumerate(matrix.order):
+            assert bounds[lid] == 1.0 / matrix.entries[k, k]
 
     def test_qcrb_sums_the_bounds(self):
-        assert abs(qcrb(self._matrix([[2.0, 0.0], [0.0, 4.0]])) - 0.75) < 1e-15
+        for kind in ("JBM3", "HYB3"):
+            matrix = self._matrix(kind)
+            assert qcrb(matrix) == sum(crb_diagonal(matrix).values())
 
     def test_correlated_inverse(self):
-        m = self._matrix([[2.0, 1.0], [1.0, 2.0]])
-        bounds = crb_diagonal(m)
-        # inverse of [[2,1],[1,2]] has diagonal 2/3
-        assert abs(bounds["a"] - 2.0 / 3.0) < 1e-12
+        matrix = self._matrix("HYB3")
+        assert (matrix.entries != np.diag(np.diagonal(matrix.entries))).any()
+        bounds = crb_diagonal(matrix)
+        expected = np.diag(np.linalg.inv(matrix.entries))
+        np.testing.assert_allclose([bounds[l] for l in matrix.order], expected, rtol=1e-12)
 
     def test_scale_divides(self):
-        bounds = crb_diagonal(self._matrix([[2.0, 0.0], [0.0, 4.0]]), scale=100.0)
-        assert abs(bounds["a"] - 0.005) < 1e-15
+        matrix = self._matrix("HYB3")
+        unit = crb_diagonal(matrix)
+        assert crb_diagonal(matrix, scale=100.0) == {l: b / 100.0 for l, b in unit.items()}
 
     @pytest.mark.parametrize("scale", [-2.0, 0.0, math.nan, math.inf])
     def test_scale_must_be_positive_and_finite(self, scale):
@@ -866,32 +858,39 @@ class TestBounds:
         with pytest.raises(ValueError, match="scale"):
             crb_diagonal(matrix, scale=scale)
 
-    @pytest.mark.parametrize("entry, scale", [(2.2250738585072014e-308, 0.25), (1e-10, 1e-300)])
-    def test_a_bound_past_the_float_range_is_inf(self, entry, scale):
-        # 1 / entry is finite; divided by the scale it overflows, with no warning.
-        matrix = self._matrix([[entry]], order=("a",))
-        assert crb_diagonal(matrix) == {"a": 1.0 / entry}
-        assert crb_diagonal(matrix, scale=scale) == {"a": math.inf}
+    @pytest.mark.parametrize("scale", [1e-10, 1e-300])
+    def test_a_bound_past_the_float_range_is_inf(self, scale):
+        # A direct JBM link at 1e-150 has J near 1.2e-299: 1 / J is finite,
+        # and divided by the scale it overflows, with no warning.
+        task, params = _chain_task(Scheme.JBM, [1e-150])
+        matrix = task_qfim(task, params, CLOSED)
+        assert crb_diagonal(matrix) == {"p0": 1.0 / matrix.entries[0, 0]}
+        assert math.isfinite(1.0 / matrix.entries[0, 0])
+        assert crb_diagonal(matrix, scale=scale) == {"p0": math.inf}
 
     def test_bounds_that_sum_past_the_float_range_give_inf(self):
-        # Each bound is finite; their sum overflows, batched or not, with no warning.
-        entries = [[0.9e-308, 0.0], [0.0, 0.9e-308]]
-        assert qcrb(self._matrix(entries)) == math.inf
-        assert qcrb(self._matrix([entries])).tolist() == [math.inf]
+        # JBM3 at 3e-155: each bound is finite; their sum overflows, batched
+        # or not, with no warning.
+        w = 3e-155
+        matrix = self._matrix("JBM3", w, w, w)
+        assert all(math.isfinite(b) for b in crb_diagonal(matrix).values())
+        assert qcrb(matrix) == math.inf
+        assert qcrb(self._matrix("JBM3", [w], [w], [w])).tolist() == [math.inf]
 
-    def test_singular_matrix_gives_inf(self):
-        bounds = crb_diagonal(self._matrix([[1.0, 1.0], [1.0, 1.0]]))
-        assert bounds["a"] == math.inf and bounds["b"] == math.inf
-
-    def test_zero_information_gives_inf(self):
-        bounds = crb_diagonal(self._matrix([[0.0]], order=("a",)))
-        assert bounds["a"] == math.inf
+    def test_unidentifiable_coordinate_gives_inf(self):
+        # JBM3 at w0 = 0: e0's only task has J = 0, the others are untouched.
+        matrix = self._matrix("JBM3", 0.0, 0.5, 0.5)
+        assert matrix.entries[0, 0] == 0.0
+        bounds = crb_diagonal(matrix)
+        assert bounds["e0"] == math.inf
+        assert bounds["e1"] == bounds["e2"] == 1.0 / matrix.entries[1, 1]
 
     def test_infinite_information_gives_zero_bound(self):
-        m = self._matrix([[math.inf, 0.0], [0.0, 4.0]])
-        bounds = crb_diagonal(m)
-        assert bounds["a"] == 0.0
-        assert abs(bounds["b"] - 0.25) < 1e-15
+        # A link at 1 is known: infinite information, bound 0.
+        matrix = self._matrix("JBM3", 1.0, 0.5, 0.5)
+        assert matrix.entries[0, 0] == math.inf
+        bounds = crb_diagonal(matrix)
+        assert bounds["e0"] == 0.0 and bounds["e1"] == 1.0 / matrix.entries[1, 1]
 
     def test_unidentifiable_indirect_only_plan(self):
         # two parameters observed only through their product
@@ -900,125 +899,7 @@ class TestBounds:
         assert bounds["p0"] == math.inf and bounds["p1"] == math.inf
 
 
-OFF_DIAGONAL = "off-diagonal infinity with finite diagonal is not supported"
-NOT_PSD = "matrix is not positive semidefinite within tolerance"
-
-
-def _per_mask_reference(stack, scale):
-    """Bounds and singular flags by the per-mask algorithm, kept as a reference.
-
-    Members are grouped by finite-diagonal mask, in order of first appearance;
-    each group's finite sub-blocks are gathered, checked with one ``eigvalsh``
-    and its regular members inverted with one ``inv``.  The PSD test is the
-    matrix's own, relative to the largest eigenvalue once that exceeds 1.
-    """
-    n = stack.shape[-1]
-    flat = stack.reshape(-1, n, n)
-    bounds, singular = np.zeros(flat.shape[:-1]), np.zeros(len(flat), dtype=bool)
-    masks = np.isfinite(np.diagonal(flat, axis1=1, axis2=2))
-    for mask in dict.fromkeys(map(tuple, masks.tolist())):
-        rows, coords = np.flatnonzero((masks == mask).all(axis=1)), np.flatnonzero(mask)
-        if not coords.size:
-            continue
-        sub = flat[rows[:, None, None], coords[:, None], coords]
-        if not np.isfinite(sub).all():
-            raise ValueError(OFF_DIAGONAL)
-        eig = np.linalg.eigvalsh(sub)
-        lo, hi = eig[:, 0], eig[:, -1]
-        if (lo < -fisher.PSD_ATOL * np.maximum(1.0, hi)).any():
-            raise ValueError(NOT_PSD)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            flags = (hi <= 0.0) | (lo <= 0.0) | (lo / hi < fisher.SINGULAR_RTOL)
-        singular[rows] = flags
-        bounds[rows[flags][:, None], coords] = math.inf
-        regular = rows[~flags]
-        if regular.size:
-            inverse = np.linalg.inv(flat[regular[:, None, None], coords[:, None], coords])
-            with np.errstate(over="ignore"):
-                bounds[regular[:, None], coords] = np.diagonal(inverse, axis1=1, axis2=2) / scale
-    return bounds.reshape(stack.shape[:-1]), singular.reshape(stack.shape[:-2])
-
-
-def _coupled_infinity(stack):
-    """True if some member has an infinite entry between two finite-diagonal coordinates."""
-    finite = np.isfinite(np.diagonal(stack, axis1=-2, axis2=-1))
-    return bool((np.isinf(stack) & finite[..., :, None] & finite[..., None, :]).any())
-
-
-_VALUE = st.one_of(
-    st.sampled_from([0.0, 1.0, 1e-8, 0.25, 0.5, 1.0 - 1e-12]),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-
-
-@st.composite
-def _stacks(draw):
-    """Stacks of 1-4 members over 1-4 coordinates with entries at 0, 1 and between.
-
-    A member is a sum of rank-one terms J g g^T, as a plan's information is,
-    or any symmetric matrix on the values (often not PSD, sometimes with an
-    infinity off the diagonal); then some coordinates become known, with an
-    infinite diagonal and some infinite entries in their row and column.
-    """
-    n = draw(st.integers(1, 4))
-    stack = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
-            member = np.zeros((n, n))
-            for _ in range(draw(st.integers(0, n + 1))):
-                g = np.array(draw(st.lists(_VALUE, min_size=n, max_size=n)))
-                member += draw(_VALUE) * (g[:, None] * g[None, :])
-        else:
-            size = n * (n + 1) // 2
-            raw = st.one_of(_VALUE, st.just(math.inf))
-            member = np.zeros((n, n))
-            member[np.triu_indices(n)] = draw(st.lists(raw, min_size=size, max_size=size))
-            member += np.triu(member, 1).T
-        for k in range(n):
-            if draw(st.integers(0, 3)) == 0:
-                member[k, k] = math.inf
-                for j in range(n):
-                    if j != k and draw(st.booleans()):
-                        member[k, j] = member[j, k] = math.inf
-        stack.append(member)
-    return np.array(stack)
-
-
-class TestOnePathAgainstPerMaskReference:
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(_stacks(), st.sampled_from([0.25, 1.0, 3.0, 20000.0]))
-    def test_bounds_flags_and_messages_match(self, stack, scale):
-        order = tuple("abcd"[: stack.shape[-1]])
-        try:
-            expected, flags = _per_mask_reference(stack, scale)
-        except ValueError as err:
-            # The reference reports the first faulty group; the one path
-            # looks for infinities between finite coordinates in every
-            # member before any eigenvalue is taken.
-            message = OFF_DIAGONAL if _coupled_infinity(stack) else str(err)
-            with pytest.raises(ValueError) as info:
-                FisherMatrix(stack, order, FIRST)
-            assert str(info.value) == message
-            return
-        matrix = FisherMatrix(stack, order, FIRST)
-        bounds = crb_diagonal(matrix, scale=scale)
-        actual = np.stack([bounds[lid] for lid in order], axis=-1)
-        np.testing.assert_array_equal(matrix._singular, flags)
-        if len(order) <= 3:
-            assert actual.tobytes() == expected.tobytes()
-            return
-        # At n = 4 LAPACK's LU recurses differently once a coordinate moves,
-        # so its sums round in another order.  The gap is a few ulp at
-        # condition number 1 and grows with the condition number.
-        assert np.array_equal(np.isinf(actual), np.isinf(expected))
-        assert np.array_equal(actual == 0.0, expected == 0.0)
-        for member, got, want in zip(stack, actual, expected):
-            finite = np.isfinite(np.diagonal(member))
-            if finite.any() and np.isfinite(want).all():
-                eig = np.linalg.eigvalsh(member[np.ix_(finite, finite)])
-                rtol = 4.0 * np.finfo(float).eps * eig[-1] / eig[0]
-                np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
-
+class TestStackedBounds:
     def test_mixed_masks_build_one_matrix_equal_to_single_plan_calls(self, monkeypatch):
         # Links at 1 in different members make known coordinates in different
         # places, and e0 at 0 makes every plan singular: still one matrix,
@@ -1044,146 +925,76 @@ class TestOnePathAgainstPerMaskReference:
                 assert bound.tobytes() == bounds[lid][k].tobytes()
 
     def test_bounds_are_read_from_the_built_matrix(self, monkeypatch):
-        # Known coordinates are settled when the matrix is built: crb_diagonal
-        # and qcrb build no matrix of their own (and, in test_surface, run no
-        # linear algebra).
-        inf = math.inf
-        single = FisherMatrix(np.array([[inf, 0.0], [0.0, 2.0]]), ("a", "b"), FIRST)
+        # Bounds are settled when the matrix is built: crb_diagonal and qcrb
+        # build no matrix of their own (and, in test_surface, run no linear
+        # algebra).
         graph = build_star(3, [0.5, 0.5, 0.5])
         plans = [builtin_plan(kind, graph) for kind in ("JBM2", "HYB3")]
+        known = plan_qfim(plans[1], {"e0": 1.0, "e1": 0.5, "e2": 0.5}, FIRST)
         params = {"e0": np.array([1.0, 0.5]), "e1": 0.5, "e2": 0.5}
         stack = plan_qfim(plans, params, CLOSED)
-        plain = FisherMatrix(np.diag([1.0, 2.0]), ("a", "b"), FIRST)
+        plain = plan_qfim(builtin_plan("JBM3", graph), {"e0": 0.5, "e1": 0.8, "e2": 0.5}, FIRST)
         built = constructed(monkeypatch, FisherMatrix)
-        assert crb_diagonal(single, scale=2.0) == {"a": 0.0, "b": 0.25}
-        assert qcrb(single) == 0.5
+        unit = crb_diagonal(known)
+        assert unit["e0"] == 0.0 and crb_diagonal(known, scale=2.0)["e1"] == unit["e1"] / 2.0
+        assert qcrb(known) == unit["e1"] + unit["e2"]
         bounds, total = crb_diagonal(stack), qcrb(stack)
         assert (bounds["e0"][:, 0] == 0.0).all() and np.isfinite(total).all()
-        assert crb_diagonal(plain) == {"a": 1.0, "b": 0.5} and qcrb(plain) == 1.5
+        assert list(crb_diagonal(plain).values()) == plain.bounds.tolist()
+        assert qcrb(plain) == sum(plain.bounds.tolist())
         assert built == []
 
 
-class TestBoundGrouping:
-    def test_interleaved_masks_match_single_member_calls(self):
-        inf = math.inf
-        members = [
-            [[2.0, 0.5, 0.1], [0.5, 3.0, 0.2], [0.1, 0.2, 1.5]],
-            [[inf, 0.0, 0.0], [0.0, 4.0, 1.0], [0.0, 1.0, 2.0]],
-            [[inf, inf, inf], [inf, inf, inf], [inf, inf, inf]],
-            [[1.0, 0.0, 0.3], [0.0, inf, 0.0], [0.3, 0.0, 2.0]],
-            [[inf, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
-            [[5.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
-            [[1.0, 0.0, 0.3], [0.0, inf, 0.0], [0.3, 0.0, 0.09]],
-            [[inf, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 1.0]],
-        ]
-        order = ("a", "b", "c")
-        batch = FisherMatrix(np.array(members).reshape(2, 4, 3, 3), order, FIRST)
-        bounds = crb_diagonal(batch, scale=7.0)
-        for flat, entries in enumerate(members):
-            i, j = divmod(flat, 4)
-            single = crb_diagonal(FisherMatrix(np.array(entries), order, FIRST), scale=7.0)
-            for lid in order:
-                assert bounds[lid].shape == (2, 4)
-                assert np.array_equal(bounds[lid][i, j], single[lid])
-        assert all(bounds[lid][0, 2] == 0.0 for lid in order)
-        assert bounds["b"][1, 0] == math.inf and bounds["a"][1, 2] == math.inf
-        # Each group is checked as the matrix is built: one bad member in
-        # place of the last rejects the batch before any bound is taken.
-        for bad, message in [
-            ([[inf, 0.0, 0.0], [0.0, 1.0, 5.0], [0.0, 5.0, 1.0]], "positive semidefinite"),
-            ([[1.0, inf, 0.0], [inf, 2.0, 0.0], [0.0, 0.0, 1.0]], "off-diagonal infinity"),
-        ]:
-            with pytest.raises(ValueError, match=message):
-                FisherMatrix(np.array(members[:-1] + [bad]).reshape(2, 4, 3, 3), order, FIRST)
+class TestRecordChecks:
+    # A matrix is a plan's result: its constructor checks only shapes, names
+    # and bounds, and takes no entries without their bounds.
+    def _fields(self):
+        # Two points: one bad member rejects the whole stack.
+        params = {"e0": [0.9, 1.0], "e1": 0.8, "e2": 0.7}
+        matrix = plan_qfim(builtin_plan("HYB3", _STAR), params, FIRST)
+        return matrix, dict(zip(FisherMatrix.__match_args__, matrix._values))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-13, math.inf]), min_size=6, max_size=6)
+    def test_entries_without_bounds_are_a_type_error(self):
+        matrix, _ = self._fields()
+        with pytest.raises(TypeError):
+            FisherMatrix(matrix.entries, matrix.order, matrix.mode)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf, -5e-324])
+    def test_a_nan_or_negative_bound_is_a_value_error(self, bad):
+        _, fields = self._fields()
+        with pytest.raises(ValueError, match="^bounds must not be nan or negative$"):
+            FisherMatrix(**{**fields, "bounds": [[0.0, 1.0, 1.0], [0.0, bad, 1.0]]})
+        # 0, +inf and -0.0 are bounds.
+        FisherMatrix(**{**fields, "bounds": [[0.0, 1.0, 1.0], [0.0, math.inf, -0.0]]})
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"entries": np.eye(2)},
+            {"entries": np.ones(3)},
+            {"bounds": np.ones(3)},
+            {"bounds": np.ones((2, 2))},
+            {"order": ("e0", "e1")},
+        ],
     )
-    def test_every_matrix_that_builds_can_be_bounded(self, upper):
-        entries = np.zeros((3, 3))
-        entries[np.triu_indices(3)] = upper
-        entries += np.triu(entries, 1).T
-        try:
-            matrix = FisherMatrix(entries, ("a", "b", "c"), FIRST)
-        except ValueError:
-            return
-        bounds = crb_diagonal(matrix)
-        assert all(bounds[lid] >= 0.0 for lid in "abc")
-
-
-class TestFisherMatrixValidation:
-    def test_rejects_asymmetry(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            FisherMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]), ("a", "b"), FIRST)
-
-    def test_rejects_asymmetric_infinities(self):
-        bad = np.array([[1.0, math.inf], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            FisherMatrix(bad, ("a", "b"), FIRST)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="square"):
-            FisherMatrix(np.eye(3), ("a", "b"), FIRST)
+    def test_shapes_must_match_the_order(self, change):
+        _, fields = self._fields()
+        with pytest.raises(ValueError, match="^entries must be square over the parameter order"):
+            FisherMatrix(**{**fields, **change})
 
     def test_rejects_a_repeated_name(self):
-        with pytest.raises(ValueError, match="repeats a name"):
-            FisherMatrix(np.diag([1.0, 4.0]), ("a", "a"), FIRST)
+        _, fields = self._fields()
+        with pytest.raises(ValueError, match="^parameter order repeats a name$"):
+            FisherMatrix(**{**fields, "order": ("e0", "e1", "e0")})
 
-    @pytest.mark.parametrize("value", [math.nan, -math.inf])
-    def test_rejects_nan_and_negative_infinity(self, value):
-        with pytest.raises(ValueError, match="nan or -inf"):
-            FisherMatrix(np.array([[value]]), ("a",), FIRST)
-
-    def test_finite_block_beside_infinity_must_be_psd(self):
-        inf = math.inf
-        entries = np.array([[inf, 0.0, 0.0], [0.0, 1.0, 5.0], [0.0, 5.0, 1.0]])
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            FisherMatrix(entries, ("a", "b", "c"), FIRST)
-
-    def test_psd_tolerance_scales_with_the_largest_eigenvalue(self):
-        # Past 1, the PSD tolerance is relative to the largest eigenvalue: a
-        # sum of J g g^T terms at 1.5e12 may round to an eigenvalue of -1e-4.
-        order = ("a", "b")
-        matrix = FisherMatrix(np.diag([1.5e12, -1e-4]), order, FIRST)
-        assert bool(matrix._singular)
-        for entries in ([[1.5e12, 0.0], [0.0, -200.0]], [[1.0, 0.0], [0.0, -2e-10]]):
-            with pytest.raises(ValueError, match=NOT_PSD):
-                FisherMatrix(np.array(entries), order, FIRST)
-        FisherMatrix(np.diag([1.0, -0.5e-10]), order, FIRST)
-
-    def test_symmetry_tolerance_edges(self):
-        order = ("a", "b")
-        # An asymmetry of exactly SYM_ATOL passes, on a zero entry and on a
-        # non-zero one; ten times that fails.
-        for low, high in [(0.0, 1e-12), (0.25, np.nextafter(0.25, 1.0))]:
-            assert abs(low - high) <= fisher.SYM_ATOL
-            FisherMatrix(np.array([[1.0, low], [high, 1.0]]), order, FIRST)
-        with pytest.raises(ValueError, match="symmetric"):
-            FisherMatrix(np.array([[1.0, 0.0], [1e-11, 1.0]]), order, FIRST)
-
-    def test_psd_tolerance_below_a_largest_eigenvalue_of_one(self):
-        # Up to a largest eigenvalue of 1 the PSD tolerance is PSD_ATOL itself,
-        # reached exactly by -1e-10.
-        order = ("a", "b")
-        for hi in (0.5, 1.0):
-            with pytest.raises(ValueError, match=NOT_PSD):
-                FisherMatrix(np.diag([hi, -1.2e-10]), order, FIRST)
-            for lo in (-1e-10, -0.9e-10):
-                assert bool(FisherMatrix(np.diag([hi, lo]), order, FIRST)._singular)
-
-    def test_a_built_matrix_is_singular_below_an_eigenvalue_ratio_of_1e_12(self):
-        order = ("a", "b")
-        for small in (1e-10, 1e-12):
-            matrix = FisherMatrix(np.diag([1.0, small]), order, FIRST)
-            assert not matrix._singular and crb_diagonal(matrix) == {"a": 1.0, "b": 1.0 / small}
-        matrix = FisherMatrix(np.diag([1.0, 1e-13]), order, FIRST)
-        assert matrix._singular and crb_diagonal(matrix) == {"a": math.inf, "b": math.inf}
-
-    def test_entries_read_only(self):
-        m = FisherMatrix(np.eye(2), ("a", "b"), FIRST)
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
+    def test_entries_and_bounds_are_read_only_copies(self):
+        matrix, fields = self._fields()
+        entries, bounds = fields["entries"].copy(), fields["bounds"].copy()
+        rebuilt = FisherMatrix(**{**fields, "entries": entries, "bounds": bounds})
+        assert rebuilt.entries is not entries and rebuilt.bounds is not bounds
+        for array in (matrix.entries, matrix.bounds, rebuilt.entries, rebuilt.bounds):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
 
 
 class TestCrossover:
@@ -1244,14 +1055,13 @@ class TestCrossover:
         assert got == root and (got is None) == (root is None)
 
     def test_roots_need_no_array_information(self, monkeypatch):
-        # The bisection runs on plain floats: the array path is never called.
-        def refuse(*args):
-            raise AssertionError("crossover reached the array path")
-
-        monkeypatch.setattr(fisher, "_rank_one", refuse)
+        # The bisection runs on plain floats: every W the J rules see is one.
+        seen = watched_schemes(monkeypatch)
         for scheme_a, scheme_b, mode, normalize, root in self.ROOTS:
             got = crossover(Scheme[scheme_a], Scheme[scheme_b], mode, normalize)
             assert repr(got) == repr(root)
+        assert {scheme for scheme, _ in seen} == set(Scheme)
+        assert all(type(w) is float for _, w in seen)
 
     # Where each family of roots lies exactly: the polynomial changes sign there.
     EXACT = {

@@ -135,14 +135,15 @@ CASES = [
     (
         FisherMatrix,
         [("entries", REQUIRED), ("order", REQUIRED), ("mode", REQUIRED),
-         ("normalized", False), ("ledger", None)],
+         ("bounds", REQUIRED), ("normalized", False), ("ledger", None)],
         dict(entries=np.array([[2.0, 0.0], [0.0, 1.0]]), order=("e0", "e1"),
-             mode=FisherMode.CLOSED_FORM, normalized=True,
+             mode=FisherMode.CLOSED_FORM, bounds=np.array([0.5, 1.0]), normalized=True,
              ledger=UsageLedger(uses={"e0": 1, "e1": 1}, total=2)),
         ("normalized", False),
         "FisherMatrix(entries=array([[2., 0.],\n       [0., 1.]]), order=('e0', 'e1'), "
-        "mode=<FisherMode.CLOSED_FORM: 'closed-form'>, normalized=True, "
-        "ledger=UsageLedger(uses={'e0': 1, 'e1': 1}, total=2, preshared_pairs=0))",
+        "mode=<FisherMode.CLOSED_FORM: 'closed-form'>, bounds=array([0.5, 1. ]), "
+        "normalized=True, ledger=UsageLedger(uses={'e0': 1, 'e1': 1}, total=2, "
+        "preshared_pairs=0))",
         False,
     ),
     (
@@ -206,8 +207,7 @@ def test_record_contract(cls, params, kwargs, change, text, hashable):
 
     record = cls(**kwargs)
     # The fields alone, in order, and no other local of the constructor.
-    state = ("_singular", "_bounds") if cls is FisherMatrix else ()
-    assert tuple(vars(record)) == fields + state
+    assert tuple(vars(record)) == fields
     assert repr(record) == text
     values = tuple(getattr(record, name) for name in fields)
     assert _same_record(cls(*values), record)
@@ -243,56 +243,41 @@ def test_record_contract(cls, params, kwargs, change, text, hashable):
         assert _same_record(clone, record)
 
 
-def test_fisher_singularity_state_stays_out_of_eq_and_repr():
-    matrix = FisherMatrix(entries=np.eye(2), order=("a", "b"), mode=FisherMode.FIRST_PRINCIPLES)
-    twin = copy.copy(matrix)
-    vars(twin).update(_singular=np.ones((), dtype=bool), _bounds=np.full(2, np.inf))
-    assert twin == matrix
-    assert repr(twin) == repr(matrix)
-    # Equality, hashing and repr all go over the fields alone.
-    for state in ("_singular", "_bounds"):
-        assert state not in repr(matrix) and state not in FisherMatrix.__match_args__
-    # One flag per member, in the batch shape: a single matrix has one.
-    assert matrix._singular.shape == () and not matrix._singular
+def test_fisher_bounds_are_a_field_in_eq_and_repr():
+    # A plan's bounds are part of its result: a twin that shares the entries
+    # but not the bounds differs, and repr shows them.
+    matrix = plan_qfim(builtin_plan("JBM3", build_star(3, [0.5, 0.5, 0.5])),
+                       {"e0": 0.0, "e1": 0.5, "e2": 0.5}, FisherMode.FIRST_PRINCIPLES)
+    assert "bounds=array([   inf, 0.4375, 0.4375])" in repr(matrix)
+    one = MonitoringPlan("one", builtin_plan("JBM3", build_star(3, [0.5] * 3)).tasks[:1])
+    single = plan_qfim(one, {"e0": 0.5}, FisherMode.CLOSED_FORM)
+    twin = copy.copy(single)
+    vars(twin)["bounds"] = single.bounds.copy()
+    assert twin == single
+    vars(twin)["bounds"] = np.zeros(1)
+    assert twin != single and repr(twin) != repr(single)
     with pytest.raises(ValueError):
-        matrix._singular[...] = True
-    # One unscaled bound per coordinate, in parameter order.
-    assert matrix._bounds.tolist() == [1.0, 1.0]
+        matrix.bounds[1] = 5.0
 
 
-def test_fisher_bounds_state_is_read_only_and_survives_copies():
-    entries = np.array([[np.inf, 0.0], [0.0, 2.0]])
-    matrix = FisherMatrix(entries=entries, order=("a", "b"), mode=FisherMode.CLOSED_FORM)
-    # The known coordinate is bounded by 0, the other by its inverse information.
-    assert matrix._bounds.tolist() == [0.0, 0.5]
-    with pytest.raises(ValueError):
-        matrix._bounds[1] = 5.0
+def test_clones_keep_the_bounds_of_a_plan():
+    # JBM3 with e0 at 0 at the first point: e0 is not identifiable and e1,
+    # e2 are bounded; at the second, e0 at 1 is known.  Clones rebuild
+    # through the constructor and keep the bounds bit for bit, read-only.
+    graph = build_star(3, [0.5, 0.5, 0.5])
+    params = {"e0": np.array([0.0, 1.0]), "e1": 0.5, "e2": np.array([0.5, 0.9])}
+    matrix = plan_qfim(builtin_plan("JBM3", graph), params, FisherMode.CLOSED_FORM)
+    assert np.isinf(matrix.bounds[0, 0]) and np.isfinite(matrix.bounds[0, 1:]).all()
+    assert matrix.bounds[1, 0] == 0.0
     for clone in (copy.copy(matrix), copy.deepcopy(matrix), pickle.loads(pickle.dumps(matrix))):
         assert _same_record(clone, matrix)
-        assert clone._bounds.tolist() == [0.0, 0.5]
-        for state in ("entries", "_singular", "_bounds"):
-            assert not getattr(clone, state).flags.writeable
+        for field in ("entries", "bounds"):
+            assert getattr(clone, field).tobytes() == getattr(matrix, field).tobytes()
+            assert not getattr(clone, field).flags.writeable
     # A shallow copy shares the read-only originals.
     shallow = copy.copy(matrix)
-    for state in ("entries", "_singular", "_bounds"):
-        assert getattr(shallow, state) is getattr(matrix, state)
-
-
-def test_clones_keep_the_bounds_of_a_plan_factor():
-    # JBM3 with e0 at 0: the plan bounds e1 and e2, where the generic route
-    # on the same entries (a singular matrix) would give +inf to all three.
-    graph = build_star(3, [0.5, 0.5, 0.5])
-    params = {"e0": np.array([0.0, 0.5]), "e1": 0.5, "e2": np.array([0.5, 0.9])}
-    matrix = plan_qfim(builtin_plan("JBM3", graph), params, FisherMode.CLOSED_FORM)
-    assert np.isinf(matrix._bounds[0, 0]) and np.isfinite(matrix._bounds[0, 1:]).all()
-    assert matrix._singular.tolist() == [True, False]
-    generic = FisherMatrix(matrix.entries, matrix.order, matrix.mode)
-    assert np.isinf(generic._bounds[0]).all()
-    for clone in (copy.copy(matrix), copy.deepcopy(matrix), pickle.loads(pickle.dumps(matrix))):
-        assert _same_record(clone, matrix)
-        for state in ("_singular", "_bounds"):
-            assert getattr(clone, state).tobytes() == getattr(matrix, state).tobytes()
-            assert not getattr(clone, state).flags.writeable
+    for field in ("entries", "bounds"):
+        assert getattr(shallow, field) is getattr(matrix, field)
 
 
 def test_density_matrix_stays_read_only_in_copies():

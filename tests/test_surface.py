@@ -1,7 +1,6 @@
 """The package's public names and the direction of its internal imports."""
 
 import ast
-import math
 import os
 import subprocess
 import sys
@@ -332,13 +331,14 @@ class _NoLinearAlgebra:
 def test_bounds_only_scale_and_sum(monkeypatch):
     graph = qnetomo.build_star(3, [0.5, 0.5, 0.5])
     plans = [qnetomo.builtin_plan(kind, graph) for kind in ("JBM2", "JBM3", "HYB2", "HYB3")]
-    # A link at 0 makes singular members, a link at 1 known coordinates.
+    # A link at 0 makes unidentifiable coordinates, a link at 1 known ones.
     params = {"e0": np.array([0.0, 0.5, 1.0]), "e1": 0.5, "e2": np.array([0.3, 1.0, 0.9])}
     closed = qnetomo.FisherMode.CLOSED_FORM
     matrices = [
         qnetomo.plan_qfim(plans, params, closed),
-        qnetomo.FisherMatrix(np.array([[math.inf, 0.0], [0.0, 2.0]]), ("a", "b"), closed),
-        qnetomo.FisherMatrix(np.ones((2, 2)), ("a", "b"), closed),
+        # One plan at one point: e0 known, and e0 not identifiable.
+        qnetomo.plan_qfim(plans[1], {"e0": 1.0, "e1": 0.5, "e2": 0.5}, closed),
+        qnetomo.plan_qfim(plans[1], {"e0": 0.0, "e1": 0.5, "e2": 0.5}, closed),
     ]
     monkeypatch.setattr(np, "linalg", _NoLinearAlgebra())
     for matrix in matrices:
@@ -350,13 +350,56 @@ def test_bounds_only_scale_and_sum(monkeypatch):
         assert np.asarray(qnetomo.qcrb(matrix)).tobytes() == np.asarray(sum(unit.values())).tobytes()
 
 
+_RETIRED_FISHER_NAMES = {
+    "linalg", "SYM_ATOL", "PSD_ATOL", "SINGULAR_RTOL",
+    "_finite_first", "_built", "_settled", "_singular",
+}
+
+
+def _names(source: str) -> set:
+    """Every name, attribute, definition, import and string constant in ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_fisher_runs_no_eigen_solver_and_keeps_no_matrix_tolerance():
+    # A plan's bounds come from its integer incidence: fisher reads no
+    # linalg attribute, has no symmetry, PSD or singularity tolerance, and
+    # no plumbing that set bounds apart from a matrix's fields.
+    assert not _names(_source("fisher")) & _RETIRED_FISHER_NAMES
+    assert "__reduce__" not in vars(qnetomo.FisherMatrix)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "bounds = np.linalg.inv(block)",
+        "from numpy import linalg",
+        "import numpy.linalg as la",
+        "ok = lo / hi < SINGULAR_RTOL",
+        "def _finite_first(e):\n    return e\n",
+        'settled = vars(matrix).pop("_settled", None)',
+    ],
+)
+def test_the_name_scan_sees_a_retired_name(source):
+    assert _names(source) & _RETIRED_FISHER_NAMES
+
+
 # Each tolerance decision has one home.  The outcome-law rule is
-# schemes._require_law: every other module that checks a law calls it.  A
-# Fisher matrix's PSD and singularity decisions are made as it is built.
+# schemes._require_law: every other module that checks a law calls it.
 _TOLERANCE_HOMES = {
     "PROB_ATOL": ("schemes", "_require_law"),
-    "PSD_ATOL": ("fisher", "FisherMatrix.__post_init__"),
-    "SINGULAR_RTOL": ("fisher", "FisherMatrix.__post_init__"),
 }
 
 
@@ -408,8 +451,8 @@ def test_each_tolerance_is_compared_only_in_its_home(module, name):
 )
 def test_the_tolerance_scan_sees_each_comparison_in_its_scope(source, scopes):
     assert _tolerance_compares(source, "PROB_ATOL") == scopes
-    renamed = source.replace("PROB_ATOL", "SINGULAR_RTOL")
-    assert _tolerance_compares(renamed, "SINGULAR_RTOL") == scopes
+    renamed = source.replace("PROB_ATOL", "OTHER_TOL")
+    assert _tolerance_compares(renamed, "OTHER_TOL") == scopes
     assert _tolerance_compares(renamed, "PROB_ATOL") == []
 
 
