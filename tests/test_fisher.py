@@ -1,5 +1,6 @@
 """Tests for information matrices, bounds, and mode agreement."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -877,13 +878,29 @@ class TestBounds:
         assert qcrb(matrix) == math.inf
         assert qcrb(self._matrix("JBM3", [w], [w], [w])).tolist() == [math.inf]
 
-    def test_unidentifiable_coordinate_gives_inf(self):
+    def test_zero_information_gives_inf(self):
         # JBM3 at w0 = 0: e0's only task has J = 0, the others are untouched.
         matrix = self._matrix("JBM3", 0.0, 0.5, 0.5)
         assert matrix.entries[0, 0] == 0.0
         bounds = crb_diagonal(matrix)
         assert bounds["e0"] == math.inf
         assert bounds["e1"] == bounds["e2"] == 1.0 / matrix.entries[1, 1]
+
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    def test_singular_matrix_gives_inf(self, mode):
+        # A square plan whose incidence is singular: e0 is measured twice,
+        # e1 and e2 only through their product.  Every entry is finite and
+        # the matrix has rank 2: e1 and e2 are not identifiable, e0 is.
+        tasks = [(Scheme.JBM, ("e0",)), (Scheme.PEM, ("e0",)), (Scheme.LZM, ("e1", "e2"))]
+        tasks = tuple(MeasurementTask(s, trace_path(_STAR, links)) for s, links in tasks)
+        plan, point = MonitoringPlan("singular", tasks), {"e0": 0.9, "e1": 0.8, "e2": 0.7}
+        matrix = plan_qfim(plan, point, mode)
+        assert np.isfinite(matrix.entries).all() and np.linalg.matrix_rank(matrix.entries) == 2
+        bounds = crb_diagonal(matrix)
+        assert bounds["e1"] == bounds["e2"] == math.inf
+        exact = _exact_bounds(plan, {l: Fraction(v) for l, v in point.items()})
+        assert bounds["e0"] == pytest.approx(float(exact["e0"]), rel=1e-12)
+        assert qcrb(matrix) == math.inf
 
     def test_infinite_information_gives_zero_bound(self):
         # A link at 1 is known: infinite information, bound 0.
@@ -943,6 +960,62 @@ class TestStackedBounds:
         assert list(crb_diagonal(plain).values()) == plain.bounds.tolist()
         assert qcrb(plain) == sum(plain.bounds.tolist())
         assert built == []
+
+
+class TestBoundGrouping:
+    # Points that share a mask (links at 0, tasks with W = 1, neither) are
+    # bounded together; a point's bounds never depend on its neighbours.
+    def test_interleaved_masks_match_single_member_calls(self):
+        plans = [builtin_plan(kind, _STAR) for kind in ("JBM2", "JBM3", "HYB2", "HYB3")]
+        points = [
+            (0.9, 0.8, 0.7),
+            (1.0, 0.5, 0.5),
+            (1.0, 1.0, 1.0),
+            (0.5, 1.0, 0.3),
+            (0.0, 0.5, 0.5),
+            (0.6, 0.2, 0.4),
+            (0.5, 0.0, 1.0),
+            (1.0, 0.5, 0.0),
+        ]
+        params = {lid: np.array(column) for lid, column in zip(("e0", "e1", "e2"), zip(*points))}
+        batch = plan_qfim(plans, params, FIRST)
+        bounds = crb_diagonal(batch, scale=7.0)
+        for (k, plan), (p, point) in itertools.product(enumerate(plans), enumerate(points)):
+            alone = plan_qfim(plan, dict(zip(("e0", "e1", "e2"), point)), FIRST)
+            for lid, bound in crb_diagonal(alone, scale=7.0).items():
+                assert bounds[lid].shape == (4, 8)
+                assert np.asarray(bound).tobytes() == bounds[lid][k, p].tobytes()
+        # Every link at 1: every coordinate is known in every plan.
+        assert all((bounds[lid][:, 2] == 0.0).all() for lid in batch.order)
+        # A link at 1 is known wherever a plan reads it alone.
+        assert (bounds["e0"][:, 1] == 0.0).all() and (bounds["e1"][[0, 1], 3] == 0.0).all()
+        # e0 at 0 hides every path through it: a link read only through e0
+        # is not identifiable, one read alone keeps a finite bound.
+        assert (bounds["e2"][[0, 2, 3], 4] == math.inf).all()
+        assert (bounds["e1"][[2, 3], 4] == math.inf).all()
+        assert np.isfinite(bounds["e1"][[0, 1], 4]).all() and math.isfinite(bounds["e2"][1, 4])
+        assert np.isfinite(qcrb(batch)[:, [0, 5]]).all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["JBM2", "JBM3", "HYB2", "HYB3"]),
+        st.lists(
+            st.sampled_from([0.0, 1.0, 5e-324, 1e-150, 1e-13, 0.5, 1.0 - 2.0**-53]),
+            min_size=3,
+            max_size=3,
+        ),
+        st.sampled_from([CLOSED, FIRST]),
+        st.booleans(),
+    )
+    def test_every_matrix_that_builds_can_be_bounded(self, kind, values, mode, normalize):
+        # The constructor rejects a nan or negative bound, so a plan at any
+        # point in the unit cube, at the edges of the float range too, must
+        # build; its bounds and their sum are then in [0, +inf].
+        point = dict(zip(("e0", "e1", "e2"), values))
+        matrix = plan_qfim(builtin_plan(kind, _STAR), point, mode, normalize)
+        bounds = crb_diagonal(matrix)
+        assert all(bounds[lid] >= 0.0 for lid in matrix.order)
+        assert qcrb(matrix) >= 0.0
 
 
 class TestRecordChecks:
