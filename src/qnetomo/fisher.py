@@ -10,10 +10,12 @@ twice the other; `validate` reports it.
 
 Everything is array-valued over a batch of parameter points, and J and W of
 each distinct (scheme, path) task are evaluated once per call.  A plan's
-bounds come from its integer path-link incidence (`_plan_bounds`), with no
-matrix and no linear algebra: `star` calls it directly, and `plan_qfim`
-stores them in the matrix it returns.  A `FisherMatrix` is always a plan's
-result: no bound is ever computed from a matrix's entries.
+bounds follow one rule (`_plan_bounds`), with no matrix and no linear
+algebra: one exact integer decision per plan and mark over its path-link
+incidence, then one float evaluation of every identifiable link's
+combination.  `star` calls it directly, and `plan_qfim` stores them in the
+matrix it returns.  A `FisherMatrix` is always a plan's result: no bound
+is ever computed from a matrix's entries.
 """
 
 from __future__ import annotations
@@ -26,14 +28,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .network import (
-    MeasurementTask,
-    MonitoringPlan,
-    _identifiable,
-    _incidence_inverse,
-    channel_uses,
-)
+from .network import MeasurementTask, MonitoringPlan, _identifiable, channel_uses
 from .schemes import SCHEMES, Scheme, SchemeSpec, _Record, _require_links
+
 
 class FisherMode(Enum):
     CLOSED_FORM = "closed-form"
@@ -172,87 +169,103 @@ def _plan_bounds(plans: Sequence, terms: tuple, normalize: bool) -> tuple:
     """Every plan's bounds, shape (plans, n, points), and its ledgers if ``normalize``.
 
     In theta = log w a plan's information is R^T diag(J W^2) R, R its 0/1
-    path-link incidence.  In a square plan X = R^-1 is an integer matrix:
-    link i's bound is sum_t X_it^2 (w_i/W_t)^2 / J_t, added in task order,
-    times the channel-use total if ``normalize``.  Other plans, and points
-    with a link at 0 or a W = 1 task, take ``_edge_bounds``.
+    path-link incidence.  A plan's points are grouped by mark: links at 0,
+    tasks with W = 1, and tasks whose J or g is 0 in floats, which inform
+    nothing.  ``_identifiable`` decides each (plan, mark) exactly on
+    integers.  Where the live rows are independent, an identifiable link's
+    bound is sum_t (y_t/d)^2 (w_i/W_t)^2 / J_t over its combination y/d,
+    added in task order, one gather for every plan and mark; for a square
+    plan y/d is a row of X = R^-1.  ``_edge_bounds`` takes what that cannot
+    express.  Times the channel-use total if ``normalize``.
     """
     ledgers = tuple(channel_uses(p) for p in plans) if normalize else None
     if ledgers and not all(ledger.total for ledger in ledgers):
         raise ValueError("cannot normalize by a plan's channel-use total of 0")
     index, _, keys, info, product, g, w = terms
+    n, points = w.shape
+    where = [tuple(index[lid] for lid in path) for _, path in keys]
     rows_of = [[keys.index((t.scheme, t.path.link_ids)) for t in p.tasks] for p in plans]
-    bounds = np.zeros((len(plans),) + w.shape)
-    square, picks, cells = [], [], []
-    for p, rows in enumerate(rows_of):
-        square.append(x := _incidence_inverse(plans[p], len(w)))
-        for link, row in (x or {}).items():
-            picks.append((p, index[link]))
-            cells.append([(rows[t], c * c) for t, c in enumerate(row) if c])
+    # A task informs nothing where its J, or a g on its path, is 0 in floats.
+    # Links are at most 1, so g on the path is at least W: with W normal it
+    # cannot round to 0, and g is nonzero on the path alone.
+    silent = info == 0.0
+    if product.min(initial=1.0) < 2.0**-1000:
+        silent |= np.count_nonzero(g, 1) < np.array([[len(p)] for p in where])
+    marked = w.min(initial=1.0) == 0.0 or product.max(initial=0.0) == 1.0 or silent.any()
+    bounds = np.full((len(plans), n, points), math.inf)
+    picks, cells = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p, rows in enumerate(rows_of):
+            paths = tuple(where[k] for k in rows)
+            groups = [((False,) * (n + 2 * len(rows)), slice(None))]
+            if marked:
+                at = np.vstack([w == 0.0, product[rows] == 1.0, silent[rows]]).T
+                groups = [(m, np.flatnonzero((at == m).all(1))) for m in {*map(tuple, at.tolist())}]
+            for mark, s in groups:
+                known, live, pivots, combos = decision = _identifiable(paths, n, mark)
+                independent = len(pivots) == len(live)
+                if known or any(mark[:n]) or not independent:
+                    bounds[p][:, s] = _edge_bounds(terms, rows, paths, s, mark, decision)
+                for c, y, d in combos if independent else ():
+                    picks.append((p, c, s))
+                    cells.append([(rows[t], k * k / (d * d)) for k, t in zip(y, live) if k])
         if picks:
-            # (task, X_it^2) in task order; a pad slot, W = J = inf, adds 0.
+            # (task, (y_t/d)^2) in task order; a pad slot, W = J = inf, adds 0.
             width = max(map(len, cells))
-            cells = np.array([row + [(len(keys), 0)] * (width - len(row)) for row in cells])
-            pad, slot = np.full((1, w.shape[1]), math.inf), cells[..., 0]
-            ratio = w[[l for _, l in picks]][:, None] / np.concatenate([product, pad])[slot]
-            parts = cells[..., 1, None] * ratio * ratio / np.concatenate([info, pad])[slot]
-            bounds[tuple(zip(*picks))] = sum(parts[:, t] for t in range(width))
-        if not all(square) or w.min(initial=1.0) == 0.0 or product.max(initial=0.0) == 1.0:
-            marks = np.vstack([w == 0.0, product == 1.0])
-            for p, rows in enumerate(rows_of):
-                mine = marks[[*range(len(w)), *(len(w) + k for k in rows)]]
-                edge = np.flatnonzero(mine.any(0) | (not square[p]))
-                for mark in {tuple(m) for m in mine[:, edge].T.tolist()}:
-                    s = edge[(mine[:, edge].T == mark).all(1)]
-                    bounds[p][:, s] = _edge_bounds(plans[p], index, terms, rows, s, mark)
+            cells = [row + [(len(keys), 0.0)] * (width - len(row)) for row in cells]
+            slot = np.array([[t for t, _ in row] for row in cells]).T
+            pad = np.full((1, points), math.inf)
+            ratio = w[[c for _, c, _ in picks]] / np.concatenate([product, pad])[slot]
+            coef = np.array([[y for _, y in row] for row in cells]).T[..., None]
+            parts = coef * ratio * ratio / np.concatenate([info, pad])[slot]
+            if marked:
+                for (p, c, s), row in zip(picks, parts.sum(0)):
+                    bounds[p, c, s] = row[s]
+            else:
+                bounds[tuple(zip(*picks))[:2]] = parts.sum(0)
         if normalize:
             bounds *= np.array([ledger.total for ledger in ledgers], dtype=float)[:, None, None]
     return bounds, ledgers
 
 
-def _edge_bounds(plan, index: Mapping, terms: tuple, rows: list, s, mark: tuple) -> np.ndarray:
-    """Bounds (n, points) of the plan with tasks ``rows``, at points ``s``.
+def _edge_bounds(terms: tuple, rows: list, paths: tuple, s, mark: tuple, decision) -> np.ndarray:
+    """Bounds (n, points) of the plan with tasks ``rows`` over ``paths``, at points ``s``.
 
-    ``mark`` flags the links at 0, then the tasks with W = 1, whose links are
-    known (bound 0).  A task through one link at 0 informs it alone.  With
-    the other tasks' rows independent, an identifiable link's bound is
-    sum_t y_t^2 (w_i/W_t)^2 / J_t over its combination y; else it is read
-    from their inverse information.
+    What the gather in ``_plan_bounds`` cannot express, at points that share
+    ``mark`` and so ``decision``: known links get 0, a link at 0 the inverse
+    of what the tasks through it and no other link at 0 inform, and, when
+    the live rows are dependent, each identifiable link the diagonal of
+    their inverse information, by exact Gauss-Jordan on the floats' values
+    (a float matrix loses tasks of small information).  Other links get +inf.
     """
-    (info, W, g), w, n = (a[rows][..., s] for a in terms[3:6]), terms[6][:, s], len(index)
-    zeros = {c for c in range(n) if mark[c]}
-    paths = [{index[lid] for lid in t.path.link_ids} for t in plan.tasks]
-    known = {c for t, path in enumerate(paths) if mark[n + t] for c in path}
+    info, g, w = terms[3][rows][:, s], terms[5][rows][..., s], terms[6][:, s]
+    known, live, pivots, combos = decision
+    zeros = {c for c in range(len(w)) if mark[c]}
     bounds = np.full(w.shape, math.inf)
     bounds[list(known)] = 0.0
     for c in zeros:
-        # Tasks through c and no other 0 link; w[c] = 0 starts the sum.
-        alone = (j * r[c] ** 2 for j, r, path in zip(info, g, paths) if path & zeros == {c})
+        # w[c] = 0 starts the sum.
+        alone = (j * r[c] ** 2 for j, r, path in zip(info, g, paths) if zeros & {*path} == {c})
         bounds[c] = 1.0 / sum(alone, w[c])
-    live = [t for t, path in enumerate(paths) if not (mark[n + t] or path & zeros)]
-    pivots, combos, independent = _identifiable([paths[t] - known for t in live], n)
-    if independent:
-        for c, (y, d) in combos.items():
-            bounds[c] = sum((k / d * w[c] / W[t]) ** 2 / info[t] for k, t in zip(y, live) if k)
+    if len(pivots) == len(live):
         return bounds
-    # Dependent rows (rare: imported here): Gauss-Jordan on [F | I] per point,
-    # exact on the floats, as a float F loses tasks of small information.
+    # Dependent rows (rare: imported here).
     from fractions import Fraction
 
     exact = np.frompyfunc(Fraction, 1, 1)
+    live = list(live)
     f = sum(j * r[:, None] * r for j, r in zip(exact(info[live]), exact(g[live][:, pivots])))
     for p in range(w.shape[1]):
         a = np.concatenate([f[..., p], np.eye(len(f), dtype=int)], 1)
-        try:
-            for k in range(len(a)):
-                a[k] /= a[k, k]
-                a -= (np.arange(len(a)) != k)[:, None] * a[:, k, None] * a[k]
-            for k, c in enumerate(pivots):
-                bounds[c, p] = a[k, len(a) + k] if c in combos else math.inf
-        except (ZeroDivisionError, OverflowError):
-            # J or g below the float range, or a bound past it: +inf.
-            pass
+        for k in range(len(a)):
+            a[k] /= a[k, k]
+            a -= (np.arange(len(a)) != k)[:, None] * a[:, k, None] * a[k]
+        for c, _, _ in combos:
+            k = pivots.index(c)
+            try:
+                bounds[c, p] = a[k, len(a) + k]
+            except OverflowError:
+                pass  # past the float range: +inf, for this link only
     return bounds
 
 

@@ -8,6 +8,7 @@ equal resource footing.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping, Sequence
 
 from .schemes import SCHEMES, Scheme, _Record
@@ -175,46 +176,34 @@ def _plan_steps(plan: MonitoringPlan) -> tuple:
     return tuple(steps)
 
 
-def _incidence_inverse(plan: MonitoringPlan, n: int) -> dict | None:
-    """X = R^-1 of a square plan over ``n`` links, ``{link: row over tasks}``; else None.
+@functools.cache
+def _identifiable(paths: tuple, n: int, mark: tuple) -> tuple:
+    """``(known, live, pivots, combos)`` of a plan's task ``paths`` over links 0..n-1.
 
-    Square: each task, in solve order, brings in one new link, and they cover
-    ``n`` links; the 0/1 incidence R is then unit lower triangular, and
-    forward substitution gives the integer X exactly.
+    ``mark`` flags the links at 0, then the tasks with W = 1, then the tasks
+    whose J or a g on their path is 0 in floats.  A W = 1 task's links are
+    ``known``; a task is ``live`` unless it is marked or runs through a link
+    at 0.  Exact integer elimination of the live rows, less the known links,
+    decides the rest: a link is identifiable iff its unit vector is in their
+    row space (Ma, He, Swami, Towsley et al., IMC 2013).  ``combos`` holds
+    ``(link, y, d)`` for each, e_link = sum_t (y_t / d) row_t over the live
+    tasks; with nothing marked, y / d of a square plan is a row of X = R^-1.
+    Cached on its integer inputs, as a plan takes few marks.
     """
-    try:
-        steps = _plan_steps(plan)
-    except ValueError:
-        return None
-    if not len(steps) == len(plan.tasks) == n:
-        return None
-    x: dict = {}
-    for r, (_, link, others) in enumerate(steps):
-        x[link] = [0] * n
-        x[link][r] = 1
-        for other in others:
-            x[link] = [a - b for a, b in zip(x[link], x[other])]
-    return x
-
-
-def _identifiable(rows: Sequence, n: int) -> tuple:
-    """``(pivots, combos, independent)`` of rows over links 0..n-1, each a set of links.
-
-    By exact integer elimination.  A link is identifiable iff its unit vector
-    is in the row space (Ma, He, Swami, Towsley et al., IMC 2013); ``combos``
-    maps it to ``(y, d)``: e_link = sum_t (y_t / d) row_t.
-    """
+    known = frozenset(c for t, path in enumerate(paths) if mark[n + t] for c in path)
+    flags = [(*path, n + t, n + len(paths) + t) for t, path in enumerate(paths)]
+    live = tuple(t for t, f in enumerate(flags) if not any(mark[c] for c in f))
     basis: dict = {}
-    for t, row in enumerate(rows):
-        v = [int(c in row) for c in range(n)] + [int(k == t) for k in range(len(rows))]
+    for t, row in enumerate(set(paths[k]) - known for k in live):
+        v = [int(c in row) for c in range(n)] + [int(k == t) for k in range(len(live))]
         for q, b in basis.items():
             v = [b[q] * x - v[q] * y for x, y in zip(v, b)]
         if any(v[:n]):
             q = next(c for c, x in enumerate(v) if x)
             basis = {k: [v[q] * x - b[q] * y for x, y in zip(b, v)] for k, b in basis.items()}
             basis[q] = v
-    combos = {c: (b[n:], b[c]) for c, b in basis.items() if sum(map(bool, b[:n])) == 1}
-    return list(basis), combos, len(basis) == len(rows)
+    combos = tuple((c, tuple(b[n:]), b[c]) for c, b in basis.items() if sum(map(bool, b[:n])) == 1)
+    return known, live, tuple(basis), combos
 
 
 def validate_plan(graph: NetworkGraph, plan: MonitoringPlan) -> None:

@@ -24,7 +24,6 @@ from qnetomo import (
     FisherMatrix,
     FisherMode,
     Scheme,
-    fisher,
     network,
     single_link_fisher,
     single_link_qcrb,
@@ -342,18 +341,12 @@ class TestStar:
         # The four plans hold 12 tasks over 6 distinct (scheme, path) pairs,
         # and the sweep has 99 points: J is evaluated at 6 x 99 path products,
         # in one call per task or in one call per task and point alike.
-        points = []
-
-        def counted(spec, product, *args, _original=fisher._information):
-            points.append(np.size(product))
-            return _original(spec, product, *args)
-
-        monkeypatch.setattr(fisher, "_information", counted)
+        seen = watched_schemes(monkeypatch)
         out = tmp_path / "star.csv"
         argv = ["star", "--config", str(MANIFESTS / "star_homogeneous.cfg"), "--out", str(out)]
         assert main(argv) == 0
         capsys.readouterr()
-        assert sum(points) == 6 * 99
+        assert sum(np.size(w) for _, w in seen) == 6 * 99
 
     def test_each_task_path_is_traced_once(self, capsys, tmp_path, monkeypatch):
         # 4 plans of 3 tasks each: one Path record per task, none thrown away.

@@ -787,16 +787,64 @@ class TestFactorBounds:
         expected = [float(exact[l]) for l in "abc"]
         assert [bounds[l] for l in "abc"] == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("w0", [1e-170, 5e-324])
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    def test_a_combination_whose_coefficients_differ_in_size(self, mode):
+        # The triangle ab, bc, ca and a path abcd: d is abcd less half of each
+        # triangle path, so its integer combination mixes 2 and -1 over d = 2.
+        tasks = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "b", "c", "d")]
+        tasks = tuple(MeasurementTask(Scheme.LZM, Path(ids, ("x", "y"))) for ids in tasks)
+        plan, point = MonitoringPlan("kite", tasks), {"a": 0.9, "b": 0.6, "c": 0.3, "d": 0.8}
+        bounds = crb_diagonal(plan_qfim(plan, point, mode))
+        exact = _exact_bounds(plan, {l: Fraction(v) for l, v in point.items()})
+        expected = [float(exact[l]) for l in "abcd"]
+        assert [bounds[l] for l in "abcd"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("w0", [1e-170, 5e-324, 1e-160])
     def test_information_under_the_float_range_leaves_the_bound_infinite(self, w0):
-        # A repeated task makes the rows dependent; JBM's J at W = w0 is 0 in floats.
-        plan = builtin_plan("JBM3", build_star(3, [0.5, 0.5, 0.5]))
-        plan = MonitoringPlan(name="repeat", tasks=plan.tasks + plan.tasks[:1])
-        bounds = crb_diagonal(plan_qfim(plan, {"e0": [w0, 0.5], "e1": 0.5, "e2": 0.5}, CLOSED))
+        # A repeated task makes the rows dependent.  JBM's J at W = w0 is 0 in
+        # floats, or (at 1e-160) so small that e0's bound is past the float range.
+        plain = builtin_plan("JBM3", build_star(3, [0.5, 0.5, 0.5]))
+        plan = MonitoringPlan(name="repeat", tasks=plain.tasks + plain.tasks[:1])
+        params = {"e0": [w0, 0.5], "e1": 0.5, "e2": 0.5}
+        bounds = crb_diagonal(plan_qfim(plan, params, CLOSED))
         assert bounds["e0"][0] == math.inf
+        # e1 and e2 keep the bounds plain JBM3 gives them there.
+        expected = crb_diagonal(plan_qfim(plain, params, CLOSED))
+        for lid in ("e1", "e2"):
+            assert bounds[lid][0] == expected[lid][0] == 0.4375
         # Each point on its own: the healthy one keeps the bounds it gets alone.
         alone = crb_diagonal(plan_qfim(plan, {"e0": 0.5, "e1": 0.5, "e2": 0.5}, CLOSED))
         assert [bounds[lid][1] for lid in alone] == list(alone.values())
+
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    def test_a_task_whose_g_underflows_informs_nothing(self, mode):
+        # On the path a-b-c at a = b = 1e-200, g_c = a * b is 0 in floats, so
+        # the task, measured twice, informs nothing there: c is not
+        # identifiable, and a and b keep the bounds their direct tasks give.
+        tasks = [("a",), ("b",), ("a", "b", "c"), ("a", "b", "c")]
+        tasks = tuple(MeasurementTask(Scheme.LZM, Path(ids, ("x", "y"))) for ids in tasks)
+        point = {"a": 1e-200, "b": 1e-200, "c": 0.5}
+        bounds = crb_diagonal(plan_qfim(MonitoringPlan("underflow", tasks), point, mode))
+        direct = crb_diagonal(plan_qfim(MonitoringPlan("direct", tasks[:2]), point, mode))
+        assert bounds == {**direct, "c": math.inf}
+        assert math.isfinite(bounds["a"]) and bounds["a"] == bounds["b"]
+
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    @pytest.mark.parametrize("repeat", range(3))
+    @pytest.mark.parametrize("kind", ["JBM2", "JBM3", "HYB2", "HYB3"])
+    def test_a_repeated_task_never_raises_a_bound(self, kind, repeat, mode):
+        # A task measured twice adds information: every bound that is finite
+        # without the repeat stays finite and does not rise, at every point
+        # of the grid, at the edges of the float range too.
+        plain = builtin_plan(kind, _STAR)
+        plan = MonitoringPlan(name="repeat", tasks=plain.tasks + plain.tasks[repeat : repeat + 1])
+        values = [0.0, 5e-324, 1e-170, 1e-160, 1e-13, 0.5, 1.0 - 2.0**-53, 1.0]
+        points = list(itertools.product(values, repeat=3))
+        params = {lid: np.array(column) for lid, column in zip(("e0", "e1", "e2"), zip(*points))}
+        before, after = plan_qfim(plain, params, mode).bounds, plan_qfim(plan, params, mode).bounds
+        finite = np.isfinite(before)
+        assert np.isfinite(after[finite]).all()
+        assert (after[finite] <= before[finite] * (1.0 + 1e-12)).all()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
