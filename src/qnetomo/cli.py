@@ -233,14 +233,20 @@ def cmd_ratio(cfg: dict) -> tuple:
     return lines, [note]
 
 
+@functools.cache
+def _star_plans() -> tuple:
+    """The four built-in plans on the 4-node star, built once."""
+    graph = build_star(3, [0.5, 0.5, 0.5])
+    return tuple(builtin_plan(kind, graph) for kind in BUILTIN_PLAN_KINDS)
+
+
 def cmd_star(cfg: dict) -> tuple:
     """Bounds of the four star strategies over a homogeneous or w2 sweep.
 
-    One ``_plan_qcrb`` call bounds the four plans over the whole sweep,
-    each from its integer incidence: no Fisher matrix is built.
+    One ``_plan_qcrb`` call bounds the four plans over the whole sweep;
+    no Fisher matrix is built.
     """
-    graph = build_star(3, [0.5, 0.5, 0.5])
-    plans = [builtin_plan(kind, graph) for kind in BUILTIN_PLAN_KINDS]
+    plans = _star_plans()
     grid = _grid(cfg)
     if ("fixed.w0" in cfg) != ("fixed.w1" in cfg):
         raise ConfigError("heterogeneous star sweeps need exactly fixed.w0 and fixed.w1")

@@ -8,21 +8,21 @@ for PEM), and first-principles, the outcome sum of (d p_k / dW)^2 / p_k.
 They agree except on a direct LZM link, where the closed form is exactly
 twice the other; `validate` reports it.
 
-Everything is array-valued over a batch of parameter points, and J and W of
-each distinct (scheme, path) task are evaluated once per call.  A plan's
-bounds follow one rule (`_plan_bounds`), with no matrix and no linear
-algebra: one exact integer decision per plan and mark over its path-link
-incidence, then one float evaluation of every identifiable link's
-combination.  `star` calls it directly, and `plan_qfim` stores them in the
-matrix it returns.  A `FisherMatrix` is always a plan's result: no bound
-is ever computed from a matrix's entries.
+Everything is array-valued over a batch of parameter points.  A plan set's
+bounds are an integer layout (`_layout`), cached on its (scheme, link ids)
+tasks and the parameter names, and a float pass per call (`_plan_bounds`):
+W and J of each distinct task once, then every identifiable link's exact
+combination in one gather, each mark's decision cached too.  No matrix, no
+linear algebra: `star` calls it, and `plan_qfim` stores the bounds in its
+matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -122,113 +122,121 @@ def _per_use(spec: SchemeSpec, info, normalize: bool):
     return info / spec.uses_per_link if normalize else info
 
 
-def _plan_terms(plans: tuple, params: Mapping, mode: FisherMode) -> tuple:
-    """``(index, batch, keys, info, product, g, w)`` at checked ``params``.
+@functools.lru_cache(maxsize=64)
+def _layout(plans: tuple, names: tuple) -> tuple:
+    """``(n, keys, columns, rules, where, rows_of, totals)`` of (scheme, link ids) plans.
 
-    ``w`` (n, points) holds the parameters in sorted order; each distinct
-    (scheme, path) task in ``keys`` has its J, W and g (tasks, n, points),
-    0 off its path.  A row of ones pads shorter paths: products stay exact.
+    Distinct tasks ``keys``, each J rule's rows one slice in ``rules``; their
+    links as ``columns`` over sorted ``names``, padded with the row of ones
+    n, the last a pad task; their indices ``where``; each plan's task rows
+    and channel-use total.  No ``SchemeSpec``: J is looked up per call.
     """
-    index = {lid: k for k, lid in enumerate(sorted(params))}
-    _require_links(dict.fromkeys(l for p in plans for t in p.tasks for l in t.path.link_ids), index)
+    _require_links(dict.fromkeys(l for _, path in chain(*plans) for l in path), names)
+    n = len(names)
+    # Only LZM's direct J is its path J doubled.
+    kind = {t: (t[0], len(t[1]) == 1 and SCHEMES[t[0]].direct_factor != 1.0) for t in chain(*plans)}
+    keys = sorted(kind, key=lambda t: (t[0].value, kind[t][1]))
+    where = [tuple(names.index(l) for l in path) for _, path in keys]
+    width = max(map(len, where), default=1)
+    columns = np.array([c + (n,) * (width - len(c)) for c in where + [()]]).T
+    order = [kind[t] for t in keys]
+    rules = {o: slice(order.index(o), len(order) - order[::-1].index(o)) for o in order}
+    rows_of = [[keys.index(t) for t in p] for p in plans]
+    uses = [sum(SCHEMES[s].uses_per_link * len(path) for s, path in p) for p in plans]
+    return n, keys, columns, rules, where, rows_of, np.array(uses, dtype=float)[:, None, None]
+
+
+@functools.lru_cache(maxsize=256)
+def _decision(plans: tuple, names: tuple, mark: tuple) -> tuple:
+    """``(flat, links, slot, coef, edges)`` of all plans at points sharing ``mark``.
+
+    ``mark`` flags links at 0, tasks with W = 1 and tasks that inform nothing.
+    Link ``links[i]`` (bounds row ``flat[i]``) has bound sum_t coef_t
+    (w_link/W_t)^2 / J_t over tasks ``slot[:, i]``, coef_t = (y_t/d)^2, y/d
+    its combination; ``edges`` go to ``_edge_bounds``.
+    """
+    n, keys, _, _, where, rows_of, _ = _layout(plans, names)
+    picks, edges = [], []
+    for p, rows in enumerate(rows_of):
+        tasks = tuple(where[k] for k in rows)
+        own = mark[:n] + tuple(mark[n + k + j * len(keys)] for j in (0, 1) for k in rows)
+        known, live, pivots, combos = decision = _identifiable(tasks, n, own)
+        if known or any(mark[:n]) or len(pivots) != len(live):
+            edges.append((p, tasks, own, decision))
+        for c, y, d in combos if len(pivots) == len(live) else ():
+            picks.append((p * n + c, c, [(rows[t], k * k / (d * d)) for k, t in zip(y, live) if k]))
+    width = max((len(cells) for *_, cells in picks), default=0)
+    cells = [row + [(len(keys), 0.0)] * (width - len(row)) for *_, row in picks]
+    slot, coef = np.array(cells, dtype=float).reshape(len(cells), width, 2).T
+    return [r for r, *_ in picks], [p[1] for p in picks], slot.astype(int), coef[..., None], edges
+
+
+def _gradients(layout: tuple, w: np.ndarray) -> np.ndarray:
+    """g (tasks, n, points): g_i = dW/dw_i, the other path links' product, 0 off it."""
+    columns = layout[2][:, :-1]
+    prefix = list(accumulate(w[columns], mul, initial=1.0))
+    suffix = list(accumulate(w[columns][::-1], mul, initial=1.0))[::-1]
+    g = np.zeros((columns.shape[1],) + w.shape)
+    g[range(columns.shape[1]), columns] = [a * b for a, b in zip(prefix, suffix[1:])]
+    return g[:, : layout[0]]
+
+
+def _plan_bounds(plans: Sequence, params: Mapping, mode: FisherMode, normalize: bool) -> tuple:
+    """``(bounds, names, layout, batch, w, info)``: the float pass at checked ``params``.
+
+    ``bounds`` (plans, n, points), times each total if ``normalize``; ``w``,
+    the sorted parameters and a row of ones.  In theta = log w a plan's
+    information is R^T diag(J W^2) R, R its path-link incidence.  Points
+    are grouped by mark, one group if none: each is one cached decision,
+    gather and store.
+    """
+    names = tuple(sorted(params))
+    plans = tuple(tuple([(t.scheme, t.path.link_ids) for t in p.tasks]) for p in plans)
+    layout = n, _, columns, rules, where, rows_of, totals = _layout(plans, names)
     # Every parameter, read or not, sets the batch shape and is range-checked.
     arrays = {lid: _parameter(w, f"parameter for link {lid!r}") for lid, w in params.items()}
     shapes = {ws.shape for ws in arrays.values()} - {()}
     if len(shapes) > 1:
         raise ValueError("link parameters must be floats or equal-length 1-D arrays")
     batch = shapes.pop() if shapes else ()
-    w = np.ones((len(index) + 1, math.prod(batch)))
-    for lid, k in index.items():
-        w[k] = arrays[lid]
-    keys = list(dict.fromkeys((t.scheme, t.path.link_ids) for p in plans for t in p.tasks))
-    # Each task's J rule: only LZM's direct J is its path J doubled.
-    kinds = [(s, len(p) == 1 and SCHEMES[s].direct_factor != 1.0) for s, p in keys]
-    width = max((len(path) for _, path in keys), default=0)
-    columns = list(zip(*([index[l] for l in p] + [len(index)] * (width - len(p)) for _, p in keys)))
-    ws = [w[list(c)] for c in columns]
-    product = math.prod(ws, start=np.ones((len(keys), w.shape[1])))
-    info = np.empty_like(product)
-    # J is +inf at W = 1, where _information divides by zero.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for kind in dict.fromkeys(kinds):
-            rows = [k for k, other in enumerate(kinds) if other == kind]
-            # At one point, J per task on NumPy scalars, cheaper than arrays.
-            for at in [rows] if w.shape[1] != 1 else [(k, 0) for k in rows]:
-                info[at] = _information(SCHEMES[kind[0]], product[at], mode, kind[1])
-    info[product == 1.0] = math.inf
-    # g_i = dW/dw_i is the product of the other links, exact when a link is 0.
-    prefix = list(accumulate(ws, mul, initial=1.0))
-    suffix = list(accumulate(reversed(ws), mul, initial=1.0))[::-1]
-    g = np.zeros((len(keys),) + w.shape)
-    for i, column in enumerate(columns):
-        g[range(len(keys)), column] = prefix[i] * suffix[i + 1]
-    return index, batch, keys, info, product, g[:, :-1], w[:-1]
-
-
-def _plan_bounds(plans: Sequence, terms: tuple, normalize: bool) -> tuple:
-    """Every plan's bounds, shape (plans, n, points), and its ledgers if ``normalize``.
-
-    In theta = log w a plan's information is R^T diag(J W^2) R, R its 0/1
-    path-link incidence.  A plan's points are grouped by mark: links at 0,
-    tasks with W = 1, and tasks whose J or g is 0 in floats, which inform
-    nothing.  ``_identifiable`` decides each (plan, mark) exactly on
-    integers.  Where the live rows are independent, an identifiable link's
-    bound is sum_t (y_t/d)^2 (w_i/W_t)^2 / J_t over its combination y/d,
-    added in task order, one gather for every plan and mark; for a square
-    plan y/d is a row of X = R^-1.  ``_edge_bounds`` takes what that cannot
-    express.  Times the channel-use total if ``normalize``.
-    """
-    ledgers = tuple(channel_uses(p) for p in plans) if normalize else None
-    if ledgers and not all(ledger.total for ledger in ledgers):
+    if normalize and not totals.all():
         raise ValueError("cannot normalize by a plan's channel-use total of 0")
-    index, _, keys, info, product, g, w = terms
-    n, points = w.shape
-    where = [tuple(index[lid] for lid in path) for _, path in keys]
-    rows_of = [[keys.index((t.scheme, t.path.link_ids)) for t in p.tasks] for p in plans]
-    # A task informs nothing where its J, or a g on its path, is 0 in floats.
-    # Links are at most 1, so g on the path is at least W: with W normal it
-    # cannot round to 0, and g is nonzero on the path alone.
-    silent = info == 0.0
-    if product.min(initial=1.0) < 2.0**-1000:
-        silent |= np.count_nonzero(g, 1) < np.array([[len(p)] for p in where])
-    marked = w.min(initial=1.0) == 0.0 or product.max(initial=0.0) == 1.0 or silent.any()
-    bounds = np.full((len(plans), n, points), math.inf)
-    picks, cells = [], []
+    w = np.ones((n + 1, math.prod(batch)))
+    for k, lid in enumerate(names):
+        w[k] = arrays[lid]
+    product = math.prod(w[columns])
+    info = np.full_like(product, math.inf)
+    bounds = np.full((len(rows_of), n, w.shape[1]), math.inf)
+    store = bounds.reshape(len(rows_of) * n, w.shape[1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p, rows in enumerate(rows_of):
-            paths = tuple(where[k] for k in rows)
-            groups = [((False,) * (n + 2 * len(rows)), slice(None))]
-            if marked:
-                at = np.vstack([w == 0.0, product[rows] == 1.0, silent[rows]]).T
-                groups = [(m, np.flatnonzero((at == m).all(1))) for m in {*map(tuple, at.tolist())}]
-            for mark, s in groups:
-                known, live, pivots, combos = decision = _identifiable(paths, n, mark)
-                independent = len(pivots) == len(live)
-                if known or any(mark[:n]) or not independent:
-                    bounds[p][:, s] = _edge_bounds(terms, rows, paths, s, mark, decision)
-                for c, y, d in combos if independent else ():
-                    picks.append((p, c, s))
-                    cells.append([(rows[t], k * k / (d * d)) for k, t in zip(y, live) if k])
-        if picks:
-            # (task, (y_t/d)^2) in task order; a pad slot, W = J = inf, adds 0.
-            width = max(map(len, cells))
-            cells = [row + [(len(keys), 0.0)] * (width - len(row)) for row in cells]
-            slot = np.array([[t for t, _ in row] for row in cells]).T
-            pad = np.full((1, points), math.inf)
-            ratio = w[[c for _, c, _ in picks]] / np.concatenate([product, pad])[slot]
-            coef = np.array([[y for _, y in row] for row in cells]).T[..., None]
-            parts = coef * ratio * ratio / np.concatenate([info, pad])[slot]
-            if marked:
-                for (p, c, s), row in zip(picks, parts.sum(0)):
-                    bounds[p, c, s] = row[s]
-            else:
-                bounds[tuple(zip(*picks))[:2]] = parts.sum(0)
-        if normalize:
-            bounds *= np.array([ledger.total for ledger in ledgers], dtype=float)[:, None, None]
-    return bounds, ledgers
+        # At W = 1 J is +inf in both modes: the rule divides by zero.
+        for (s, direct), rows in rules.items():
+            info[rows] = _information(SCHEMES[s], product[rows], mode, direct)
+        products, ws, g = product[:-1], w[:n], None
+        # A task informs nothing where its J, or a g on its path, is 0 in floats.
+        # Links are at most 1, so g on the path is at least W: with W normal it
+        # cannot round to 0, and g is nonzero on the path alone.
+        silent = info[:-1] == 0.0
+        if products.min(initial=1.0) < 2.0**-1000:
+            g = _gradients(layout, w)
+            silent |= np.count_nonzero(g, 1) < np.array([[len(p)] for p in where])
+        at = np.vstack([ws == 0.0, products == 1.0, silent]).T
+        groups = [((False,) * at.shape[1], slice(None))]
+        if at.any():
+            groups = [(m, np.flatnonzero((at == m).all(1))) for m in {*map(tuple, at.tolist())}]
+        for mark, s in groups:
+            flat, links, slot, coef, edges = _decision(plans, names, mark)
+            for p, tasks, own, decision in edges:
+                g = _gradients(layout, w) if g is None else g
+                bounds[p][:, s] = _edge_bounds(info, g, ws, rows_of[p], s, tasks, own, decision)
+            ratio = w[links][:, s] / product[slot][..., s]
+            parts = (coef * ratio * ratio / info[slot][..., s]).sum(0)
+            store[flat if isinstance(s, slice) else np.ix_(flat, s)] = parts
+        bounds *= totals if normalize else 1.0
+    return bounds, names, layout, batch, w, info
 
 
-def _edge_bounds(terms: tuple, rows: list, paths: tuple, s, mark: tuple, decision) -> np.ndarray:
+def _edge_bounds(info, g, w, rows, s, paths: tuple, mark: tuple, decision) -> np.ndarray:
     """Bounds (n, points) of the plan with tasks ``rows`` over ``paths``, at points ``s``.
 
     What the gather in ``_plan_bounds`` cannot express, at points that share
@@ -238,7 +246,7 @@ def _edge_bounds(terms: tuple, rows: list, paths: tuple, s, mark: tuple, decisio
     their inverse information, by exact Gauss-Jordan on the floats' values
     (a float matrix loses tasks of small information).  Other links get +inf.
     """
-    info, g, w = terms[3][rows][:, s], terms[5][rows][..., s], terms[6][:, s]
+    info, g, w = info[rows][:, s], g[rows][..., s], w[:, s]
     known, live, pivots, combos = decision
     zeros = {c for c in range(len(w)) if mark[c]}
     bounds = np.full(w.shape, math.inf)
@@ -297,32 +305,28 @@ def plan_qfim(
     plans = (plan,) if single else tuple(plan)
     if not plans:
         raise ValueError("plan_qfim needs at least one plan")
-    terms = _plan_terms(plans, params, mode)
-    index, batch, keys, info, _, g, _ = terms
-    bounds, ledgers = _plan_bounds(plans, terms, normalize)
+    bounds, names, layout, batch, w, info = _plan_bounds(plans, params, mode, normalize)
+    ledgers = tuple(channel_uses(p) for p in plans) if normalize else None
     # Each distinct task's block J g g^T, with the batch last, 0 off its path
     # also where J is +inf.  Every plan adds its blocks in task order, from
     # 0.0, then is divided by its total.
+    g = _gradients(layout, w)
     outer = g[:, :, None] * g[:, None, :]
     with np.errstate(invalid="ignore"):
-        blocks = np.where(outer == 0.0, 0.0, info[:, None, None] * outer)
-    entries = np.zeros((len(plans),) + blocks.shape[1:])
-    for k, p in enumerate(plans):
-        for t in p.tasks:
-            entries[k] += blocks[keys.index((t.scheme, t.path.link_ids))]
-        if normalize:
-            entries[k] /= ledgers[k].total
-    entries = entries.transpose(0, 3, 1, 2).reshape((len(plans),) + batch + 2 * (len(index),))
+        blocks = np.where(outer == 0.0, 0.0, info[:-1, None, None] * outer)
+    entries = np.array([sum(blocks[rows], np.zeros(blocks.shape[1:])) for rows in layout[5]])
+    entries /= layout[6][..., None] if normalize else 1.0
+    entries = entries.transpose(0, 3, 1, 2).reshape((len(plans),) + batch + 2 * (len(names),))
     bounds = bounds.transpose(0, 2, 1).reshape(entries.shape[:-1])
     if single:
         entries, bounds, ledgers = entries[0], bounds[0], ledgers and ledgers[0]
-    return FisherMatrix(entries, tuple(index), mode, bounds, normalize, ledgers)
+    return FisherMatrix(entries, names, mode, bounds, normalize, ledgers)
 
 
 def _plan_qcrb(plans: Sequence, params: Mapping, mode: FisherMode, normalize: bool) -> list:
     """Each plan's ``qcrb`` over the batch, as lists; no matrix is built."""
     with np.errstate(over="ignore"):
-        return _plan_bounds(plans, _plan_terms(plans, params, mode), normalize)[0].sum(1).tolist()
+        return _plan_bounds(plans, params, mode, normalize)[0].sum(1).tolist()
 
 
 def crb_diagonal(matrix: FisherMatrix, scale: float = 1.0) -> dict:

@@ -8,7 +8,6 @@ equal resource footing.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Mapping, Sequence
 
 from .schemes import SCHEMES, Scheme, _Record
@@ -176,7 +175,6 @@ def _plan_steps(plan: MonitoringPlan) -> tuple:
     return tuple(steps)
 
 
-@functools.cache
 def _identifiable(paths: tuple, n: int, mark: tuple) -> tuple:
     """``(known, live, pivots, combos)`` of a plan's task ``paths`` over links 0..n-1.
 
@@ -188,7 +186,6 @@ def _identifiable(paths: tuple, n: int, mark: tuple) -> tuple:
     row space (Ma, He, Swami, Towsley et al., IMC 2013).  ``combos`` holds
     ``(link, y, d)`` for each, e_link = sum_t (y_t / d) row_t over the live
     tasks; with nothing marked, y / d of a square plan is a row of X = R^-1.
-    Cached on its integer inputs, as a plan takes few marks.
     """
     known = frozenset(c for t, path in enumerate(paths) if mark[n + t] for c in path)
     flags = [(*path, n + t, n + len(paths) + t) for t, path in enumerate(paths)]

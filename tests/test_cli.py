@@ -40,6 +40,7 @@ from qnetomo.cli import (
     _Parser,
     _fmt,
     _grid,
+    _star_plans,
     build_config,
     main,
 )
@@ -349,13 +350,18 @@ class TestStar:
         assert sum(np.size(w) for _, w in seen) == 6 * 99
 
     def test_each_task_path_is_traced_once(self, capsys, tmp_path, monkeypatch):
-        # 4 plans of 3 tasks each: one Path record per task, none thrown away.
+        # 4 plans of 3 tasks each: one Path record per task, none thrown away,
+        # and a later star command in the process reuses the plans.
+        _star_plans.cache_clear()
         traced = constructed(monkeypatch, network.Path)
         out = tmp_path / "star.csv"
         argv = ["star", "--config", str(MANIFESTS / "star_homogeneous.cfg"), "--out", str(out)]
         assert main(argv) == 0
-        capsys.readouterr()
+        first = out.read_bytes()
         assert len(traced) == 12
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(traced) == 12 and out.read_bytes() == first
 
     def test_incomplete_fixed_pair_rejected(self, capsys, tmp_path):
         cfg = write_config(

@@ -1,5 +1,6 @@
 """Tests for information matrices, bounds, and mode agreement."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -1064,6 +1065,116 @@ class TestBoundGrouping:
         bounds = crb_diagonal(matrix)
         assert all(bounds[lid] >= 0.0 for lid in matrix.order)
         assert qcrb(matrix) >= 0.0
+
+
+# Two edge grids: links at 0 and 1, and under and near the float range.
+EDGE_GRIDS = (
+    (0.0, 1.0, 1e-7, 1e-150, 0.1, 0.3, 0.5, 0.77, 0.9, 0.999999),
+    (0.0, 5e-324, 1e-170, 1e-160, 1e-13, 0.5, 1.0 - 2.0**-53, 1.0),
+)
+
+
+def _edge_batches(grid):
+    """The whole cube, as one batch and its points free of marks, then a slice point by point."""
+    cube = np.array(list(itertools.product(grid, repeat=3))).T
+    plain = [v for v in grid if 2.0**-300 < v < 1.0]
+    yield dict(zip(("e0", "e1", "e2"), cube))
+    yield dict(zip(("e0", "e1", "e2"), np.array(list(itertools.product(plain, repeat=3))).T))
+    for i, j in itertools.product(range(len(grid)), repeat=2):
+        yield {"e0": grid[i], "e1": grid[j], "e2": grid[(i + j) % len(grid)]}
+
+
+class TestPlanLayout:
+    """A plan set's integer layout is cached; every call still checks and evaluates anew."""
+
+    GRID = {"e0": [0.1, 0.5, 0.9], "e1": [0.2, 0.6, 0.95], "e2": 0.7}
+
+    def _plans(self):
+        graph = build_star(3, [0.5, 0.5, 0.5])
+        return [builtin_plan(kind, graph) for kind in ("JBM2", "JBM3", "HYB2", "HYB3")]
+
+    def test_star_kernel_outputs_are_pinned(self):
+        # plan_qfim's entries and bounds and _plan_qcrb, for the four star plans
+        # alone and stacked, in both modes with normalize off and on: the digest
+        # is what the kernel gave before it cached a layout.
+        plans = self._plans()
+        digest = hashlib.sha256()
+        for grid in EDGE_GRIDS:
+            members = [[plan] for plan in plans] + [plans]
+            for params, mode, normalize, plan_set in itertools.product(
+                _edge_batches(grid), FisherMode, (False, True), members
+            ):
+                matrix = plan_qfim(plan_set, params, mode, normalize)
+                digest.update(matrix.entries.tobytes() + matrix.bounds.tobytes())
+                bounds = fisher._plan_qcrb(plan_set, params, mode, normalize)
+                digest.update(np.array(bounds).tobytes())
+        expected = "92a9148d70fc0d63404d0ef4c94a05c86d33678a92ef9688ba6d8dfb4b564286"
+        assert digest.hexdigest() == expected
+
+    def test_new_values_hit_the_cached_layout(self):
+        plans = self._plans()
+        fisher._layout.cache_clear()
+        fisher._decision.cache_clear()
+        fisher._plan_qcrb(plans, {"e0": 0.9, "e1": 0.8, "e2": 0.7}, CLOSED, True)
+        layout, decision = fisher._layout.cache_info(), fisher._decision.cache_info()
+        assert layout.misses == decision.misses == 1
+        fisher._plan_qcrb(plans, self.GRID, FIRST, False)
+        assert fisher._layout.cache_info().misses == 1
+        assert fisher._layout.cache_info().hits == layout.hits + 1
+        assert fisher._decision.cache_info().hits == decision.hits + 1
+
+    def test_a_renamed_plan_with_the_same_tasks_shares_the_layout(self):
+        plans = self._plans()
+        # Same (scheme, link ids) tasks, traced again on another star.
+        other = build_star(3, [0.1, 0.2, 0.3])
+        renamed = [
+            MonitoringPlan(f"copy of {p.name}", builtin_plan(p.name, other).tasks) for p in plans
+        ]
+        fisher._layout.cache_clear()
+        first = fisher._plan_qcrb(plans, self.GRID, CLOSED, True)
+        assert fisher._plan_qcrb(renamed, self.GRID, CLOSED, True) == first
+        assert fisher._layout.cache_info().misses == 1
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_a_missing_link_raises_the_same_error_on_every_call(self, normalize):
+        plans = self._plans()
+        missing = r"^path link 'e1' missing from the parameter vector$"
+        for _ in range(3):
+            with pytest.raises(ValueError, match=missing):
+                fisher._plan_qcrb(plans, {"e0": 0.9, "e2": 0.7}, CLOSED, normalize)
+            with pytest.raises(ValueError, match=missing):
+                plan_qfim(plans, {"e2": 0.7, "e0": [0.5, 0.6]}, FIRST, normalize)
+        # A cached layout still range-checks every parameter of every call.
+        fisher._plan_qcrb(plans, self.GRID, CLOSED, normalize)
+        with pytest.raises(ValueError, match=r"^parameter for link 'e2'=1.5 outside \[0, 1\]$"):
+            fisher._plan_qcrb(plans, {**self.GRID, "e2": 1.5}, CLOSED, normalize)
+
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    def test_a_cached_call_evaluates_j_once_per_distinct_task(self, mode, monkeypatch):
+        plans = self._plans()
+        fisher._plan_qcrb(plans, self.GRID, mode, True)
+        misses = fisher._layout.cache_info().misses
+        seen = watched_schemes(monkeypatch)
+        fisher._plan_qcrb(plans, self.GRID, mode, True)
+        assert fisher._layout.cache_info().misses == misses
+        # 6 distinct tasks at 3 points, one J call per rule: JBM's 4, LZM's 2 paths.
+        assert len(seen) == 2
+        assert {scheme: np.size(w) for scheme, w in seen} == {Scheme.JBM: 12, Scheme.LZM: 6}
+
+    @pytest.mark.parametrize("mode", [CLOSED, FIRST])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_first_and_cached_calls_agree_bit_for_bit(self, mode, normalize):
+        plans = self._plans()
+        marked = {"e0": [0.0, 0.3, 1.0, 0.9], "e1": [0.5, 1e-170, 0.2, 0.8], "e2": 0.7}
+        for params in (self.GRID, marked):
+            fisher._layout.cache_clear()
+            fisher._decision.cache_clear()
+            first = plan_qfim(plans, params, mode, normalize)
+            again = plan_qfim(plans, params, mode, normalize)
+            assert first.entries.tobytes() == again.entries.tobytes()
+            assert first.bounds.tobytes() == again.bounds.tobytes()
+            totals = [qcrb(plan_qfim(p, params, mode, normalize)).tolist() for p in plans]
+            assert fisher._plan_qcrb(plans, params, mode, normalize) == totals
 
 
 class TestRecordChecks:
